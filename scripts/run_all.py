@@ -24,6 +24,7 @@ JOBS = [
     ("rate-scan", "rate_scan_multiplicative.json"),
     ("thm2", "thm2_trig.json"),
     ("thm2", "thm2_multiplicative.json"),
+    ("thm2", "thm2_fbm_trig.json"),
 ]
 
 

@@ -34,7 +34,7 @@ from .deterministic import (DivergenceError, TimeGrid,
 from .kernels import (ConvergenceError, bounds_for, check_assumptions,
                       fbm_covariance, fbm_kernel_matrix, fbm_kernel_params,
                       kernel_l2_mass, make_preset, variance_lower_bound_const)
-from .simulate import _increment_rows, coupled_terminal_samples
+from .simulate import _CHUNK_ROWS, _increment_rows, coupled_terminal_samples
 from .stats import (distance_report, rate_fit, resolve_test_function,
                     rms_with_se, thm2_report)
 
@@ -42,7 +42,6 @@ _DEFAULT_EPSILONS = (0.4, 0.2, 0.1, 0.05)
 _DEFAULT_COV_PAIRS = ((1.0, 0.5), (1.0, 0.25), (0.5, 0.25),
                       (1.0, 1.0), (0.5, 0.5), (0.75, 0.25))
 _SNAP_TOL = 1e-9
-_CHUNK_ROWS = 2048
 
 
 class ConfigError(ValueError):
@@ -260,8 +259,11 @@ def run_limit(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     hi = max(float(x.values.max()), cfg.x0) + 1.0
     probe = np.linspace(lo, hi, 33)
     report = check_assumptions(coeff, bounds_for(coeff, grid), grid, probe)
-    if not report.ok:
-        failures.extend("assumption check: " + v for v in report.violations)
+    failures.extend("assumption check: %s bound violated at t=%.6g, s=%.6g, x=%.6g"
+                    % v for v in report.violations)
+    if not report.ok and not report.violations:
+        failures.append("assumption check: integrability budget exceeded by %.3g"
+                        % -report.integrability_margin)
     if not np.all(np.isfinite(var.values)):
         failures.append("variance path contains non-finite values")
     return failures

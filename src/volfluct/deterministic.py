@@ -100,6 +100,12 @@ class VariancePath:
     grid: TimeGrid
 
 
+def _on_path(f, grid: TimeGrid, xv: np.ndarray) -> np.ndarray:
+    """State function f at x_k, k = 0..N-1 (its (t, s) arguments are ignored)."""
+    return np.broadcast_to(np.asarray(f(grid.nodes[1:], grid.midpoints, xv[:-1]),
+                                      dtype=float), (grid.N,))
+
+
 def solve_deterministic_limit(c: CoefficientSet, grid: TimeGrid, x0: float) -> LimitPath:
     """Solve x_t = x0 + int_0^t b(t, s, x_s) ds at first order:
 
@@ -108,21 +114,23 @@ def solve_deterministic_limit(c: CoefficientSet, grid: TimeGrid, x0: float) -> L
     When b does not depend on its first argument the sum telescopes and
     the solve is incremental; the update order then matches the noisy
     Euler scheme exactly, so a zero-diffusion simulation reproduces this
-    path bit for bit.  Time-dependent kernels force the full
-    resummation at every node.
+    path bit for bit.  A separable b = K g(x) evaluates g once per node
+    and resums one kernel column per node.
     """
     nodes = grid.nodes
     mids = grid.midpoints
     d = grid.delta
+    K, g = c.on_grid(grid)
     x = np.empty(grid.N + 1)
     x[0] = float(x0)
+    gb = np.empty(grid.N)
     for j in range(1, grid.N + 1):
-        if c.time_dependent:
-            contrib = np.asarray(c.b(nodes[j], mids[:j], x[:j]), dtype=float)
-            x[j] = x0 + float(np.sum(contrib)) * d
-        else:
+        if K is None:
             x[j] = x[j - 1] + float(np.asarray(
                 c.b(nodes[j], mids[j - 1], x[j - 1]))) * d
+        else:
+            gb[j - 1] = float(np.asarray(g.b(nodes[j], mids[j - 1], x[j - 1])))
+            x[j] = x0 + float(K[:j, j] @ gb[:j]) * d
         if not np.isfinite(x[j]):
             raise DivergenceError(
                 "limit path diverged at node %d (t=%.6g)" % (j, nodes[j]), node=j)
@@ -133,30 +141,29 @@ def solve_derivative_field(c: CoefficientSet, grid: TimeGrid, x: LimitPath) -> D
     """Forward column solve of
     D[i, j] = sigma(t_j, theta_i*, x_i) + sum_{i<=k<j} b'(t_j, s_k*, x_k) D[i, k] delta.
 
-    b'(t_j, s_k*, x_k) is cached as a matrix once per call (O(N^2)
-    memory) so each column costs one triangular mat-vec; total work is
-    O(N^3).  The diagonal seed D[i, i] = sigma(t_{i+1}, theta_i*, x_i)
-    supplies the k = i term; for time-independent sigma it equals the
-    defining sigma(t_i, theta_i*, x_i), and it keeps fractional kernel
-    arguments inside their s < t domain.
+    b'(t_j, s_k*, x_k) = K[k, j] g'(x_k) is cached as a matrix once per
+    call (O(N^2) memory, K = 1 without a kernel) so each column costs one
+    triangular mat-vec; total work is O(N^3).  The diagonal seed
+    D[i, i] = sigma(t_{i+1}, theta_i*, x_i) supplies the k = i term; for
+    time-independent sigma it equals the defining sigma(t_i, theta_i*, x_i),
+    and it keeps fractional kernel arguments inside their s < t domain.
     """
     if x.grid != grid:
         raise ValueError("limit path was solved on a different grid")
     N = grid.N
     d = grid.delta
     nodes = grid.nodes
-    mids = grid.midpoints
-    xv = x.values
-
-    bp = np.zeros((N + 1, N))
-    for j in range(1, N + 1):
-        bp[j, :j] = np.asarray(c.db(nodes[j], mids[:j], xv[:j]), dtype=float)
+    K, g = c.on_grid(grid)
+    if K is None:
+        K = np.triu(np.ones((N, N + 1)), 1)
+    # row j holds the column-j coefficients over k < j
+    bp = np.ascontiguousarray((K * _on_path(g.db, grid, x.values)[:, None]).T)
+    sig = np.ascontiguousarray((K * _on_path(g.sigma, grid, x.values)[:, None]).T)
 
     D = np.zeros((N, N + 1))
     for j in range(1, N + 1):
-        D[j - 1, j - 1] = float(np.asarray(c.sigma(nodes[j], mids[j - 1], xv[j - 1])))
-        sig = np.asarray(c.sigma(nodes[j], mids[:j], xv[:j]), dtype=float)
-        col = sig + d * (D[:j, :j] @ bp[j, :j])
+        D[j - 1, j - 1] = sig[j, j - 1]
+        col = sig[j, :j] + d * (D[:j, :j] @ bp[j, :j])
         if not np.all(np.isfinite(col)):
             raise DivergenceError(
                 "derivative field diverged at node %d (t=%.6g)" % (j, nodes[j]), node=j)

@@ -10,16 +10,18 @@ the state x.  This module supplies
   standard Brownian motion to fractional Brownian motion with Hurst
   index H, plus quadrature helpers built on it,
 * ``CoefficientSet`` presets spanning trivial, closed-form and fractional
-  test equations, and
+  test equations; the fractional ones are separable, K_H(t, s) g(x), and
+  evaluate K_H once per grid into a memoized kernel matrix, and
 * ``check_assumptions``: advisory spot checks of the linear-growth and
   derivative bounds required by the limit theory.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import integrate, special
@@ -36,7 +38,6 @@ _KNOWN_PRESETS = (
     "linear-growth",
     "trig",
     "fbm-additive",
-    "fbm-additive-shifted",
     "fbm-trig",
 )
 
@@ -145,8 +146,10 @@ def hyp2f1(a: float, b: float, c: float, z):
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr > 0.0):
         raise ValueError("hyp2f1 is restricted to z <= 0")
-    w = z_arr / (z_arr - 1.0)
-    assert np.all((w >= 0.0) & (w < 1.0)), "Pfaff argument escaped [0, 1)"
+    with np.errstate(invalid="ignore"):
+        w = z_arr / (z_arr - 1.0)
+    if not np.all((w >= 0.0) & (w < 1.0)):
+        raise ValueError("hyp2f1 needs finite z; the Pfaff argument escaped [0, 1)")
     A, B, C = a, c - b, c
     out = np.empty_like(w)
     near = w <= 0.5
@@ -315,18 +318,31 @@ def fbm_kernel_matrix(p: FbmKernelParams, grid) -> np.ndarray:
     return K
 
 
+@functools.lru_cache(maxsize=8)
+def _fbm_matrix(H: float, grid) -> np.ndarray:
+    """``fbm_kernel_matrix`` memoized per (H, grid); read-only, shared by callers."""
+    K = fbm_kernel_matrix(fbm_kernel_params(H), grid)
+    K.setflags(write=False)
+    return K
+
+
 # ---------------------------------------------------------------------------
 # Coefficient sets
 # ---------------------------------------------------------------------------
+
+_COEFF_FIELDS = ("b", "sigma", "db", "dsigma", "d2b", "d2sigma")
 
 
 @dataclass(frozen=True)
 class CoefficientSet:
     """Drift/diffusion kernels b(t, s, x), sigma(t, s, x) and x-derivatives.
 
-    All callables broadcast over numpy inputs.  ``time_dependent`` marks
-    presets whose coefficients genuinely use (t, s); those are routed to
-    the generic (slower) simulation engines.
+    All callables broadcast over numpy inputs and serve pointwise use.  A
+    separable preset k(t, s) g(x) also carries ``kernel``, mapping a grid
+    to the matrix K[i, j] = k(t_j, theta_i*) (zero for i >= j), and
+    ``state``, the preset of its state functions g (``None``: the set's
+    own callables).  On a grid the solvers and engines evaluate K times g;
+    presets without a kernel ignore (t, s) and run telescoped recursions.
     """
 
     name: str
@@ -337,29 +353,19 @@ class CoefficientSet:
     d2b: Callable
     d2sigma: Callable
     params: Dict[str, float] = field(default_factory=dict)
-    time_dependent: bool = False
+    kernel: Optional[Callable] = None
+    state: Optional["CoefficientSet"] = None
 
+    @property
+    def time_dependent(self) -> bool:
+        return self.kernel is not None
 
-class _KernelCache:
-    """Memoizes K_H(t, s) lookups keyed by exact argument bytes.
-
-    The simulation engines re-query the same (t_j, s_(0..j-1)*) pairs for
-    every path chunk; concurrent duplicate computes are benign because
-    evaluation is deterministic.
-    """
-
-    def __init__(self, params: FbmKernelParams):
-        self.params = params
-        self._memo: dict = {}
-
-    def __call__(self, t, s):
-        s_arr = np.asarray(s, dtype=float)
-        key = (float(t), s_arr.tobytes(), s_arr.shape)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = eval_fbm_kernel(self.params, float(t), s)
-            self._memo[key] = hit
-        return hit
+    def on_grid(self, grid):
+        """(K, g): the kernel matrix on ``grid`` (None when k = 1) and the
+        set whose callables are the state functions g."""
+        if self.kernel is None:
+            return None, self
+        return self.kernel(grid), (self if self.state is None else self.state)
 
 
 def _zero_coeff(t, s, x):
@@ -368,6 +374,18 @@ def _zero_coeff(t, s, x):
 
 def _unit_coeff(t, s, x):
     return np.ones(np.shape(x))
+
+
+def _fbm_separable(name: str, g: CoefficientSet, H: float, params) -> CoefficientSet:
+    """K_H(t, s) g(x): pointwise products plus the memoized grid matrix."""
+    p = fbm_kernel_params(H)
+
+    def times_kernel(f):
+        return lambda t, s, x: eval_fbm_kernel(p, t, s) * np.asarray(f(t, s, x), dtype=float)
+
+    return CoefficientSet(name, *(times_kernel(getattr(g, f)) for f in _COEFF_FIELDS),
+                          params=params, kernel=functools.partial(_fbm_matrix, H),
+                          state=g)
 
 
 def make_preset(name: str, **params) -> CoefficientSet:
@@ -379,9 +397,8 @@ def make_preset(name: str, **params) -> CoefficientSet:
     multiplicative       b = 0, sigma = x
     linear-growth        b = a x, sigma = 1          (param a, default 1)
     trig                 b = kappa sin x, sigma = kappa cos x  (param kappa)
-    fbm-additive         b = 0, sigma = K_H(t, s) sigma0      (params H, sigma0)
-    fbm-additive-shifted alias of fbm-additive
-    fbm-trig             trig scaled by K_H(t, s)             (params H, kappa)
+    fbm-additive         K_H(t, s) times (b = 0, sigma = sigma0)  (params H, sigma0)
+    fbm-trig             K_H(t, s) times trig                     (params H, kappa)
     """
     if name not in _KNOWN_PRESETS:
         raise ValueError("unknown preset %r; known: %s" % (name, ", ".join(_KNOWN_PRESETS)))
@@ -427,40 +444,19 @@ def make_preset(name: str, **params) -> CoefficientSet:
             d2sigma=lambda t, s, x: -kappa * np.cos(x),
             params={"kappa": kappa},
         )
-    elif name in ("fbm-additive", "fbm-additive-shifted"):
+    else:  # fbm-additive, fbm-trig
         if "H" not in params:
             raise ValueError("preset %r requires H" % name)
         H = take("H", None)
-        sigma0 = take("sigma0", 1.0)
-        kern = _KernelCache(fbm_kernel_params(H))
-        cs = CoefficientSet(
-            name,
-            b=_zero_coeff,
-            sigma=lambda t, s, x: sigma0 * kern(t, s) * np.ones(np.shape(x)),
-            db=_zero_coeff,
-            dsigma=_zero_coeff,
-            d2b=_zero_coeff,
-            d2sigma=_zero_coeff,
-            params={"H": H, "sigma0": sigma0},
-            time_dependent=True,
-        )
-    else:  # fbm-trig
-        if "H" not in params:
-            raise ValueError("preset %r requires H" % name)
-        H = take("H", None)
-        kappa = take("kappa", 1.0)
-        kern = _KernelCache(fbm_kernel_params(H))
-        cs = CoefficientSet(
-            name,
-            b=lambda t, s, x: kappa * kern(t, s) * np.sin(x),
-            sigma=lambda t, s, x: kappa * kern(t, s) * np.cos(x),
-            db=lambda t, s, x: kappa * kern(t, s) * np.cos(x),
-            dsigma=lambda t, s, x: -kappa * kern(t, s) * np.sin(x),
-            d2b=lambda t, s, x: -kappa * kern(t, s) * np.sin(x),
-            d2sigma=lambda t, s, x: -kappa * kern(t, s) * np.cos(x),
-            params={"H": H, "kappa": kappa},
-            time_dependent=True,
-        )
+        if name == "fbm-additive":
+            sigma0 = take("sigma0", 1.0)
+            g = CoefficientSet("additive", _zero_coeff,
+                               lambda t, s, x: np.full(np.shape(x), sigma0),
+                               _zero_coeff, _zero_coeff, _zero_coeff, _zero_coeff,
+                               params={"sigma0": sigma0})
+        else:
+            g = make_preset("trig", kappa=take("kappa", 1.0))
+        cs = _fbm_separable(name, g, H, dict(g.params, H=H))
     if params:
         raise ValueError("unknown parameters for preset %r: %s" % (name, sorted(params)))
     return cs
@@ -505,15 +501,33 @@ def _fbm_exponent(H: float) -> float:
     return 1.5 if amax >= 2.0 else 0.5 * (1.0 + amax)
 
 
-def _integrability_sup(k: Callable, power: float, grid) -> float:
-    nodes = grid.nodes
-    mids = grid.midpoints
-    d = grid.delta
-    sup = 0.0
+@dataclass(frozen=True)
+class _KernelEnvelope:
+    """scale K_H(t, s): pointwise off the grid, the memoized matrix on it."""
+
+    scale: float
+    H: float
+
+    def __call__(self, t, s):
+        return self.scale * np.asarray(eval_fbm_kernel(fbm_kernel_params(self.H), t, s),
+                                       dtype=float)
+
+
+def _envelope_on_grid(k: Callable, grid) -> np.ndarray:
+    """E[i, j] = k(t_j, theta_i*) for i < j, zero elsewhere."""
+    if isinstance(k, _KernelEnvelope):
+        return k.scale * _fbm_matrix(k.H, grid)
+    E = np.zeros((grid.N, grid.N + 1))
     for j in range(1, grid.N + 1):
-        vals = np.asarray(k(nodes[j], mids[:j]), dtype=float)
-        sup = max(sup, float(np.sum(vals ** power) * d))
-    return sup
+        E[:j, j] = k(grid.nodes[j], grid.midpoints[:j])
+    return E
+
+
+def _budget_sup(envelopes, exponents, grid) -> float:
+    """max(sup_t int (k1^(2 alpha) + k2^(2 beta)), sup_t int k3^(2 gamma))."""
+    sups = [float(np.max(np.sum(E ** (2.0 * a), axis=0)) * grid.delta)
+            for E, a in zip(envelopes, exponents)]
+    return max(sups[0] + sups[1], sups[2])
 
 
 def bounds_for(c: CoefficientSet, grid) -> AssumptionBounds:
@@ -535,30 +549,23 @@ def bounds_for(c: CoefficientSet, grid) -> AssumptionBounds:
         lim = math.sqrt(2.0) * abs(c.params["kappa"])
         k1 = k2 = k3 = _const_envelope(lim)
         alpha = beta = gamma = 1.5
-    elif name in ("fbm-additive", "fbm-additive-shifted", "fbm-trig"):
+    elif name in ("fbm-additive", "fbm-trig"):
         H = c.params["H"]
         scale = c.params.get("sigma0", None)
         if scale is None:
             scale = math.sqrt(2.0) * abs(c.params["kappa"])
-        kern = _KernelCache(fbm_kernel_params(H))
-
-        def k_kernel(t, s):
-            return scale * np.asarray(kern(t, s), dtype=float)
-
+        k1 = _KernelEnvelope(scale, H)
         if name == "fbm-trig":
-            k1 = k2 = k3 = k_kernel
+            k2 = k3 = k1
         else:
-            k1 = k_kernel
-            k2 = _const_envelope(0.0)
-            k3 = _const_envelope(0.0)
+            k2 = k3 = _const_envelope(0.0)
         alpha = beta = gamma = _fbm_exponent(H)
     else:  # pragma: no cover - make_preset guards the name set
         raise ValueError("no declared bounds for preset %r" % name)
 
-    sup12 = (_integrability_sup(k1, 2.0 * alpha, grid)
-             + _integrability_sup(k2, 2.0 * beta, grid))
-    sup3 = _integrability_sup(k3, 2.0 * gamma, grid)
-    L = 1.05 * max(sup12, sup3, 1e-9)
+    sup = _budget_sup([_envelope_on_grid(k, grid) for k in (k1, k2, k3)],
+                      (alpha, beta, gamma), grid)
+    L = 1.05 * max(sup, 1e-9)
     return AssumptionBounds(k1=k1, k2=k2, k3=k3, alpha=alpha, beta=beta,
                             gamma=gamma, L=L)
 
@@ -587,35 +594,37 @@ def check_assumptions(c: CoefficientSet, bounds: AssumptionBounds, grid,
     mids = grid.midpoints
     t_stride = max(1, grid.N // 16)
     slack = 1e-9
+    K, g = c.on_grid(grid)
+    caps = [_envelope_on_grid(k, grid) for k in (bounds.k1, bounds.k2, bounds.k3)]
 
     checked = 0
     violations: List[Tuple[str, float, float, float]] = []
     growth_margin = math.inf
     for j in range(1, grid.N + 1, t_stride):
         t = nodes[j]
-        ss = mids[:j][:: max(1, j // 16)]
+        rows = np.arange(j)[:: max(1, j // 16)]
+        ss = mids[rows]
+        kcol = 1.0 if K is None else K[rows, j]
         for x in probe_xs:
             xv = np.full(ss.shape, float(x))
-            growth = np.abs(c.b(t, ss, xv)) + np.abs(c.sigma(t, ss, xv))
-            cap1 = np.asarray(bounds.k1(t, ss), dtype=float) * (1.0 + abs(x))
-            first = np.abs(c.db(t, ss, xv)) + np.abs(c.dsigma(t, ss, xv))
-            cap2 = np.asarray(bounds.k2(t, ss), dtype=float)
-            second = np.abs(c.d2b(t, ss, xv)) + np.abs(c.d2sigma(t, ss, xv))
-            cap3 = np.asarray(bounds.k3(t, ss), dtype=float)
+            v = {f: np.abs(kcol * np.asarray(getattr(g, f)(t, ss, xv), dtype=float))
+                 for f in _COEFF_FIELDS}
+            growth = v["b"] + v["sigma"]
+            cap1 = caps[0][rows, j] * (1.0 + abs(x))
             checked += 3 * ss.size
             for kind, val, cap in (("growth", growth, cap1),
-                                   ("first-derivative", first, cap2),
-                                   ("second-derivative", second, cap3)):
+                                   ("first-derivative", v["db"] + v["dsigma"],
+                                    caps[1][rows, j]),
+                                   ("second-derivative", v["d2b"] + v["d2sigma"],
+                                    caps[2][rows, j])):
                 bad = val > cap * (1.0 + slack) + 1e-12
                 if np.any(bad):
                     i = int(np.argmax(bad))
                     violations.append((kind, float(t), float(ss[i]), float(x)))
             growth_margin = min(growth_margin, float(np.min(cap1 - growth)))
 
-    sup12 = (_integrability_sup(bounds.k1, 2.0 * bounds.alpha, grid)
-             + _integrability_sup(bounds.k2, 2.0 * bounds.beta, grid))
-    sup3 = _integrability_sup(bounds.k3, 2.0 * bounds.gamma, grid)
-    integrability_margin = float(bounds.L - max(sup12, sup3))
+    sup = _budget_sup(caps, (bounds.alpha, bounds.beta, bounds.gamma), grid)
+    integrability_margin = float(bounds.L - sup)
     ok = not violations and integrability_margin >= 0.0
     return AssumptionReport(checked=checked, violations=violations,
                             growth_margin=growth_margin,

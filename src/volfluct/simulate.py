@@ -14,9 +14,13 @@ Simulated processes, all coupled through one increment batch:
 * ``simulate_Z``: the second-order correction process,
 * ``simulate_DZ_terminal``: the terminal Malliavin row D_theta Z_T.
 
-State-only presets (coefficients that ignore (t, s)) run O(N) incremental
-recursions per path; genuinely time-dependent presets fall back to
-generic engines that re-sum the Volterra convolution each step.
+Two engine families share every entry point.  State-only presets
+(coefficients that ignore (t, s)) run O(N) telescoped recursions per
+path.  Separable presets k(t, s) g(x) evaluate g once per path and step
+and resum the Volterra convolution as one mat-vec against a column of
+the kernel matrix K[i, j] = k(t_j, s_i*), in a time-major layout; DZ
+follows from a closed form in both families.  Each finished array is
+scanned once for non-finite values.
 
 ``coupled_terminal_samples`` is the chunked driver used for large M: it
 streams path chunks, keeps only the requested observation columns, and
@@ -34,7 +38,7 @@ import numpy as np
 from scipy import special
 
 from .deterministic import (DerivativeField, DivergenceError, LimitPath,
-                            TimeGrid, solve_derivative_field,
+                            TimeGrid, _on_path, solve_derivative_field,
                             solve_deterministic_limit)
 from .kernels import CoefficientSet
 
@@ -84,7 +88,8 @@ def _uniform_block(seed: int, g0: int, count: int) -> np.ndarray:
     consumes exactly one word per double, so starting the counter at
     g0 // 4 addresses draw g0 directly.
     """
-    assert g0 % 4 == 0
+    if g0 % 4:
+        raise ValueError("draw index %d is not a multiple of 4" % g0)
     bitgen = np.random.Philox(key=np.uint64(seed), counter=[g0 // 4, 0, 0, 0])
     return np.random.Generator(bitgen).random(count)
 
@@ -110,20 +115,7 @@ def sample_brownian(M: int, grid: TimeGrid, seed: int) -> BrownianBatch:
                          increments=_increment_rows(seed, grid, 0, M))
 
 
-def _first_bad(values: np.ndarray) -> int:
-    flat = ~np.isfinite(values)
-    return int(np.argmax(flat.any(axis=-1))) if flat.ndim > 1 else int(np.argmax(flat))
-
-
-def _check_column(col: np.ndarray, what: str, node: int):
-    if not np.all(np.isfinite(col)):
-        m = _first_bad(col)
-        raise DivergenceError("%s diverged at path %d, node %d" % (what, m, node),
-                              node=node, path=m)
-
-
-def _x_state_only(c: CoefficientSet, grid: TimeGrid, x0: float, eps: float,
-                  dB: np.ndarray) -> np.ndarray:
+def _x_state_only(c, grid, x0, eps, dB):
     M, N = dB.shape
     nodes = grid.nodes
     mids = grid.midpoints
@@ -135,29 +127,148 @@ def _x_state_only(c: CoefficientSet, grid: TimeGrid, x0: float, eps: float,
         bv = np.asarray(c.b(nodes[i + 1], mids[i], cur), dtype=float)
         sv = np.asarray(c.sigma(nodes[i + 1], mids[i], cur), dtype=float)
         cur = cur + bv * d + eps * sv * dB[:, i]
-        _check_column(cur, "X", i + 1)
         X[:, i + 1] = cur
     return X
 
 
-def _x_generic(c: CoefficientSet, grid: TimeGrid, x0: float, eps: float,
-               dB: np.ndarray) -> np.ndarray:
+def _y_state_only(c, grid, xv, dB):
     M, N = dB.shape
-    nodes = grid.nodes
-    mids = grid.midpoints
     d = grid.delta
-    X = np.empty((M, N + 1))
-    X[:, 0] = x0
+    bp = _on_path(c.db, grid, xv)
+    sg = _on_path(c.sigma, grid, xv)
+    Y = np.empty((M, N + 1))
+    Y[:, 0] = 0.0
+    cur = np.zeros(M)
+    for i in range(N):
+        cur = cur + bp[i] * cur * d + sg[i] * dB[:, i]
+        Y[:, i + 1] = cur
+    return Y
+
+
+def _z_state_only(c, grid, xv, Yv, dB):
+    M, N = dB.shape
+    d = grid.delta
+    bp = _on_path(c.db, grid, xv)
+    bpp = _on_path(c.d2b, grid, xv)
+    sp = _on_path(c.dsigma, grid, xv)
+    Z = np.empty((M, N + 1))
+    Z[:, 0] = 0.0
+    cur = np.zeros(M)
+    for i in range(N):
+        cur = cur + (bp[i] * cur + bpp[i] * Yv[:, i] ** 2) * d \
+            + 2.0 * sp[i] * Yv[:, i] * dB[:, i]
+        Z[:, i + 1] = cur
+    return Z
+
+
+def _volterra(K: np.ndarray, base: float, dB: np.ndarray, step) -> np.ndarray:
+    """V_j = base + sum_{i<j} K[i, j] step(i, V_i, dB_i), built time-major.
+
+    ``step`` returns the (M,) increment of cell i; each node is one
+    mat-vec of a contiguous kernel row against the increments so far.
+    Returns the (M, N+1) path-major view.
+    """
+    M, N = dB.shape
+    Kt = np.ascontiguousarray(K.T)
+    dBt = np.ascontiguousarray(dB.T)
+    V = np.empty((N + 1, M))
+    F = np.empty((N, M))
+    V[0] = base
     for j in range(1, N + 1):
-        hist = X[:, :j]
-        bv = np.broadcast_to(np.asarray(c.b(nodes[j], mids[:j], hist), dtype=float),
-                             hist.shape)
-        sv = np.broadcast_to(np.asarray(c.sigma(nodes[j], mids[:j], hist), dtype=float),
-                             hist.shape)
-        col = x0 + d * np.sum(bv, axis=1) + eps * np.sum(sv * dB[:, :j], axis=1)
-        _check_column(col, "X", j)
-        X[:, j] = col
-    return X
+        F[j - 1] = step(j - 1, V[j - 1], dBt[j - 1])
+        np.dot(Kt[j, :j], F[:j], out=V[j])
+        if base:
+            V[j] += base
+    return V.T
+
+
+def _x_kernel(c, grid, x0, eps, dB):
+    K, g = c.on_grid(grid)
+    t, s, d = grid.nodes, grid.midpoints, grid.delta
+    return _volterra(K, x0, dB, lambda i, Xi, dBi: g.b(t[i + 1], s[i], Xi) * d
+                     + eps * g.sigma(t[i + 1], s[i], Xi) * dBi)
+
+
+def _y_kernel(c, grid, xv, dB):
+    K, g = c.on_grid(grid)
+    bpd = _on_path(g.db, grid, xv) * grid.delta
+    sg = _on_path(g.sigma, grid, xv)
+    return _volterra(K, 0.0, dB, lambda i, Yi, dBi: bpd[i] * Yi + sg[i] * dBi)
+
+
+def _z_kernel(c, grid, xv, Yv, dB):
+    K, g = c.on_grid(grid)
+    d = grid.delta
+    bp = _on_path(g.db, grid, xv)
+    bpp = _on_path(g.d2b, grid, xv)
+    sp2 = 2.0 * _on_path(g.dsigma, grid, xv)
+    Yt = np.ascontiguousarray(Yv.T)
+    return _volterra(K, 0.0, dB, lambda i, Zi, dBi: (bp[i] * Zi + bpp[i] * Yt[i] ** 2) * d
+                     + sp2[i] * Yt[i] * dBi)
+
+
+def _dz_terminal(c, grid, xv, Yv, Dmat, dB):
+    """Closed form of the terminal Malliavin row D_{theta_i} Z_T.
+
+    Row i solves the linear Volterra equation
+      DZ[i, j] = K[i, j] S_i + sum_{i<=k<j} K[k, j] (delta b'_k DZ[i, k]
+                 + D[i, k] (2 b''_k Y_k delta + 2 sigma'_k dB_k)),
+    seeded DZ[i, i] = K[i, i+1] S_i with S_i = 2 sigma'_i Y_i (primes are
+    the state functions g at x_k).  Its b' operator is deterministic: with
+    the last resolvent row r_N = 1, r_k = delta b'_k w_k and
+    w_k = sum_{m>k} K[k, m] r_m,
+      DZ[i, N] = S_i (r_i K[i, i+1] + w_i)
+                 + sum_{k>=i} D[i, k] (2 b''_k Y_k delta + 2 sigma'_k dB_k) w_k,
+    the k-sum being one matmul against the upper triangle of D (diagonal
+    seed included).  Without a kernel w_k = G_{k+1} and the S-weight is
+    G_k, with G_k = prod_{l=k}^{N-1} (1 + delta b'_l).
+    """
+    M, N = dB.shape
+    d = grid.delta
+    K, g = c.on_grid(grid)
+    bp = _on_path(g.db, grid, xv)
+    bpp = _on_path(g.d2b, grid, xv)
+    sp = _on_path(g.dsigma, grid, xv)
+    if K is None:
+        G = np.empty(N + 1)
+        G[N] = 1.0
+        for k in range(N - 1, -1, -1):
+            G[k] = G[k + 1] * (1.0 + d * bp[k])
+        lead, w = G[:N], G[1:]
+    else:
+        r = np.empty(N + 1)
+        r[N] = 1.0
+        w = np.empty(N)
+        for k in range(N - 1, -1, -1):
+            w[k] = K[k, k + 1:] @ r[k + 1:]
+            r[k] = d * bp[k] * w[k]
+        lead = r[:N] * np.diagonal(K, 1) + w
+    upper = np.triu(Dmat[:, :N])  # D[i, k], k >= i, diagonal seed included
+    S = 2.0 * sp[None, :] * Yv[:, :N]
+    C = (2.0 * d * bpp[None, :] * Yv[:, :N] + 2.0 * sp[None, :] * dB) * w[None, :]
+    DZ = S * lead[None, :] + C @ upper.T
+    if not np.all(np.isfinite(DZ)):
+        raise DivergenceError("DZ diverged", node=N,
+                              path=int(np.argmax((~np.isfinite(DZ)).any(axis=1))))
+    return DZ
+
+
+_ENGINES = {"X": (_x_state_only, _x_kernel), "Y": (_y_state_only, _y_kernel),
+            "Z": (_z_state_only, _z_kernel)}
+
+
+def _run(what: str, c: CoefficientSet, *args) -> np.ndarray:
+    """Run the engine family of ``c``, then scan the finished (M, N+1)
+    array once: the first non-finite node j >= 1, then its first bad path."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = _ENGINES[what][c.time_dependent](c, *args)
+    bad = ~np.isfinite(V[:, 1:])
+    if bad.any():
+        j = int(np.argmax(bad.any(axis=0))) + 1
+        m = int(np.argmax(bad[:, j - 1]))
+        raise DivergenceError("%s diverged at path %d, node %d" % (what, m, j),
+                              node=j, path=m)
+    return V
 
 
 def simulate_X(c: CoefficientSet, grid: TimeGrid, x0: float, eps: float,
@@ -170,8 +281,7 @@ def simulate_X(c: CoefficientSet, grid: TimeGrid, x0: float, eps: float,
         raise ValueError("eps must lie in (0, 1)")
     if batch.grid != grid:
         raise ValueError("batch grid mismatch")
-    engine = _x_generic if c.time_dependent else _x_state_only
-    values = engine(c, grid, float(x0), float(eps), batch.increments)
+    values = _run("X", c, grid, float(x0), float(eps), batch.increments)
     return PathEnsemble(values=values, grid=grid, kind="X", preset=c.name,
                         seed=batch.seed, eps=eps)
 
@@ -201,39 +311,6 @@ def simulate_Y_exact(D: DerivativeField, batch: BrownianBatch) -> PathEnsemble:
                         seed=batch.seed)
 
 
-def _y_euler_state_only(c, grid, xv, dB):
-    M, N = dB.shape
-    nodes = grid.nodes
-    mids = grid.midpoints
-    d = grid.delta
-    bp = np.asarray(c.db(nodes[1:], mids, xv[:-1]), dtype=float)
-    sg = np.asarray(c.sigma(nodes[1:], mids, xv[:-1]), dtype=float)
-    Y = np.empty((M, N + 1))
-    Y[:, 0] = 0.0
-    cur = np.zeros(M)
-    for i in range(N):
-        cur = cur + bp[i] * cur * d + sg[i] * dB[:, i]
-        _check_column(cur, "Y", i + 1)
-        Y[:, i + 1] = cur
-    return Y
-
-
-def _y_euler_generic(c, grid, xv, dB):
-    M, N = dB.shape
-    nodes = grid.nodes
-    mids = grid.midpoints
-    d = grid.delta
-    Y = np.empty((M, N + 1))
-    Y[:, 0] = 0.0
-    for j in range(1, N + 1):
-        bp = np.asarray(c.db(nodes[j], mids[:j], xv[:j]), dtype=float)
-        sg = np.asarray(c.sigma(nodes[j], mids[:j], xv[:j]), dtype=float)
-        col = d * np.sum(bp * Y[:, :j], axis=1) + np.sum(sg * dB[:, :j], axis=1)
-        _check_column(col, "Y", j)
-        Y[:, j] = col
-    return Y
-
-
 def simulate_Y_euler(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
                      batch: BrownianBatch) -> PathEnsemble:
     """Euler paths of the linearized equation
@@ -242,8 +319,7 @@ def simulate_Y_euler(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
     """
     if batch.grid != grid or x.grid != grid:
         raise ValueError("grid mismatch")
-    engine = _y_euler_generic if c.time_dependent else _y_euler_state_only
-    values = engine(c, grid, x.values, batch.increments)
+    values = _run("Y", c, grid, x.values, batch.increments)
     return PathEnsemble(values=values, grid=grid, kind="Y", preset=c.name,
                         seed=batch.seed)
 
@@ -253,43 +329,6 @@ def _require_coupled(Y: PathEnsemble, batch: BrownianBatch):
         raise ValueError("grid mismatch")
     if Y.seed != batch.seed or Y.values.shape[0] != batch.M:
         raise ValueError("Y must be simulated from the same batch (coupling)")
-
-
-def _z_state_only(c, grid, xv, Yv, dB):
-    M, N = dB.shape
-    nodes = grid.nodes
-    mids = grid.midpoints
-    d = grid.delta
-    bp = np.asarray(c.db(nodes[1:], mids, xv[:-1]), dtype=float)
-    bpp = np.asarray(c.d2b(nodes[1:], mids, xv[:-1]), dtype=float)
-    sp = np.asarray(c.dsigma(nodes[1:], mids, xv[:-1]), dtype=float)
-    Z = np.empty((M, N + 1))
-    Z[:, 0] = 0.0
-    cur = np.zeros(M)
-    for i in range(N):
-        cur = cur + (bp[i] * cur + bpp[i] * Yv[:, i] ** 2) * d \
-            + 2.0 * sp[i] * Yv[:, i] * dB[:, i]
-        _check_column(cur, "Z", i + 1)
-        Z[:, i + 1] = cur
-    return Z
-
-
-def _z_generic(c, grid, xv, Yv, dB):
-    M, N = dB.shape
-    nodes = grid.nodes
-    mids = grid.midpoints
-    d = grid.delta
-    Z = np.empty((M, N + 1))
-    Z[:, 0] = 0.0
-    for j in range(1, N + 1):
-        bp = np.asarray(c.db(nodes[j], mids[:j], xv[:j]), dtype=float)
-        bpp = np.asarray(c.d2b(nodes[j], mids[:j], xv[:j]), dtype=float)
-        sp = np.asarray(c.dsigma(nodes[j], mids[:j], xv[:j]), dtype=float)
-        col = d * np.sum(bp * Z[:, :j] + bpp * Yv[:, :j] ** 2, axis=1) \
-            + 2.0 * np.sum(sp * Yv[:, :j] * dB[:, :j], axis=1)
-        _check_column(col, "Z", j)
-        Z[:, j] = col
-    return Z
 
 
 def simulate_Z(c: CoefficientSet, grid: TimeGrid, x: LimitPath, Y: PathEnsemble,
@@ -302,64 +341,9 @@ def simulate_Z(c: CoefficientSet, grid: TimeGrid, x: LimitPath, Y: PathEnsemble,
     if x.grid != grid:
         raise ValueError("grid mismatch")
     _require_coupled(Y, batch)
-    engine = _z_generic if c.time_dependent else _z_state_only
-    values = engine(c, grid, x.values, Y.values, batch.increments)
+    values = _run("Z", c, grid, x.values, Y.values, batch.increments)
     return PathEnsemble(values=values, grid=grid, kind="Z", preset=c.name,
                         seed=batch.seed)
-
-
-def _dz_state_only(c, grid, xv, Yv, Dmat, dB):
-    """Closed-form unroll of the one-step DZ recursion.
-
-    With j-independent coefficients the recursion
-      DZ[i, j+1] = DZ[i, j] + delta (b'_j DZ[i, j] + 2 b''_j Y_j D[i, j])
-                   + 2 sigma'_j D[i, j] dB_j,    DZ[i, i] = 2 sigma'_i Y_i,
-    solves to
-      DZ[i, N] = S_i G_i + sum_{k>=i} D[i, k] (2 b''_k Y_k delta
-                   + 2 sigma'_k dB_k) G_{k+1},
-    with G_k = prod_{l=k}^{N-1} (1 + delta b'_l); the k-sum is one matmul
-    against the upper triangle of D (diagonal seed included).
-    """
-    M, N = dB.shape
-    nodes = grid.nodes
-    mids = grid.midpoints
-    d = grid.delta
-    bp = np.asarray(c.db(nodes[1:], mids, xv[:-1]), dtype=float)
-    bpp = np.asarray(c.d2b(nodes[1:], mids, xv[:-1]), dtype=float)
-    sp = np.asarray(c.dsigma(nodes[1:], mids, xv[:-1]), dtype=float)
-    G = np.empty(N + 1)
-    G[N] = 1.0
-    for k in range(N - 1, -1, -1):
-        G[k] = G[k + 1] * (1.0 + d * bp[k])
-    upper = np.triu(Dmat[:, :N])  # D[i, k], k >= i, diagonal seed included
-    S = 2.0 * sp[None, :] * Yv[:, :N]
-    C = (2.0 * d * bpp[None, :] * Yv[:, :N] + 2.0 * sp[None, :] * dB) * G[1:][None, :]
-    return S * G[:N][None, :] + C @ upper.T
-
-
-def _dz_generic(c, grid, xv, Yv, Dmat, dB):
-    """Direct solve; time-dependent coefficients force a fresh convolution
-    per node, O(N^2) work per theta-row.  Intended for small M and N."""
-    M, N = dB.shape
-    nodes = grid.nodes
-    mids = grid.midpoints
-    d = grid.delta
-    out = np.empty((M, N))
-    for i in range(N):
-        A = np.zeros((M, N + 1))
-        A[:, i] = 2.0 * np.asarray(c.dsigma(nodes[i + 1], mids[i], xv[i])) * Yv[:, i]
-        for j in range(i + 1, N + 1):
-            lead = 2.0 * np.asarray(c.dsigma(nodes[j], mids[i], xv[i])) * Yv[:, i]
-            bp = np.asarray(c.db(nodes[j], mids[i:j], xv[i:j]), dtype=float)
-            bpp = np.asarray(c.d2b(nodes[j], mids[i:j], xv[i:j]), dtype=float)
-            sp = np.asarray(c.dsigma(nodes[j], mids[i:j], xv[i:j]), dtype=float)
-            drow = Dmat[i, i:j]
-            A[:, j] = lead \
-                + d * np.sum(bp * A[:, i:j] + 2.0 * bpp * Yv[:, i:j] * drow, axis=1) \
-                + 2.0 * np.sum(sp * drow * dB[:, i:j], axis=1)
-        _check_column(A[:, N], "DZ", N)
-        out[:, i] = A[:, N]
-    return out
 
 
 def simulate_DZ_terminal(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
@@ -375,10 +359,7 @@ def simulate_DZ_terminal(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
     if x.grid != grid or D.grid != grid:
         raise ValueError("grid mismatch")
     _require_coupled(Y, batch)
-    engine = _dz_generic if c.time_dependent else _dz_state_only
-    DZ = engine(c, grid, x.values, Y.values, D.D, batch.increments)
-    if not np.all(np.isfinite(DZ)):
-        raise DivergenceError("DZ diverged", node=grid.N, path=_first_bad(DZ))
+    DZ = _dz_terminal(c, grid, x.values, Y.values, D.D, batch.increments)
     return DerivativeRowEnsemble(DZ=DZ, grid=grid, preset=c.name, seed=batch.seed)
 
 
@@ -415,11 +396,10 @@ def coupled_terminal_samples(c: CoefficientSet, grid: TimeGrid, x0: float,
 
     x = solve_deterministic_limit(c, grid, x0)
     D = solve_derivative_field(c, grid, x)
-    want_yx = y_exact
     strict = np.where(np.triu(np.ones((N, N + 1), dtype=bool), 1), D.D, 0.0)
 
     out: Dict[str, Dict[int, np.ndarray]] = {"X": {}, "Xt": {}, "Y": {}}
-    if want_yx:
+    if y_exact:
         out["Yx"] = {}
     if with_z:
         out["Z"] = {}
@@ -432,25 +412,21 @@ def coupled_terminal_samples(c: CoefficientSet, grid: TimeGrid, x0: float,
     def run_chunk(m0: int):
         m1 = min(m0 + _CHUNK_ROWS, M)
         dB = _increment_rows(seed, grid, m0, m1)
-        x_engine = _x_generic if c.time_dependent else _x_state_only
-        Xv = x_engine(c, grid, float(x0), float(eps), dB)
-        y_engine = _y_euler_generic if c.time_dependent else _y_euler_state_only
-        Yv = y_engine(c, grid, x.values, dB)
+        Xv = _run("X", c, grid, float(x0), float(eps), dB)
+        Yv = _run("Y", c, grid, x.values, dB)
         Zv = None
         if with_z or with_dzdy:
-            z_engine = _z_generic if c.time_dependent else _z_state_only
-            Zv = z_engine(c, grid, x.values, Yv, dB)
+            Zv = _run("Z", c, grid, x.values, Yv, dB)
         for j in observe:
             out["X"][j][m0:m1] = Xv[:, j]
             out["Xt"][j][m0:m1] = (Xv[:, j] - x.values[j]) / eps
             out["Y"][j][m0:m1] = Yv[:, j]
-            if want_yx:
+            if y_exact:
                 out["Yx"][j][m0:m1] = dB @ strict[:, j]
             if with_z:
                 out["Z"][j][m0:m1] = Zv[:, j]
         if with_dzdy:
-            dz_engine = _dz_generic if c.time_dependent else _dz_state_only
-            DZ = dz_engine(c, grid, x.values, Yv, D.D, dB)
+            DZ = _dz_terminal(c, grid, x.values, Yv, D.D, dB)
             out["dzdy"][N][m0:m1] = (DZ @ D.D[:, N]) * grid.delta
 
     starts = list(range(0, M, _CHUNK_ROWS))

@@ -6,7 +6,9 @@ import os
 import pytest
 
 import volfluct
+from volfluct import cli
 from volfluct.cli import main
+from volfluct.kernels import AssumptionReport
 
 
 def _cfg(tmp_path, name="cfg.json", **kw):
@@ -53,6 +55,37 @@ def test_limit_fbm_variance(tmp_path):
     assert _run(["limit", "--config", cfg, "--out", str(out)]) == 0
     var = _read_csv(out / "variance.csv")
     assert abs(float(var[-1]["var_y"]) - 1.0) < 2e-2
+
+
+def _stub_assumptions(monkeypatch, violations, integrability_margin):
+    report = AssumptionReport(
+        checked=1, violations=violations, growth_margin=0.0,
+        integrability_margin=integrability_margin,
+        ok=not violations and integrability_margin >= 0.0)
+    monkeypatch.setattr(cli, "check_assumptions", lambda *args: report)
+
+
+def test_limit_assumption_violation_fails_assert(tmp_path, capsys,
+                                                 monkeypatch):
+    _stub_assumptions(monkeypatch, [("growth", 0.5, 0.25, 1.0)], 0.1)
+    cfg = _cfg(tmp_path, preset="trig", N=16)
+    out = str(tmp_path / "o")
+    assert _run(["limit", "--config", cfg, "--out", out]) == 0
+    assert _run(["limit", "--config", cfg, "--out", out, "--assert"]) == 4
+    err = capsys.readouterr().err
+    assert ("assert failed: assumption check: growth bound violated at "
+            "t=0.5, s=0.25, x=1\n") in err
+    assert "Traceback" not in err
+
+
+def test_limit_integrability_budget_alone_fails_assert(tmp_path, capsys,
+                                                       monkeypatch):
+    _stub_assumptions(monkeypatch, [], -0.25)
+    cfg = _cfg(tmp_path, preset="trig", N=16)
+    assert _run(["limit", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--assert"]) == 4
+    assert ("assert failed: assumption check: integrability budget "
+            "exceeded by 0.25") in capsys.readouterr().err
 
 
 def test_limit_rerun_is_byte_identical(tmp_path):

@@ -55,6 +55,24 @@ def test_hyp2f1_rejects_positive_z():
         K.hyp2f1(0.2, 0.3, 1.0, 0.5)
 
 
+def test_hyp2f1_rejects_non_finite_z():
+    # the Pfaff argument z / (z - 1) leaves [0, 1) for z = nan or -inf
+    for z in (float("nan"), -math.inf, np.array([-1.0, float("nan")])):
+        with pytest.raises(ValueError, match="Pfaff"):
+            K.hyp2f1(0.2, 0.3, 1.2, z)
+
+
+def test_kernel_matrix_memo_is_shared_and_read_only():
+    grid = TimeGrid(T=1.0, N=16)
+    c = K.make_preset("fbm-trig", H=0.7)
+    Km, g = c.on_grid(grid)
+    assert Km is K.make_preset("fbm-additive", H=0.7).on_grid(grid)[0]
+    assert g.name == "trig" and not Km.flags.writeable
+    np.testing.assert_array_equal(
+        Km, K.fbm_kernel_matrix(K.fbm_kernel_params(0.7), grid))
+    assert K.make_preset("trig").on_grid(grid)[0] is None
+
+
 def test_hyp2f1_rejects_nonpositive_integer_c():
     with pytest.raises(ValueError):
         K.hyp2f1(0.2, 0.3, 0.0, -1.0)
@@ -233,9 +251,11 @@ def test_preset_values():
     p = K.fbm_kernel_params(0.7)
     assert float(fbm.sigma(1.0, 0.5, 0.0)) == pytest.approx(
         2.0 * K.eval_fbm_kernel(p, 1.0, 0.5), rel=1e-12)
-    alias = K.make_preset("fbm-additive-shifted", H=0.7, sigma0=2.0)
-    assert float(alias.sigma(1.0, 0.25, 1.0)) == \
-        float(fbm.sigma(1.0, 0.25, 1.0))
+
+
+def test_removed_alias_preset_is_rejected():
+    with pytest.raises(ValueError, match="unknown preset"):
+        K.make_preset("fbm-additive-shifted", H=0.7, sigma0=2.0)
 
 
 @pytest.mark.parametrize("name,params", [

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from volfluct import kernels
 from volfluct.kernels import make_preset
-from volfluct.deterministic import (TimeGrid, solve_deterministic_limit,
+from volfluct.deterministic import (DivergenceError, TimeGrid,
+                                    solve_deterministic_limit,
                                     solve_derivative_field, variance_of_Y)
 from volfluct import simulate as sim
 
@@ -290,12 +292,17 @@ def test_dz_multiplicative_closed_form():
         DZ, np.broadcast_to(2.0 * x0 * BT[:, None], DZ.shape), rtol=1e-10)
 
 
-def test_engines_agree_when_generic_path_is_forced():
-    # the per-step resummation engines must match the incremental ones
-    # on a state-only preset
+def _unit_kernel(grid):
+    return np.triu(np.ones((grid.N, grid.N + 1)), 1)
+
+
+def test_engines_agree_when_kernel_path_is_forced():
+    # the mat-vec kernel engines with K = 1 must match the telescoped
+    # recursions on a state-only preset
     g = TimeGrid(T=1.0, N=12)
     c, x, D = _pipeline("trig", g, 1.0, kappa=0.8)
-    forced = dataclasses.replace(c, time_dependent=True)
+    forced = dataclasses.replace(c, kernel=_unit_kernel)
+    assert forced.time_dependent and not c.time_dependent
     batch = sim.sample_brownian(6, g, 53)
 
     Xa = sim.simulate_X(c, g, 1.0, 0.2, batch)
@@ -313,6 +320,101 @@ def test_engines_agree_when_generic_path_is_forced():
     Da = sim.simulate_DZ_terminal(c, g, x, Ya, D, batch).DZ
     Db = sim.simulate_DZ_terminal(forced, g, x, Ya, D, batch).DZ
     np.testing.assert_allclose(Da, Db, rtol=0, atol=1e-12)
+
+
+def _volterra_oracle(c, g, x0, eps, dB):
+    """The defining Volterra sums, evaluated pointwise through the preset's
+    (t, s, x) callables: limit x, field D, X, Y, Z and the DZ rows."""
+    M, N = dB.shape
+    t, s, d = g.nodes, g.midpoints, g.delta
+    f = {name: (lambda fn: lambda j, i, v: np.asarray(fn(t[j], s[i], v), dtype=float))(
+        getattr(c, name)) for name in ("b", "sigma", "db", "dsigma", "d2b")}
+    x = np.full(N + 1, float(x0))
+    D = np.zeros((N, N + 1))
+    X = np.full((M, N + 1), float(x0))
+    Y = np.zeros((M, N + 1))
+    Z = np.zeros((M, N + 1))
+    for j in range(1, N + 1):
+        x[j] = x0 + sum(f["b"](j, i, x[i]) for i in range(j)) * d
+        for i in range(j):
+            X[:, j] += (f["b"](j, i, X[:, i]) * d
+                        + eps * f["sigma"](j, i, X[:, i]) * dB[:, i])
+            Y[:, j] += (f["db"](j, i, x[i]) * Y[:, i] * d
+                        + f["sigma"](j, i, x[i]) * dB[:, i])
+            Z[:, j] += ((f["db"](j, i, x[i]) * Z[:, i]
+                         + f["d2b"](j, i, x[i]) * Y[:, i] ** 2) * d
+                        + 2.0 * f["dsigma"](j, i, x[i]) * Y[:, i] * dB[:, i])
+    for i in range(N):
+        D[i, i] = f["sigma"](i + 1, i, x[i])
+        for j in range(i + 1, N + 1):
+            D[i, j] = f["sigma"](j, i, x[i]) + d * sum(
+                f["db"](j, k, x[k]) * D[i, k] for k in range(i, j))
+    DZ = np.zeros((M, N))
+    for i in range(N):
+        A = np.zeros((M, N + 1))
+        A[:, i] = 2.0 * f["dsigma"](i + 1, i, x[i]) * Y[:, i]
+        for j in range(i + 1, N + 1):
+            A[:, j] = 2.0 * f["dsigma"](j, i, x[i]) * Y[:, i]
+            for k in range(i, j):
+                A[:, j] += (d * f["db"](j, k, x[k]) * A[:, k]
+                            + 2.0 * d * f["d2b"](j, k, x[k]) * Y[:, k] * D[i, k]
+                            + 2.0 * f["dsigma"](j, k, x[k]) * D[i, k] * dB[:, k])
+        DZ[:, i] = A[:, N]
+    return x, D, X, Y, Z, DZ
+
+
+@pytest.mark.parametrize("name,params", [
+    ("fbm-trig", {"H": 0.7, "kappa": 0.8}),
+    ("fbm-trig", {"H": 0.3}),
+    ("fbm-additive", {"H": 0.7, "sigma0": 1.5}),
+])
+def test_kernel_engines_match_pointwise_oracle(name, params):
+    g = TimeGrid(T=1.0, N=8)
+    x0, eps, M, seed = 1.0, 0.2, 5, 91
+    c, x, D = _pipeline(name, g, x0, **params)
+    batch = sim.sample_brownian(M, g, seed)
+    ox, oD, oX, oY, oZ, oDZ = _volterra_oracle(c, g, x0, eps, batch.increments)
+    tol = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(x.values, ox, **tol)
+    np.testing.assert_allclose(D.D, oD, **tol)
+    X = sim.simulate_X(c, g, x0, eps, batch)
+    Y = sim.simulate_Y_euler(c, g, x, batch)
+    Z = sim.simulate_Z(c, g, x, Y, batch)
+    DZ = sim.simulate_DZ_terminal(c, g, x, Y, D, batch).DZ
+    np.testing.assert_allclose(X.values, oX, **tol)
+    np.testing.assert_allclose(Y.values, oY, **tol)
+    np.testing.assert_allclose(Z.values, oZ, **tol)
+    np.testing.assert_allclose(DZ, oDZ, **tol)
+    out = sim.coupled_terminal_samples(c, g, x0, eps, M, seed, with_z=True,
+                                       with_dzdy=True)
+    np.testing.assert_allclose(out["dzdy"][8], (oDZ @ oD[:, 8]) * g.delta, **tol)
+    np.testing.assert_allclose(out["Z"][8], oZ[:, 8], **tol)
+
+
+def test_divergence_names_first_node_then_first_path():
+    # linear growth with a = 1e40 overflows about eleven nodes after a
+    # path's first nonzero increment: paths 3 and 4 diverge at node 11,
+    # path 1 only later, paths 0 and 2 never
+    g = TimeGrid(T=1.0, N=16)
+    c = make_preset("linear-growth", a=1e40)
+    x = solve_deterministic_limit(c, g, 0.0)
+    inc = np.zeros((5, 16))
+    inc[1, 6] = 0.25
+    inc[3, 2] = 0.25
+    inc[4, 2] = -0.25
+    batch = sim.BrownianBatch(M=5, grid=g, seed=0, increments=inc)
+    for coeff in (c, dataclasses.replace(c, kernel=_unit_kernel)):
+        for what, run in (("X", lambda: sim.simulate_X(coeff, g, 0.0, 0.5, batch)),
+                          ("Y", lambda: sim.simulate_Y_euler(coeff, g, x, batch))):
+            with pytest.raises(DivergenceError) as exc:
+                run()
+            assert (exc.value.node, exc.value.path) == (11, 3)
+            assert str(exc.value) == "%s diverged at path 3, node 11" % what
+
+
+def test_uniform_block_rejects_unaligned_draw_index():
+    with pytest.raises(ValueError):
+        sim._uniform_block(1, 3, 8)
 
 
 def test_coupling_is_enforced():
@@ -372,6 +474,35 @@ def test_coupled_driver_thread_count_is_invisible():
     for key in a:
         for j in a[key]:
             np.testing.assert_array_equal(a[key][j], b[key][j])
+
+
+def test_coupled_driver_fbm_thread_count_is_invisible():
+    g = TimeGrid(T=1.0, N=16)
+    c = make_preset("fbm-trig", H=0.7, kappa=0.9)
+    kw = dict(observe=(8, 16), with_z=True, with_dzdy=True)
+    a = sim.coupled_terminal_samples(c, g, 1.0, 0.1, 4200, 87, threads=1, **kw)
+    b = sim.coupled_terminal_samples(c, g, 1.0, 0.1, 4200, 87, threads=2, **kw)
+    assert sorted(a) == sorted(b)
+    for key in a:
+        for j in a[key]:
+            np.testing.assert_array_equal(a[key][j], b[key][j])
+
+
+def test_driver_evaluates_the_fbm_kernel_once_per_grid(monkeypatch):
+    calls = []
+    real = kernels.hyp2f1
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "hyp2f1", counted)
+    kernels._fbm_matrix.cache_clear()
+    g = TimeGrid(T=1.0, N=24)
+    c = make_preset("fbm-trig", H=0.7)
+    sim.coupled_terminal_samples(c, g, 1.0, 0.1, 300, 5, observe=(12,),
+                                 with_z=True, with_dzdy=True)
+    assert 0 < len(calls) <= g.N
 
 
 def test_coupled_driver_validation():
