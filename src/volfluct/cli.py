@@ -38,9 +38,6 @@ from .simulate import _CHUNK_ROWS, _increment_rows, coupled_terminal_samples
 from .stats import (distance_report, rate_fit, resolve_test_function,
                     rms_with_se, thm2_report)
 
-_DEFAULT_EPSILONS = (0.4, 0.2, 0.1, 0.05)
-_DEFAULT_COV_PAIRS = ((1.0, 0.5), (1.0, 0.25), (0.5, 0.25),
-                      (1.0, 1.0), (0.5, 0.5), (0.75, 0.25))
 _SNAP_TOL = 1e-9
 
 
@@ -57,14 +54,31 @@ class ExperimentConfig:
     N: int = 256
     M: int = 10000
     seed: int = 12345
-    epsilons: Tuple[float, ...] = _DEFAULT_EPSILONS
+    epsilons: Tuple[float, ...] = (0.4, 0.2, 0.1, 0.05)
     H: Optional[float] = None
     observe_times: Optional[Tuple[float, ...]] = None
     test_functions: Tuple[str, ...] = ("cos", "tanh")
     out_dir: str = "out"
     H_list: Tuple[float, ...] = (0.3, 0.5, 0.7)
     t_list: Tuple[float, ...] = (0.25, 0.5, 1.0)
-    cov_pairs: Tuple[Tuple[float, float], ...] = _DEFAULT_COV_PAIRS
+    cov_pairs: Tuple[Tuple[float, float], ...] = (
+        (1.0, 0.5), (1.0, 0.25), (0.5, 0.25), (1.0, 1.0), (0.5, 0.5), (0.75, 0.25))
+
+
+def _floats(v) -> Tuple[float, ...]:
+    return tuple(float(e) for e in v)
+
+
+# one converter per ExperimentConfig field, in field order so the first bad
+# field names the error; the defaults live only in the dataclass
+_CONVERTERS = dict(
+    preset=str, params=lambda v: {str(k): float(p) for k, p in dict(v).items()},
+    x0=float, T=float, N=int, M=int, seed=int, epsilons=_floats,
+    H=lambda v: None if v is None else float(v),
+    observe_times=lambda v: None if v is None else _floats(v),
+    test_functions=lambda v: tuple(str(p) for p in v), out_dir=str,
+    H_list=_floats, t_list=_floats,
+    cov_pairs=lambda v: tuple((float(a), float(b)) for a, b in v))
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -84,8 +98,7 @@ def load_config(path: str, out_override: Optional[str] = None,
         raise ConfigError("config file: not valid JSON (%s)" % exc) from exc
     _require(isinstance(doc, dict), "config file: top level must be an object")
 
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = sorted(set(doc) - known)
+    unknown = sorted(set(doc) - set(_CONVERTERS))
     _require(not unknown, "unknown config keys: %s" % ", ".join(unknown))
 
     merged = dict(doc)
@@ -95,30 +108,9 @@ def load_config(path: str, out_override: Optional[str] = None,
         merged["seed"] = seed_override
 
     try:
-        cfg = ExperimentConfig(
-            preset=str(merged.get("preset", "additive-unit")),
-            params={str(k): float(v)
-                    for k, v in dict(merged.get("params", {})).items()},
-            x0=float(merged.get("x0", 1.0)),
-            T=float(merged.get("T", 1.0)),
-            N=int(merged.get("N", 256)),
-            M=int(merged.get("M", 10000)),
-            seed=int(merged.get("seed", 12345)),
-            epsilons=tuple(float(e) for e in
-                           merged.get("epsilons", _DEFAULT_EPSILONS)),
-            H=None if merged.get("H") is None else float(merged["H"]),
-            observe_times=None if merged.get("observe_times") is None
-            else tuple(float(t) for t in merged["observe_times"]),
-            test_functions=tuple(str(p) for p in
-                                 merged.get("test_functions", ("cos", "tanh"))),
-            out_dir=str(merged.get("out_dir", "out")),
-            H_list=tuple(float(h) for h in
-                         merged.get("H_list", (0.3, 0.5, 0.7))),
-            t_list=tuple(float(t) for t in
-                         merged.get("t_list", (0.25, 0.5, 1.0))),
-            cov_pairs=tuple((float(a), float(b)) for a, b in
-                            merged.get("cov_pairs", _DEFAULT_COV_PAIRS)),
-        )
+        cfg = ExperimentConfig(**{name: convert(merged[name])
+                                  for name, convert in _CONVERTERS.items()
+                                  if name in merged})
     except (TypeError, ValueError) as exc:
         raise ConfigError("config value: %s" % exc) from exc
 
@@ -278,19 +270,19 @@ def run_rate_scan(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
 
     dist_rows: List[list] = []
     strong_rows: List[list] = []
-    # metric -> list of (eps, value); distances keyed per observation node
-    strong_series: Dict[str, List[Tuple[float, float]]] = {
-        "rms_x_gap": [], "rms_xt_y": [], "rms_second": []}
+    # (metric, node) -> list of (eps, distance)
     dist_series: Dict[Tuple[str, int], List[Tuple[float, float]]] = {}
     second_track: List[Tuple[float, float, float]] = []
     failures_dist: List[str] = []
 
+    samples = coupled_terminal_samples(coeff, grid, cfg.x0, cfg.epsilons,
+                                       cfg.M, cfg.seed, observe=obs,
+                                       threads=threads)
+    Y, Z = samples["Y"], samples["Z"]
     for i, eps in enumerate(cfg.epsilons):
-        samples = coupled_terminal_samples(
-            coeff, grid, cfg.x0, eps, cfg.M, cfg.seed,
-            observe=obs, with_z=True, threads=threads)
+        X, Xt = samples["X"][eps], samples["Xt"][eps]
         for j in obs:
-            rep = distance_report(eps, samples["Xt"][j], samples["Y"][j],
+            rep = distance_report(eps, Xt[j], Y[j],
                                   seed=_sub_seed(cfg.seed, i, j))
             dist_rows.append([grid.nodes[j], eps, rep.kolmogorov,
                               rep.kolmogorov_se, rep.tv_histogram, rep.tv_se,
@@ -308,16 +300,11 @@ def run_rate_scan(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
             dist_series.setdefault(("tv_histogram", j), []).append(
                 (eps, rep.tv_histogram))
 
-        x_gap, x_gap_se = rms_with_se(samples["X"][N] - x.values[N])
-        xt_y, xt_y_se = rms_with_se(samples["Xt"][N] - samples["Y"][N])
-        second, second_se = rms_with_se(
-            (samples["Xt"][N] - samples["Y"][N]) / eps
-            - 0.5 * samples["Z"][N])
+        x_gap, x_gap_se = rms_with_se(X[N] - x.values[N])
+        xt_y, xt_y_se = rms_with_se(Xt[N] - Y[N])
+        second, second_se = rms_with_se((Xt[N] - Y[N]) / eps - 0.5 * Z[N])
         strong_rows.append([eps, x_gap, x_gap_se, xt_y, xt_y_se,
                             second, second_se])
-        strong_series["rms_x_gap"].append((eps, x_gap))
-        strong_series["rms_xt_y"].append((eps, xt_y))
-        strong_series["rms_second"].append((eps, second))
         second_track.append((eps, second, second_se))
 
     fit_rows: List[list] = []
@@ -335,8 +322,9 @@ def run_rate_scan(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
                              len(pts), "below resolution"])
             fits[(metric, node)] = None
 
-    for metric in ("rms_x_gap", "rms_xt_y", "rms_second"):
-        _fit_row(metric, N, strong_series[metric])
+    # strong.csv rows: epsilon, then value and SE per metric
+    for k, metric in enumerate(("rms_x_gap", "rms_xt_y", "rms_second")):
+        _fit_row(metric, N, [(row[0], row[1 + 2 * k]) for row in strong_rows])
     for j in obs:
         _fit_row("kolmogorov", j, dist_series[("kolmogorov", j)])
         _fit_row("tv_histogram", j, dist_series[("tv_histogram", j)])
@@ -381,16 +369,17 @@ def run_thm2(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     rows: List[list] = []
     failures: List[str] = []
     nan = float("nan")
+    samples = coupled_terminal_samples(coeff, grid, cfg.x0, cfg.epsilons,
+                                       cfg.M, cfg.seed, observe=(N,),
+                                       with_dzdy=True, threads=threads)
+    Y = samples["Y"][N]
+    delta = samples["Z"][N] * Y - samples["dzdy"][N]
     for eps in cfg.epsilons:
-        samples = coupled_terminal_samples(
-            coeff, grid, cfg.x0, eps, cfg.M, cfg.seed,
-            observe=(N,), with_z=True, with_dzdy=True, threads=threads)
-        delta = samples["Z"][N] * samples["Y"][N] - samples["dzdy"][N]
         last = eps == cfg.epsilons[-1]
         for phi in cfg.test_functions:
             try:
-                rep = thm2_report(phi, eps, samples["Xt"][N],
-                                  samples["Y"][N], delta, varY)
+                rep = thm2_report(phi, eps, samples["Xt"][eps][N], Y, delta,
+                                  varY)
             except ValueError:
                 rows.append([eps, phi, nan, nan, nan, nan, nan, nan, nan,
                              "degenerate"])

@@ -22,9 +22,9 @@ the kernel matrix K[i, j] = k(t_j, s_i*), in a time-major layout; DZ
 follows from a closed form in both families.  Each finished array is
 scanned once for non-finite values.
 
-``coupled_terminal_samples`` is the chunked driver used for large M: it
-streams path chunks, keeps only the requested observation columns, and
-parallelizes across chunks without affecting results.
+``coupled_terminal_samples`` is the chunked driver used for large M: one
+pass covers the whole eps sweep, keeps only the requested observation
+columns, and parallelizes across chunks without affecting results.
 """
 
 from __future__ import annotations
@@ -207,6 +207,11 @@ def _z_kernel(c, grid, xv, Yv, dB):
                      + sp2[i] * Yt[i] * dBi)
 
 
+def _diverged(what: str, node: int, path: int) -> DivergenceError:
+    return DivergenceError("%s diverged at path %d, node %d" % (what, path, node),
+                           node=node, path=path)
+
+
 def _dz_terminal(c, grid, xv, Yv, Dmat, dB):
     """Closed form of the terminal Malliavin row D_{theta_i} Z_T.
 
@@ -248,8 +253,7 @@ def _dz_terminal(c, grid, xv, Yv, Dmat, dB):
     C = (2.0 * d * bpp[None, :] * Yv[:, :N] + 2.0 * sp[None, :] * dB) * w[None, :]
     DZ = S * lead[None, :] + C @ upper.T
     if not np.all(np.isfinite(DZ)):
-        raise DivergenceError("DZ diverged", node=N,
-                              path=int(np.argmax((~np.isfinite(DZ)).any(axis=1))))
+        raise _diverged("DZ", N, int(np.argmax((~np.isfinite(DZ)).any(axis=1))))
     return DZ
 
 
@@ -266,8 +270,7 @@ def _run(what: str, c: CoefficientSet, *args) -> np.ndarray:
     if bad.any():
         j = int(np.argmax(bad.any(axis=0))) + 1
         m = int(np.argmax(bad[:, j - 1]))
-        raise DivergenceError("%s diverged at path %d, node %d" % (what, m, j),
-                              node=j, path=m)
+        raise _diverged(what, j, m)
     return V
 
 
@@ -304,9 +307,7 @@ def simulate_Y_exact(D: DerivativeField, batch: BrownianBatch) -> PathEnsemble:
     """
     if D.grid != batch.grid:
         raise ValueError("derivative field and batch live on different grids")
-    N = D.grid.N
-    strict = np.where(np.triu(np.ones((N, N + 1), dtype=bool), 1), D.D, 0.0)
-    values = batch.increments @ strict
+    values = batch.increments @ np.triu(D.D, 1)
     return PathEnsemble(values=values, grid=D.grid, kind="Y", preset=D.preset,
                         seed=batch.seed)
 
@@ -369,24 +370,24 @@ def simulate_DZ_terminal(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
 
 
 def coupled_terminal_samples(c: CoefficientSet, grid: TimeGrid, x0: float,
-                             eps: float, M: int, seed: int,
+                             epsilons: Sequence[float], M: int, seed: int,
                              observe: Sequence[int] = (),
-                             with_z: bool = False, with_dzdy: bool = False,
-                             y_exact: bool = False,
-                             threads: int = 1) -> Dict[str, Dict[int, np.ndarray]]:
-    """Stream M coupled paths in fixed chunks, keeping only observations.
+                             with_dzdy: bool = False,
+                             threads: int = 1) -> Dict[str, dict]:
+    """Stream M coupled paths in fixed chunks over the whole eps sweep.
 
-    Returns nested arrays keyed by process then node index: "X", "Xt",
-    "Y" (Euler), optionally "Yx" (exact synthesis), "Z", and "dzdy" (the
-    pathwise inner product sum_i DZ[m, i] D[i, T] delta, terminal node
-    only).  Chunk boundaries, and hence every number, are independent of
-    ``threads``; chunk results land in a preallocated slice per chunk
-    index, so the reduction order is fixed.
+    Each chunk draws its increments and solves Y, Z and DZ once, X once
+    per eps.  Returns "X" and "Xt" keyed by eps then node, "Y" and "Z" by
+    node, and "dzdy" (sum_i DZ[m, i] D[i, T] delta, terminal node only).
+    Every number is independent of ``threads``: chunk boundaries are
+    fixed and each chunk fills its own rows.  All chunks run before a
+    divergence is raised as the whole-batch calls meet it: first by stage
+    (X at the first eps, Y, Z, DZ, X at each later eps), then node, path.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    if not epsilons or not all(0.0 < e < 1.0 for e in epsilons):
+        raise ValueError("epsilons must be non-empty and lie in (0, 1)")
     if threads < 1:
         raise ValueError("threads must be at least 1")
     observe = sorted(set(int(j) for j in observe) | {grid.N})
@@ -396,44 +397,51 @@ def coupled_terminal_samples(c: CoefficientSet, grid: TimeGrid, x0: float,
 
     x = solve_deterministic_limit(c, grid, x0)
     D = solve_derivative_field(c, grid, x)
-    strict = np.where(np.triu(np.ones((N, N + 1), dtype=bool), 1), D.D, 0.0)
 
-    out: Dict[str, Dict[int, np.ndarray]] = {"X": {}, "Xt": {}, "Y": {}}
-    if y_exact:
-        out["Yx"] = {}
-    if with_z:
-        out["Z"] = {}
-    for key in out:
-        for j in observe:
-            out[key][j] = np.empty(M)
+    def columns():
+        return {j: np.empty(M) for j in observe}
+
+    out: Dict[str, dict] = {"X": {e: columns() for e in epsilons},
+                            "Xt": {e: columns() for e in epsilons},
+                            "Y": columns(), "Z": columns()}
     if with_dzdy:
         out["dzdy"] = {N: np.empty(M)}
 
     def run_chunk(m0: int):
+        """Fill rows m0:m1; on divergence return (stage, node, path, name)."""
         m1 = min(m0 + _CHUNK_ROWS, M)
         dB = _increment_rows(seed, grid, m0, m1)
-        Xv = _run("X", c, grid, float(x0), float(eps), dB)
-        Yv = _run("Y", c, grid, x.values, dB)
-        Zv = None
-        if with_z or with_dzdy:
-            Zv = _run("Z", c, grid, x.values, Yv, dB)
-        for j in observe:
-            out["X"][j][m0:m1] = Xv[:, j]
-            out["Xt"][j][m0:m1] = (Xv[:, j] - x.values[j]) / eps
-            out["Y"][j][m0:m1] = Yv[:, j]
-            if y_exact:
-                out["Yx"][j][m0:m1] = dB @ strict[:, j]
-            if with_z:
-                out["Z"][j][m0:m1] = Zv[:, j]
-        if with_dzdy:
-            DZ = _dz_terminal(c, grid, x.values, Yv, D.D, dB)
-            out["dzdy"][N][m0:m1] = (DZ @ D.D[:, N]) * grid.delta
+        started = []  # stage names, in the order the whole-batch calls meet them
+        try:
+            for k, eps in enumerate(epsilons):
+                started.append("X")
+                Xv = _run("X", c, grid, float(x0), float(eps), dB)
+                for j in observe:
+                    out["X"][eps][j][m0:m1] = Xv[:, j]
+                    out["Xt"][eps][j][m0:m1] = (Xv[:, j] - x.values[j]) / eps
+                del Xv
+                if k == 0:
+                    started.append("Y")
+                    Yv = _run("Y", c, grid, x.values, dB)
+                    started.append("Z")
+                    Zv = _run("Z", c, grid, x.values, Yv, dB)
+                    for j in observe:
+                        out["Y"][j][m0:m1] = Yv[:, j]
+                        out["Z"][j][m0:m1] = Zv[:, j]
+                    if with_dzdy:
+                        started.append("DZ")
+                        out["dzdy"][N][m0:m1] = (_dz_terminal(
+                            c, grid, x.values, Yv, D.D, dB) @ D.D[:, N]) * grid.delta
+        except DivergenceError as exc:
+            return len(started), exc.node, m0 + exc.path, started[-1]
 
     starts = list(range(0, M, _CHUNK_ROWS))
     if threads == 1:
-        for m0 in starts:
-            run_chunk(m0)
+        failures = [run_chunk(m0) for m0 in starts]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, starts))
+            failures = list(pool.map(run_chunk, starts))
+    if any(failures):
+        _, node, path, what = min(f for f in failures if f)
+        raise _diverged(what, node, path)
     return out

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from volfluct.deterministic import (TimeGrid, solve_deterministic_limit,
 from volfluct import simulate as sim
 from volfluct import stats as st
 
+REPO = pathlib.Path(__file__).resolve().parents[1]
 SEED = 12345
 SWEEP = [0.4, 0.2, 0.1, 0.05]
 C5_EPS = 0.05
@@ -84,8 +86,8 @@ def thm2_m1e6():
     """Coupled terminal samples at eps=0.05 and eps/2=0.025, M=1e6, for
     both presets: criterion 5.
 
-    Both runs share the seed, so the Brownian increments, and with them
-    Y, Z and dzdy, are the same paths at both eps; only Xt moves.
+    One driver pass covers both eps, so the Brownian increments, and with
+    them Y, Z and dzdy, are the same paths at both eps; only Xt moves.
     """
     eps = C5_EPS
     grid = TimeGrid(T=1.0, N=256)
@@ -96,15 +98,11 @@ def thm2_m1e6():
         x = solve_deterministic_limit(c, grid, 1.0)
         varY = float(variance_of_Y(solve_derivative_field(c, grid, x),
                                    grid).values[N])
-        runs = [sim.coupled_terminal_samples(
-                    c, grid, 1.0, e, 1000000, SEED, observe=(N,),
-                    with_z=True, with_dzdy=True, threads=4)
-                for e in (eps, eps / 2.0)]
-        for key in ("Y", "Z", "dzdy"):
-            assert np.array_equal(runs[0][key][N], runs[1][key][N]), key
-        s = runs[0]
+        s = sim.coupled_terminal_samples(c, grid, 1.0, (eps, eps / 2.0),
+                                         1000000, SEED, observe=(N,),
+                                         with_dzdy=True, threads=4)
         outs[preset] = dict(
-            Y=s["Y"][N], Xt=s["Xt"][N], Xt_half=runs[1]["Xt"][N],
+            Y=s["Y"][N], Xt=s["Xt"][eps][N], Xt_half=s["Xt"][eps / 2.0][N],
             delta=s["Z"][N] * s["Y"][N] - s["dzdy"][N], varY=varY)
     return outs
 
@@ -218,6 +216,39 @@ def test_criterion_6_second_order_decreasing(sweep_m1e4, record_criterion):
         parts.append("%s %s" % (preset,
                                 "->".join("%.3g" % v for v, _ in vals)))
     record_criterion(6, ok, "; ".join(parts))
+
+
+def _assert_csv_close(got, want):
+    """Same cells; numeric ones within rel 1e-9 + abs 1e-12, others equal."""
+    with open(got, newline="") as fg, open(want, newline="") as fw:
+        rows_g, rows_w = list(csv.reader(fg)), list(csv.reader(fw))
+    assert [len(r) for r in rows_g] == [len(r) for r in rows_w], got
+    for row_g, row_w in zip(rows_g, rows_w):
+        for a, b in zip(row_g, row_w):
+            try:
+                fa, fb = float(a), float(b)
+            except ValueError:
+                assert a == b, (got, a, b)
+                continue
+            assert np.isclose(fa, fb, rtol=1e-9, atol=1e-12, equal_nan=True), \
+                (got, a, b)
+
+
+def test_golden_artifacts_match_committed_out(sweep_m1e4, workdir):
+    """Fresh runs of committed battery configs against ``out/`` at a stated
+    tolerance: the bytes are stable only within one numpy/BLAS build, the
+    numbers across builds."""
+    fresh = {"rate-scan-" + preset: out for preset, out in sweep_m1e4.items()}
+    fresh["limit-fbm"] = workdir / "golden_limit_fbm"
+    assert _run_cli(["limit", "--config",
+                     str(REPO / "scripts" / "configs" / "limit_fbm.json"),
+                     "--out", str(fresh["limit-fbm"])]) == 0
+    for name, out in fresh.items():
+        golden = REPO / "out" / name
+        csvs = sorted(p.name for p in golden.glob("*.csv"))
+        assert csvs and csvs == sorted(p.name for p in out.glob("*.csv")), name
+        for csv_name in csvs:
+            _assert_csv_close(out / csv_name, golden / csv_name)
 
 
 def test_criterion_7_variance_margin(workdir, record_criterion):

@@ -385,8 +385,7 @@ def test_kernel_engines_match_pointwise_oracle(name, params):
     np.testing.assert_allclose(Y.values, oY, **tol)
     np.testing.assert_allclose(Z.values, oZ, **tol)
     np.testing.assert_allclose(DZ, oDZ, **tol)
-    out = sim.coupled_terminal_samples(c, g, x0, eps, M, seed, with_z=True,
-                                       with_dzdy=True)
+    out = sim.coupled_terminal_samples(c, g, x0, (eps,), M, seed, with_dzdy=True)
     np.testing.assert_allclose(out["dzdy"][8], (oDZ @ oD[:, 8]) * g.delta, **tol)
     np.testing.assert_allclose(out["Z"][8], oZ[:, 8], **tol)
 
@@ -437,29 +436,41 @@ def test_coupling_is_enforced():
 # ---------------------------------------------------------------------------
 
 
+def _flat(out, prefix=()):
+    """Driver output as {(process, [eps,] node): array}."""
+    for key, v in out.items():
+        if isinstance(v, dict):
+            yield from _flat(v, prefix + (key,))
+        else:
+            yield prefix + (key,), v
+
+
+def _assert_same_outputs(a, b):
+    a, b = dict(_flat(a)), dict(_flat(b))
+    assert a.keys() == b.keys()
+    for key in a:
+        np.testing.assert_array_equal(a[key], b[key])
+
+
 def test_coupled_driver_matches_direct_pipeline():
     g = TimeGrid(T=1.0, N=32)
     x0, eps, M, seed = 1.0, 0.2, 2500, 71  # crosses one chunk boundary
     c, x, D = _pipeline("trig", g, x0)
-    out = sim.coupled_terminal_samples(c, g, x0, eps, M, seed,
-                                       observe=(16,), with_z=True,
-                                       with_dzdy=True, y_exact=True)
+    out = sim.coupled_terminal_samples(c, g, x0, (eps,), M, seed,
+                                       observe=(16,), with_dzdy=True)
     batch = sim.sample_brownian(M, g, seed)
     X = sim.simulate_X(c, g, x0, eps, batch)
     Xt = sim.fluctuation(X, x, eps)
     Y = sim.simulate_Y_euler(c, g, x, batch)
-    Yx = sim.simulate_Y_exact(D, batch)
     Z = sim.simulate_Z(c, g, x, Y, batch)
     DZ = sim.simulate_DZ_terminal(c, g, x, Y, D, batch).DZ
     for j in (16, 32):
-        np.testing.assert_array_equal(out["X"][j], X.values[:, j])
-        np.testing.assert_array_equal(out["Xt"][j], Xt.values[:, j])
+        np.testing.assert_array_equal(out["X"][eps][j], X.values[:, j])
+        np.testing.assert_array_equal(out["Xt"][eps][j], Xt.values[:, j])
         np.testing.assert_array_equal(out["Y"][j], Y.values[:, j])
-        # matmul-backed outputs shift at ULP level with the BLAS row
-        # blocking, so chunked and whole-batch runs differ in the last bit
-        np.testing.assert_allclose(out["Yx"][j], Yx.values[:, j],
-                                   rtol=1e-12, atol=1e-15)
         np.testing.assert_array_equal(out["Z"][j], Z.values[:, j])
+    # matmul-backed outputs shift at ULP level with the BLAS row blocking,
+    # so chunked and whole-batch runs differ in the last bit
     np.testing.assert_allclose(out["dzdy"][32], (DZ @ D.D[:, 32]) * g.delta,
                                rtol=1e-12, atol=1e-15)
 
@@ -467,25 +478,56 @@ def test_coupled_driver_matches_direct_pipeline():
 def test_coupled_driver_thread_count_is_invisible():
     g = TimeGrid(T=1.0, N=24)
     c = make_preset("trig", kappa=1.1)
-    kw = dict(observe=(12, 24), with_z=True, with_dzdy=True, y_exact=True)
-    a = sim.coupled_terminal_samples(c, g, 1.0, 0.1, 5000, 83, threads=1, **kw)
-    b = sim.coupled_terminal_samples(c, g, 1.0, 0.1, 5000, 83, threads=4, **kw)
-    assert sorted(a) == sorted(b)
-    for key in a:
-        for j in a[key]:
-            np.testing.assert_array_equal(a[key][j], b[key][j])
+    kw = dict(observe=(12, 24), with_dzdy=True)
+    a = sim.coupled_terminal_samples(c, g, 1.0, (0.1,), 5000, 83, threads=1, **kw)
+    b = sim.coupled_terminal_samples(c, g, 1.0, (0.1,), 5000, 83, threads=4, **kw)
+    _assert_same_outputs(a, b)
 
 
 def test_coupled_driver_fbm_thread_count_is_invisible():
     g = TimeGrid(T=1.0, N=16)
     c = make_preset("fbm-trig", H=0.7, kappa=0.9)
-    kw = dict(observe=(8, 16), with_z=True, with_dzdy=True)
-    a = sim.coupled_terminal_samples(c, g, 1.0, 0.1, 4200, 87, threads=1, **kw)
-    b = sim.coupled_terminal_samples(c, g, 1.0, 0.1, 4200, 87, threads=2, **kw)
-    assert sorted(a) == sorted(b)
-    for key in a:
-        for j in a[key]:
-            np.testing.assert_array_equal(a[key][j], b[key][j])
+    kw = dict(observe=(8, 16), with_dzdy=True)
+    a = sim.coupled_terminal_samples(c, g, 1.0, (0.1,), 4200, 87, threads=1, **kw)
+    b = sim.coupled_terminal_samples(c, g, 1.0, (0.1,), 4200, 87, threads=2, **kw)
+    _assert_same_outputs(a, b)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name,params", [("trig", {"kappa": 1.1}),
+                                         ("fbm-trig", {"H": 0.7, "kappa": 0.9})])
+def test_coupled_driver_sweep_equals_single_eps_calls(name, params, threads):
+    # one pass over the sweep gives, bit for bit, what one call per eps gives
+    g = TimeGrid(T=1.0, N=16)
+    c = make_preset(name, **params)
+    sweep = (0.2, 0.1, 0.05)
+    kw = dict(observe=(8,), with_dzdy=True, threads=threads)
+    fused = dict(_flat(sim.coupled_terminal_samples(c, g, 1.0, sweep, 2100, 89,
+                                                    **kw)))
+    seen = set()
+    for eps in sweep:
+        single = sim.coupled_terminal_samples(c, g, 1.0, (eps,), 2100, 89, **kw)
+        for key, v in _flat(single):
+            np.testing.assert_array_equal(fused[key], v)
+            seen.add(key)
+    assert seen == fused.keys()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("sweep", [(0.5,), (0.1, 0.5)])
+def test_coupled_driver_reports_divergence_like_whole_batch(sweep, threads):
+    # b = x|x|^30: chunk 0 first fails at node 9 (path 1000), but over the
+    # whole batch node 8 fails first, at path 2707 in chunk 1
+    g = TimeGrid(T=1.0, N=16)
+    c = dataclasses.replace(make_preset("additive-unit"), name="blow-up",
+                            b=lambda t, s, x: x * np.abs(x) ** 30)
+    with pytest.raises(DivergenceError) as whole:
+        sim.simulate_X(c, g, 0.0, 0.5, sim.sample_brownian(6000, g, 6))
+    with pytest.raises(DivergenceError) as exc:
+        sim.coupled_terminal_samples(c, g, 0.0, sweep, 6000, 6,
+                                     with_dzdy=True, threads=threads)
+    assert (exc.value.node, exc.value.path) == (8, 2707)
+    assert str(exc.value) == str(whole.value) == "X diverged at path 2707, node 8"
 
 
 def test_driver_evaluates_the_fbm_kernel_once_per_grid(monkeypatch):
@@ -500,8 +542,8 @@ def test_driver_evaluates_the_fbm_kernel_once_per_grid(monkeypatch):
     kernels._fbm_matrix.cache_clear()
     g = TimeGrid(T=1.0, N=24)
     c = make_preset("fbm-trig", H=0.7)
-    sim.coupled_terminal_samples(c, g, 1.0, 0.1, 300, 5, observe=(12,),
-                                 with_z=True, with_dzdy=True)
+    sim.coupled_terminal_samples(c, g, 1.0, (0.1,), 300, 5, observe=(12,),
+                                 with_dzdy=True)
     assert 0 < len(calls) <= g.N
 
 
@@ -509,17 +551,19 @@ def test_coupled_driver_validation():
     g = TimeGrid(T=1.0, N=8)
     c = make_preset("additive-unit")
     with pytest.raises(ValueError):
-        sim.coupled_terminal_samples(c, g, 0.0, 0.2, 0, 1)
+        sim.coupled_terminal_samples(c, g, 0.0, (0.2,), 0, 1)
     with pytest.raises(ValueError):
-        sim.coupled_terminal_samples(c, g, 0.0, 1.2, 10, 1)
+        sim.coupled_terminal_samples(c, g, 0.0, (0.2, 1.2), 10, 1)
     with pytest.raises(ValueError):
-        sim.coupled_terminal_samples(c, g, 0.0, 0.2, 10, 1, observe=(0,))
+        sim.coupled_terminal_samples(c, g, 0.0, (), 10, 1)
     with pytest.raises(ValueError):
-        sim.coupled_terminal_samples(c, g, 0.0, 0.2, 10, 1, threads=0)
+        sim.coupled_terminal_samples(c, g, 0.0, (0.2,), 10, 1, observe=(0,))
+    with pytest.raises(ValueError):
+        sim.coupled_terminal_samples(c, g, 0.0, (0.2,), 10, 1, threads=0)
 
 
 def test_coupled_driver_always_observes_terminal_node():
     g = TimeGrid(T=1.0, N=8)
     c = make_preset("additive-unit")
-    out = sim.coupled_terminal_samples(c, g, 0.0, 0.5, 10, 1)
-    assert sorted(out["X"]) == [8]
+    out = sim.coupled_terminal_samples(c, g, 0.0, (0.5,), 10, 1)
+    assert sorted(out["X"][0.5]) == sorted(out["Y"]) == [8]
