@@ -35,8 +35,9 @@ from .kernels import (ConvergenceError, bounds_for, check_assumptions,
                       fbm_covariance, fbm_kernel_matrix, fbm_kernel_params,
                       kernel_l2_mass, make_preset, variance_lower_bound_const)
 from .simulate import _CHUNK_ROWS, _increment_rows, coupled_terminal_samples
-from .stats import (distance_report, rate_fit, resolve_test_function,
-                    rms_with_se, thm2_report)
+from .stats import (GATE_SE, distance_report, rate_fit,
+                    resolve_test_function, rms_with_se, thm2_report,
+                    thm2_richardson)
 
 _SNAP_TOL = 1e-9
 
@@ -369,17 +370,20 @@ def run_thm2(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     rows: List[list] = []
     failures: List[str] = []
     nan = float("nan")
+    # the expansion is a limit in eps: with a pair (e, e/2) in the sweep the
+    # gate is on the smallest pair's Richardson value, else on the last eps
+    halving = [e for e in cfg.epsilons if e / 2.0 in cfg.epsilons]
     samples = coupled_terminal_samples(coeff, grid, cfg.x0, cfg.epsilons,
                                        cfg.M, cfg.seed, observe=(N,),
                                        with_dzdy=True, threads=threads)
     Y = samples["Y"][N]
+    Xt = {eps: samples["Xt"][eps][N] for eps in cfg.epsilons}
     delta = samples["Z"][N] * Y - samples["dzdy"][N]
     for eps in cfg.epsilons:
-        last = eps == cfg.epsilons[-1]
+        gated = not halving and eps == cfg.epsilons[-1]
         for phi in cfg.test_functions:
             try:
-                rep = thm2_report(phi, eps, samples["Xt"][eps][N], Y, delta,
-                                  varY)
+                rep = thm2_report(phi, eps, Xt[eps], Y, delta, varY)
             except ValueError:
                 rows.append([eps, phi, nan, nan, nan, nan, nan, nan, nan,
                              "degenerate"])
@@ -393,10 +397,23 @@ def run_thm2(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
                 ratio = 0.0 if rep.gap == 0.0 else float("inf")
             rows.append([eps, phi, rep.lhs, rep.lhs_se, rep.rhs, rep.rhs_se,
                          rep.gap, combined, ratio, "ok"])
-            if last and rep.gap > 3.0 * combined:
+            if gated and not rep.passes:
                 failures.append(
-                    "phi=%s eps=%g: |lhs-rhs|=%.3g exceeds 3*SE=%.3g"
-                    % (phi, eps, rep.gap, 3.0 * combined))
+                    "phi=%s eps=%g: |lhs-rhs|=%.3g exceeds %g*SE=%.3g"
+                    % (phi, eps, rep.gap, GATE_SE, GATE_SE * combined))
+    if halving:
+        eps = min(halving)
+        for phi in cfg.test_functions:
+            try:
+                rep = thm2_richardson(phi, eps, Xt[eps], Xt[eps / 2.0], Y,
+                                      delta, varY)
+            except ValueError:
+                continue  # degenerate Var(Y_T), already a failure above
+            if not rep.passes:
+                failures.append(
+                    "phi=%s eps=%g: |2 lhs(eps/2) - lhs(eps) - rhs|=%.3g "
+                    "exceeds %g*SE=%.3g" % (phi, eps, rep.gap, GATE_SE,
+                                            GATE_SE * rep.combined_se))
 
     _write_csv(cfg.out_dir, "thm2.csv",
                ("epsilon", "phi", "lhs", "lhs_se", "rhs", "rhs_se",

@@ -7,7 +7,12 @@ histogram-TV (Freedman-Diaconis binning, floor of 16 bins) is reported
 alongside the Kolmogorov (sup-CDF) distance, which lower-bounds TV and
 has a consistent estimator; rate fits use the Kolmogorov values.
 Distance standard errors come from a 200-resample bootstrap with its own
-counter-based seed.
+counter-based seed.  Each sample is sorted once; a resample is the
+bincount of its index draws over the presorted points, read through
+cumulative counts (ECDF values at precomputed pool ranks, histogram bin
+counts at the edges), so the SE is bit-identical to resampling and
+re-sorting.  Both distances have one implementation: the point estimate
+is the same computation at all-ones counts.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from scipy import special
 
 _BOOTSTRAP_RESAMPLES = 200
 _MIN_BINS = 16
+GATE_SE = 3.0  # weak-expansion gate: |lhs - rhs| within 3 combined SE
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,11 @@ class Thm2Report:
     def gap(self) -> float:
         return abs(self.lhs - self.rhs)
 
+    @property
+    def passes(self) -> bool:
+        """The two sides agree within GATE_SE combined standard errors."""
+        return self.gap <= GATE_SE * self.combined_se
+
 
 def _as_sample(a) -> np.ndarray:
     arr = np.asarray(a, dtype=float).ravel()
@@ -74,14 +85,77 @@ def _as_sample(a) -> np.ndarray:
     return arr
 
 
+@dataclass(frozen=True)
+class CountedSample:
+    """A sample as cumulative counts over its presorted points.
+
+    ``x`` is the original sample sorted once (``order`` is its stable
+    argsort), ``rank`` holds ``searchsorted(x, pool, side="right")`` for
+    the points of the pooled pair it was sorted with, and ``cum[k]``
+    counts the represented sample's points among ``x[:k]``, so
+    ``cum[0] == 0`` and ``cum[-1]`` is its size.  The sample itself has
+    all-ones counts, ``cum = arange(n + 1)``; a bootstrap resample has the
+    counts of its draws.
+    """
+
+    x: np.ndarray
+    order: np.ndarray
+    rank: np.ndarray
+    cum: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return int(self.cum[-1])
+
+    def resample(self, draws: np.ndarray) -> "CountedSample":
+        """The resample x_orig[draws], as counts gathered into sorted order."""
+        cum = np.empty_like(self.cum)
+        cum[0] = 0
+        np.cumsum(np.bincount(draws, minlength=self.x.size)[self.order],
+                  out=cum[1:])
+        return CountedSample(self.x, self.order, self.rank, cum)
+
+    def span(self) -> Tuple[float, float]:
+        """First and last point with a nonzero count: the min and the max."""
+        first = np.searchsorted(self.cum, 0, side="right") - 1
+        last = np.searchsorted(self.cum, self.cum[-1], side="left") - 1
+        return self.x[first], self.x[last]
+
+    def histogram(self, edges: np.ndarray) -> np.ndarray:
+        """Counts in [e_k, e_k+1), the last bin closed: what np.histogram
+        reads off a sorted sample for array edges."""
+        at = np.concatenate([np.searchsorted(self.x, edges[:-1], side="left"),
+                             np.searchsorted(self.x, edges[-1:], side="right")])
+        return np.diff(self.cum[at])
+
+
+def presort_pair(a, b) -> Tuple[CountedSample, CountedSample]:
+    """Sort two samples once and rank their pooled points in each."""
+    pair = []
+    for arr in (_as_sample(a), _as_sample(b)):
+        order = np.argsort(arr, kind="stable")
+        pair.append((arr[order], order))
+    pool = np.concatenate([x for x, _ in pair])
+    return tuple(CountedSample(x, order, np.searchsorted(x, pool, side="right"),
+                               np.arange(x.size + 1))
+                 for x, order in pair)
+
+
+def _counted(a, b) -> Tuple[CountedSample, CountedSample]:
+    if isinstance(a, CountedSample):
+        return a, b
+    return presort_pair(a, b)
+
+
 def kolmogorov_distance(a, b) -> float:
-    """sup_x |F_a(x) - F_b(x)| over the pooled sample points."""
-    sa = np.sort(_as_sample(a))
-    sb = np.sort(_as_sample(b))
-    pool = np.concatenate([sa, sb])
-    fa = np.searchsorted(sa, pool, side="right") / sa.size
-    fb = np.searchsorted(sb, pool, side="right") / sb.size
-    return float(np.max(np.abs(fa - fb)))
+    """sup_x |F_a(x) - F_b(x)| over the pooled sample points.
+
+    a and b are samples or a pair of CountedSample (presort_pair or a
+    resample of it).  A resample's ECDF steps only at its own points, so
+    the sup over the original pool equals the sup over the resample's.
+    """
+    ca, cb = _counted(a, b)
+    return float(np.max(np.abs(ca.cum[ca.rank] / ca.n - cb.cum[cb.rank] / cb.n)))
 
 
 def freedman_diaconis_bins(pooled) -> int:
@@ -97,32 +171,42 @@ def freedman_diaconis_bins(pooled) -> int:
 
 
 def tv_histogram(a, b, bins: int) -> float:
-    """(1/2) sum_k |p_k - q_k| over a shared binning of the pooled range."""
+    """(1/2) sum_k |p_k - q_k| over a shared binning of the pooled range.
+
+    a and b are samples or a pair of CountedSample, as for
+    kolmogorov_distance.
+    """
     if bins < 2:
         raise ValueError("bins must be at least 2")
-    sa = _as_sample(a)
-    sb = _as_sample(b)
-    lo = min(sa.min(), sb.min())
-    hi = max(sa.max(), sb.max())
+    ca, cb = _counted(a, b)
+    (lo_a, hi_a), (lo_b, hi_b) = ca.span(), cb.span()
+    lo = min(lo_a, lo_b)
+    hi = max(hi_a, hi_b)
     if hi <= lo:
         return 0.0  # both samples concentrated on one common atom
     edges = np.linspace(lo, hi, bins + 1)
-    pa, _ = np.histogram(sa, bins=edges)
-    pb, _ = np.histogram(sb, bins=edges)
-    return float(0.5 * np.abs(pa / sa.size - pb / sb.size).sum())
+    return float(0.5 * np.abs(ca.histogram(edges) / ca.n
+                              - cb.histogram(edges) / cb.n).sum())
 
 
 def bootstrap_se(a, b, stat: Callable, n_boot: int = _BOOTSTRAP_RESAMPLES,
                  seed: int = 0) -> float:
-    """Bootstrap standard error of stat(a, b) resampling both samples."""
-    sa = _as_sample(a)
-    sb = _as_sample(b)
+    """Bootstrap standard error of stat(a, b) resampling both samples.
+
+    a and b are samples or their presort_pair.  Each resample draws
+    gen.integers(0, n, n) indices per sample, as x[draws] would, but stat
+    receives it as a CountedSample: the draws' counts over the presorted
+    points.  The two distances here read those counts exactly as they
+    read a sorted resample, so the SE is bit-identical to resampling and
+    re-sorting, without a sort or a search per resample.
+    """
+    ca, cb = _counted(a, b)
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     vals = np.empty(n_boot)
     for r in range(n_boot):
-        ia = gen.integers(0, sa.size, sa.size)
-        ib = gen.integers(0, sb.size, sb.size)
-        vals[r] = stat(sa[ia], sb[ib])
+        ra = ca.resample(gen.integers(0, ca.x.size, ca.x.size))
+        rb = cb.resample(gen.integers(0, cb.x.size, cb.x.size))
+        vals[r] = stat(ra, rb)
     return float(vals.std(ddof=1))
 
 
@@ -131,15 +215,16 @@ def distance_report(epsilon: float, a, b, seed: int = 0) -> DistanceReport:
     sa = _as_sample(a)
     sb = _as_sample(b)
     bins = freedman_diaconis_bins(np.concatenate([sa, sb]))
+    ca, cb = presort_pair(sa, sb)
     return DistanceReport(
         epsilon=epsilon,
-        kolmogorov=kolmogorov_distance(sa, sb),
-        tv_histogram=tv_histogram(sa, sb, bins),
+        kolmogorov=kolmogorov_distance(ca, cb),
+        tv_histogram=tv_histogram(ca, cb, bins),
         bins=bins,
         n_a=sa.size,
         n_b=sb.size,
-        kolmogorov_se=bootstrap_se(sa, sb, kolmogorov_distance, seed=seed),
-        tv_se=bootstrap_se(sa, sb, lambda u, v: tv_histogram(u, v, bins),
+        kolmogorov_se=bootstrap_se(ca, cb, kolmogorov_distance, seed=seed),
+        tv_se=bootstrap_se(ca, cb, lambda u, v: tv_histogram(u, v, bins),
                            seed=seed + 1),
     )
 
@@ -229,6 +314,27 @@ def thm2_report(phi_id: str, eps: float, Xt_T, Y_T, delta, varY: float) -> Thm2R
     lhs, lhs_se = thm2_lhs(phi_id, Xt_T, Y_T, eps)
     rhs, rhs_se = thm2_rhs(phi_id, Y_T, delta, varY)
     return Thm2Report(phi=phi_id, epsilon=eps, lhs=lhs, lhs_se=lhs_se,
+                      rhs=rhs, rhs_se=rhs_se)
+
+
+def thm2_richardson(phi_id: str, eps: float, Xt_T, Xt_half_T, Y_T, delta,
+                    varY: float) -> Thm2Report:
+    """Both sides with the lhs extrapolated to eps -> 0 on coupled paths.
+
+    The lhs is the per-path Richardson value r = 2 l(eps/2) - l(eps), with
+    l(e) = (phi(Xt_e) - phi(Y)) / e, which cancels the O(eps) term of the
+    expansion; its SE counts the correlation between the two eps.
+    """
+    f = resolve_test_function(phi_id)
+    xt, xt_half, y = _as_sample(Xt_T), _as_sample(Xt_half_T), _as_sample(Y_T)
+    if not xt.shape == xt_half.shape == y.shape:
+        raise ValueError("coupled samples must have equal length")
+    fy = f(y)
+    ell = (f(xt) - fy) / eps
+    ell_half = (f(xt_half) - fy) / (eps / 2.0)
+    r, r_se = _mean_se(2.0 * ell_half - ell)
+    rhs, rhs_se = thm2_rhs(phi_id, y, delta, varY)
+    return Thm2Report(phi=phi_id, epsilon=eps, lhs=r, lhs_se=r_se,
                       rhs=rhs, rhs_se=rhs_se)
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -245,6 +246,48 @@ def test_thm2_degenerate_variance(tmp_path, capsys):
     assert _run(["thm2", "--config", cfg, "--out", str(out),
                  "--assert"]) == 4
     assert "assert failed" in capsys.readouterr().err
+
+
+def _off_by(real, shift):
+    """A report function whose lhs sits `shift` away from its rhs."""
+    def shifted(phi, eps, *args):
+        rep = real(phi, eps, *args)
+        return dataclasses.replace(rep, lhs=rep.rhs + shift)
+    return shifted
+
+
+def test_thm2_assert_gates_smallest_halving_pair(tmp_path, monkeypatch,
+                                                capsys):
+    seen = []
+    shifted = _off_by(cli.thm2_richardson, 10.0)
+    monkeypatch.setattr(cli, "thm2_richardson",
+                        lambda phi, eps, *a: seen.append(eps) or
+                        shifted(phi, eps, *a))
+    cfg = _cfg(tmp_path, preset="trig", N=16, M=300,
+               epsilons=[0.4, 0.2, 0.1, 0.05], test_functions=["cos"])
+    out = tmp_path / "o"
+    assert _run(["thm2", "--config", cfg, "--out", str(out),
+                 "--assert"]) == 4
+    err = capsys.readouterr().err
+    assert seen == [0.1]  # pairs (0.4, 0.2), (0.2, 0.1), (0.1, 0.05)
+    assert "phi=cos eps=0.1: |2 lhs(eps/2) - lhs(eps) - rhs|=10" in err
+    assert "|lhs-rhs|" not in err  # fixed-eps rows are reported only
+    assert len(_read_csv(out / "thm2.csv")) == 4
+
+
+def test_thm2_assert_without_halving_pair_gates_last_eps(tmp_path,
+                                                         monkeypatch, capsys):
+    monkeypatch.setattr(cli, "thm2_richardson",
+                        lambda *a: pytest.fail("no (e, e/2) pair to gate"))
+    monkeypatch.setattr(cli, "thm2_report", _off_by(cli.thm2_report, 10.0))
+    cfg = _cfg(tmp_path, preset="trig", N=16, M=300, epsilons=[0.3, 0.2],
+               test_functions=["cos"])
+    out = tmp_path / "o"
+    assert _run(["thm2", "--config", cfg, "--out", str(out),
+                 "--assert"]) == 4
+    err = capsys.readouterr().err
+    assert "phi=cos eps=0.2: |lhs-rhs|=10 exceeds 3*SE" in err
+    assert "eps=0.3" not in err
 
 
 def test_seed_override_changes_samples_and_manifest(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -94,16 +95,94 @@ def test_kolmogorov_below_tv_within_noise():
     assert rep.bins >= 16
 
 
-def test_bootstrap_se_deterministic_and_positive():
+def _kolmogorov_ref(a, b):
+    sa, sb = np.sort(a), np.sort(b)
+    pool = np.concatenate([sa, sb])
+    return float(np.max(np.abs(np.searchsorted(sa, pool, side="right") / sa.size
+                               - np.searchsorted(sb, pool, side="right") / sb.size)))
+
+
+def _tv_ref(a, b, bins):
+    lo, hi = min(a.min(), b.min()), max(a.max(), b.max())
+    if hi <= lo:
+        return 0.0
+    edges = np.linspace(lo, hi, bins + 1)
+    pa, _ = np.histogram(a, bins=edges)
+    pb, _ = np.histogram(b, bins=edges)
+    return float(0.5 * np.abs(pa / a.size - pb / b.size).sum())
+
+
+def _resampling_se(a, b, stat, seed, n_boot=200):
+    """The bootstrap as resampling: stat on x[draws], re-sorted per resample."""
+    sa, sb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    gen = _rng(seed)
+    vals = np.empty(n_boot)
+    for r in range(n_boot):
+        ia = gen.integers(0, sa.size, sa.size)
+        ib = gen.integers(0, sb.size, sb.size)
+        vals[r] = stat(sa[ia], sb[ib])
+    return float(vals.std(ddof=1))
+
+
+def _samples(case):
     r = _rng(7)
-    a = r.standard_normal(800)
-    b = r.standard_normal(800) + 0.3
+    if case == "normal":
+        return r.standard_normal(800), r.standard_normal(800) + 0.3
+    if case == "tied":
+        return (np.round(r.standard_normal(800), 1),
+                np.round(r.standard_normal(800) + 0.3, 1))
+    if case == "unequal":
+        return r.standard_normal(300), r.standard_normal(1100) * 1.3
+    if case == "one-point":
+        return np.array([0.25]), r.standard_normal(3000)
+    if case == "all-equal":
+        return np.full(200, 1.5), np.full(300, 1.5)
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("case", ["normal", "tied", "unequal", "one-point"])
+def test_bootstrap_se_deterministic_and_positive(case):
+    a, b = _samples(case)
     s1 = st.bootstrap_se(a, b, st.kolmogorov_distance, seed=5)
     s2 = st.bootstrap_se(a, b, st.kolmogorov_distance, seed=5)
     s3 = st.bootstrap_se(a, b, st.kolmogorov_distance, seed=6)
     assert s1 == s2
     assert s1 != s3
     assert 0.0 < s1 < 0.2
+    # counting over presorted points is bit for bit the resampling loop
+    assert s1 == _resampling_se(a, b, _kolmogorov_ref, seed=5)
+    assert st.bootstrap_se(a, b, lambda u, v: st.tv_histogram(u, v, 24),
+                           seed=5) == _resampling_se(
+        a, b, lambda u, v: _tv_ref(u, v, 24), seed=5)
+
+
+@pytest.mark.parametrize("case", ["normal", "tied", "unequal", "one-point",
+                                  "all-equal"])
+def test_distance_report_is_the_resampling_bootstrap(case):
+    a, b = _samples(case)
+    rep = st.distance_report(0.1, a, b, seed=11)
+    assert rep.kolmogorov == _kolmogorov_ref(a, b)
+    assert rep.tv_histogram == _tv_ref(a, b, rep.bins)
+    assert rep.kolmogorov_se == _resampling_se(a, b, _kolmogorov_ref, seed=11)
+    assert rep.tv_se == _resampling_se(
+        a, b, lambda u, v: _tv_ref(u, v, rep.bins), seed=12)
+    if case == "all-equal":  # every resample is the one atom: hi <= lo
+        assert rep.kolmogorov_se == rep.tv_se == 0.0
+
+
+def test_counted_resample_reads_like_the_resample():
+    a, b = _samples("tied")
+    ca, cb = st.presort_pair(a, b)
+    gen = _rng(3)
+    ia, ib = gen.integers(0, a.size, a.size), gen.integers(0, b.size, b.size)
+    ra, rb = ca.resample(ia), cb.resample(ib)
+    assert ra.n == a.size and rb.n == b.size
+    assert ra.span() == (a[ia].min(), a[ia].max())
+    edges = np.linspace(-1.0, 1.0, 9)
+    np.testing.assert_array_equal(ra.histogram(edges),
+                                  np.histogram(a[ia], bins=edges)[0])
+    assert st.kolmogorov_distance(ra, rb) == _kolmogorov_ref(a[ia], b[ib])
+    assert st.tv_histogram(ra, rb, 30) == _tv_ref(a[ia], b[ib], 30)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +309,31 @@ def test_thm2_report_fields():
     assert rep.gap == abs(rep.lhs - rep.rhs)
     assert rep.combined_se == pytest.approx(math.hypot(rep.lhs_se,
                                                        rep.rhs_se))
+
+
+def test_thm2_report_passes_within_three_combined_se():
+    rep = st.Thm2Report(phi="cos", epsilon=0.1, lhs=1.5, lhs_se=0.3,
+                        rhs=0.0, rhs_se=0.4)
+    assert rep.passes  # gap 1.5 = 3 * 0.5
+    assert not dataclasses.replace(rep, lhs=1.6).passes
+
+
+def test_thm2_richardson_per_path_value():
+    r = _rng(12)
+    y = r.standard_normal(4000)
+    xt = y + 0.1 * r.standard_normal(4000)
+    xt_half = y + 0.05 * r.standard_normal(4000)
+    delta = y ** 3 - 3.0 * y
+    rep = st.thm2_richardson("cos", 0.1, xt, xt_half, y, delta, 1.0)
+    per_path = (2.0 * (np.cos(xt_half) - np.cos(y)) / 0.05
+                - (np.cos(xt) - np.cos(y)) / 0.1)
+    assert rep.lhs == pytest.approx(per_path.mean(), rel=1e-12)
+    assert rep.lhs_se == pytest.approx(
+        per_path.std(ddof=1) / math.sqrt(y.size), rel=1e-12)
+    assert (rep.rhs, rep.rhs_se) == st.thm2_rhs("cos", y, delta, 1.0)
+    assert rep.epsilon == 0.1 and rep.phi == "cos"
+    with pytest.raises(ValueError):
+        st.thm2_richardson("cos", 0.1, xt, xt_half[:10], y, delta, 1.0)
 
 
 def test_gauss_hermite_mean_moments():
