@@ -34,7 +34,7 @@ from .deterministic import (DivergenceError, TimeGrid,
 from .kernels import (ConvergenceError, bounds_for, check_assumptions,
                       fbm_covariance, fbm_kernel_matrix, fbm_kernel_params,
                       kernel_l2_mass, make_preset, variance_lower_bound_const)
-from .simulate import _CHUNK_ROWS, _increment_rows, coupled_terminal_samples
+from .simulate import coupled_terminal_samples, increment_chunks
 from .stats import (GATE_SE, distance_report, rate_fit,
                     resolve_test_function, rms_with_se, thm2_report,
                     thm2_richardson)
@@ -70,11 +70,18 @@ def _floats(v) -> Tuple[float, ...]:
     return tuple(float(e) for e in v)
 
 
+def _integer(v) -> int:
+    # int() would truncate 16.9 to 16; integral floats such as 1e5 pass
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError("must be an integer, got %r" % (v,))
+    return int(v)
+
+
 # one converter per ExperimentConfig field, in field order so the first bad
 # field names the error; the defaults live only in the dataclass
 _CONVERTERS = dict(
     preset=str, params=lambda v: {str(k): float(p) for k, p in dict(v).items()},
-    x0=float, T=float, N=int, M=int, seed=int, epsilons=_floats,
+    x0=float, T=float, N=_integer, M=_integer, seed=_integer, epsilons=_floats,
     H=lambda v: None if v is None else float(v),
     observe_times=lambda v: None if v is None else _floats(v),
     test_functions=lambda v: tuple(str(p) for p in v), out_dir=str,
@@ -108,13 +115,14 @@ def load_config(path: str, out_override: Optional[str] = None,
     if seed_override is not None:
         merged["seed"] = seed_override
 
-    try:
-        cfg = ExperimentConfig(**{name: convert(merged[name])
-                                  for name, convert in _CONVERTERS.items()
-                                  if name in merged})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("config value: %s" % exc) from exc
-
+    values = {}
+    for name, convert in _CONVERTERS.items():
+        if name in merged:
+            try:
+                values[name] = convert(merged[name])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError("%s: %s" % (name, exc)) from exc
+    cfg = ExperimentConfig(**values)
     validate_config(cfg)
     return cfg
 
@@ -204,23 +212,27 @@ def _fmt(v) -> str:
 
 
 def _write_csv(out_dir: str, name: str, header: Sequence[str],
-               rows: Sequence[Sequence]) -> str:
-    path = os.path.join(out_dir, name)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-    return path
+               rows: Sequence[Sequence]) -> None:
+    try:
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            for row in rows:
+                w.writerow([_fmt(v) for v in row])
+    except OSError as exc:
+        raise ConfigError("out_dir: %s" % exc) from exc
 
 
 def _write_manifest(cfg: ExperimentConfig, command: str) -> None:
     doc = {"version": __version__, "command": command,
            "config": dataclasses.asdict(cfg)}
-    path = os.path.join(cfg.out_dir, "manifest.json")
-    with open(path, "w", newline="") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(os.path.join(cfg.out_dir, "manifest.json"), "w",
+                  newline="") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError("out_dir: %s" % exc) from exc
 
 
 def _prepare(cfg: ExperimentConfig):
@@ -276,9 +288,8 @@ def run_rate_scan(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     second_track: List[Tuple[float, float, float]] = []
     failures_dist: List[str] = []
 
-    samples = coupled_terminal_samples(coeff, grid, cfg.x0, cfg.epsilons,
-                                       cfg.M, cfg.seed, observe=obs,
-                                       threads=threads)
+    samples = coupled_terminal_samples(coeff, x, D, cfg.epsilons, cfg.M,
+                                       cfg.seed, observe=obs, threads=threads)
     Y, Z = samples["Y"], samples["Z"]
     for i, eps in enumerate(cfg.epsilons):
         X, Xt = samples["X"][eps], samples["Xt"][eps]
@@ -373,9 +384,9 @@ def run_thm2(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     # the expansion is a limit in eps: with a pair (e, e/2) in the sweep the
     # gate is on the smallest pair's Richardson value, else on the last eps
     halving = [e for e in cfg.epsilons if e / 2.0 in cfg.epsilons]
-    samples = coupled_terminal_samples(coeff, grid, cfg.x0, cfg.epsilons,
-                                       cfg.M, cfg.seed, observe=(N,),
-                                       with_dzdy=True, threads=threads)
+    samples = coupled_terminal_samples(coeff, x, D, cfg.epsilons, cfg.M,
+                                       cfg.seed, observe=(N,), with_dzdy=True,
+                                       threads=threads)
     Y = samples["Y"][N]
     Xt = {eps: samples["Xt"][eps][N] for eps in cfg.epsilons}
     delta = samples["Z"][N] * Y - samples["dzdy"][N]
@@ -450,15 +461,12 @@ def run_kernel_check(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
         cols = Kmat[:, needed]
         sums = np.zeros(len(pair_nodes))
         sqs = np.zeros(len(pair_nodes))
-        m0 = 0
-        while m0 < cfg.M:
-            m1 = min(m0 + _CHUNK_ROWS, cfg.M)
-            bh = _increment_rows(cfg.seed, grid, m0, m1) @ cols
+        for dB in increment_chunks(cfg.seed, grid, cfg.M):
+            bh = dB @ cols
             for k, (ja, jb) in enumerate(pair_nodes):
                 prod = bh[:, needed.index(ja)] * bh[:, needed.index(jb)]
                 sums[k] += prod.sum()
                 sqs[k] += (prod * prod).sum()
-            m0 = m1
         for k, ((t, s), (ja, jb)) in enumerate(zip(cfg.cov_pairs, pair_nodes)):
             mean = sums[k] / cfg.M
             svar = (sqs[k] - cfg.M * mean * mean) / (cfg.M - 1)
@@ -528,7 +536,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(args.config, out_override=args.out,
                           seed_override=args.seed)
         threads = _threads_from_env()
-        os.makedirs(cfg.out_dir, exist_ok=True)
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("out_dir: %s" % exc) from exc
         failures = _RUNNERS[args.command](cfg, threads=threads)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -198,8 +198,8 @@ def fbm_kernel_params(H: float) -> FbmKernelParams:
     return FbmKernelParams(H=H, cH=cH, VH=VH, brownian=False)
 
 
-def eval_fbm_kernel(p: FbmKernelParams, t: float, s):
-    """Evaluate K_H(t, s) for 0 < s < t; ``s`` may be an array.
+def eval_fbm_kernel(p: FbmKernelParams, t, s):
+    """Evaluate K_H(t, s) for 0 < s < t, broadcasting over ``t`` and ``s``.
 
     K_H(t, s) = (t - s)^(H - 1/2) / (Gamma(H + 1/2) sqrt(V_H))
                 * 2F1(H - 1/2, 1/2 - H; H + 1/2; 1 - t/s).
@@ -207,20 +207,19 @@ def eval_fbm_kernel(p: FbmKernelParams, t: float, s):
     Gamma(H + 1/2) is the normalization under which the H -> 1/2 limit
     collapses to K = 1 and the squared kernel integrates to t^(2H).
     """
-    s_arr = np.asarray(s, dtype=float)
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    if np.any(s_arr <= 0.0) or np.any(s_arr >= t):
+    t_arr, s_arr = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                       np.asarray(s, dtype=float))
+    if not np.all((0.0 < s_arr) & (s_arr < t_arr)):
         raise ValueError("kernel requires 0 < s < t")
     if p.brownian:
-        out = np.ones_like(s_arr)
+        out = np.ones(s_arr.shape)
     else:
         H = p.H
-        z = 1.0 - t / s_arr
+        z = 1.0 - t_arr / s_arr
         f = np.asarray(hyp2f1(H - 0.5, 0.5 - H, H + 0.5, z))
-        pref = (t - s_arr) ** (H - 0.5) / (math.gamma(H + 0.5) * math.sqrt(p.VH))
+        pref = (t_arr - s_arr) ** (H - 0.5) / (math.gamma(H + 0.5) * math.sqrt(p.VH))
         out = pref * f
-    if np.ndim(s) == 0:
+    if out.ndim == 0:
         return float(out)
     return out
 
@@ -310,11 +309,9 @@ def fbm_kernel_matrix(p: FbmKernelParams, grid) -> np.ndarray:
     Returns an (N, N+1) matrix, zero where theta_i* >= t_j (i >= j on a
     uniform grid).
     """
-    mids = grid.midpoints
-    nodes = grid.nodes
+    i, j = np.triu_indices(grid.N, 1, grid.N + 1)
     K = np.zeros((grid.N, grid.N + 1))
-    for j in range(1, grid.N + 1):
-        K[:j, j] = eval_fbm_kernel(p, nodes[j], mids[:j])
+    K[i, j] = eval_fbm_kernel(p, grid.nodes[j], grid.midpoints[i])
     return K
 
 
@@ -469,27 +466,22 @@ def make_preset(name: str, **params) -> CoefficientSet:
 
 @dataclass(frozen=True)
 class AssumptionBounds:
-    """Envelopes k1, k2, k3 >= 0 with exponents alpha, beta, gamma > 1 and
-    budget L > 0 such that, along the grid,
+    """Scales k1, k2, k3 >= 0 of the envelopes k W, with exponents alpha,
+    beta, gamma > 1 and budget L > 0 such that, along the grid,
 
-        sup_t int_0^t (k1^(2 alpha) + k2^(2 beta)) ds <= L,
-        sup_t int_0^t k3^(2 gamma) ds <= L.
+        sup_t int_0^t ((k1 W)^(2 alpha) + (k2 W)^(2 beta)) ds <= L,
+        sup_t int_0^t (k3 W)^(2 gamma) ds <= L.
+
+    W(t, s) is the preset's kernel, and 1 for presets without one.
     """
 
-    k1: Callable
-    k2: Callable
-    k3: Callable
+    k1: float
+    k2: float
+    k3: float
     alpha: float
     beta: float
     gamma: float
     L: float
-
-
-def _const_envelope(value: float) -> Callable:
-    def k(t, s):
-        return np.full(np.shape(s), value)
-
-    return k
 
 
 def _fbm_exponent(H: float) -> float:
@@ -501,26 +493,13 @@ def _fbm_exponent(H: float) -> float:
     return 1.5 if amax >= 2.0 else 0.5 * (1.0 + amax)
 
 
-@dataclass(frozen=True)
-class _KernelEnvelope:
-    """scale K_H(t, s): pointwise off the grid, the memoized matrix on it."""
-
-    scale: float
-    H: float
-
-    def __call__(self, t, s):
-        return self.scale * np.asarray(eval_fbm_kernel(fbm_kernel_params(self.H), t, s),
-                                       dtype=float)
-
-
-def _envelope_on_grid(k: Callable, grid) -> np.ndarray:
-    """E[i, j] = k(t_j, theta_i*) for i < j, zero elsewhere."""
-    if isinstance(k, _KernelEnvelope):
-        return k.scale * _fbm_matrix(k.H, grid)
-    E = np.zeros((grid.N, grid.N + 1))
-    for j in range(1, grid.N + 1):
-        E[:j, j] = k(grid.nodes[j], grid.midpoints[:j])
-    return E
+def _envelopes_on_grid(c: CoefficientSet, scales, grid) -> List[np.ndarray]:
+    """k W[i, j] for each scale k, with W[i, j] = W(t_j, theta_i*) for
+    i < j and zero elsewhere."""
+    W = c.on_grid(grid)[0]
+    if W is None:
+        W = np.triu(np.ones((grid.N, grid.N + 1)), 1)
+    return [k * W for k in scales]
 
 
 def _budget_sup(envelopes, exponents, grid) -> float:
@@ -534,36 +513,22 @@ def bounds_for(c: CoefficientSet, grid) -> AssumptionBounds:
     """Declared envelopes for a built-in preset, with L fitted on the grid."""
     name = c.name
     if name == "additive-unit":
-        k1, k2, k3 = _const_envelope(1.0), _const_envelope(0.0), _const_envelope(0.0)
-        alpha = beta = gamma = 1.5
+        k1, k2, k3 = 1.0, 0.0, 0.0
     elif name == "multiplicative":
-        k1, k2, k3 = _const_envelope(1.0), _const_envelope(1.0), _const_envelope(0.0)
-        alpha = beta = gamma = 1.5
+        k1, k2, k3 = 1.0, 1.0, 0.0
     elif name == "linear-growth":
         a = abs(c.params["a"])
-        k1 = _const_envelope(max(a, 1.0))
-        k2 = _const_envelope(a)
-        k3 = _const_envelope(0.0)
-        alpha = beta = gamma = 1.5
-    elif name == "trig":
-        lim = math.sqrt(2.0) * abs(c.params["kappa"])
-        k1 = k2 = k3 = _const_envelope(lim)
-        alpha = beta = gamma = 1.5
-    elif name in ("fbm-additive", "fbm-trig"):
-        H = c.params["H"]
-        scale = c.params.get("sigma0", None)
-        if scale is None:
-            scale = math.sqrt(2.0) * abs(c.params["kappa"])
-        k1 = _KernelEnvelope(scale, H)
-        if name == "fbm-trig":
-            k2 = k3 = k1
-        else:
-            k2 = k3 = _const_envelope(0.0)
-        alpha = beta = gamma = _fbm_exponent(H)
+        k1, k2, k3 = max(a, 1.0), a, 0.0
+    elif name in ("trig", "fbm-trig"):
+        k1 = k2 = k3 = math.sqrt(2.0) * abs(c.params["kappa"])
+    elif name == "fbm-additive":
+        k1, k2, k3 = c.params["sigma0"], 0.0, 0.0
     else:  # pragma: no cover - make_preset guards the name set
         raise ValueError("no declared bounds for preset %r" % name)
+    alpha = beta = gamma = (_fbm_exponent(c.params["H"]) if "H" in c.params
+                            else 1.5)
 
-    sup = _budget_sup([_envelope_on_grid(k, grid) for k in (k1, k2, k3)],
+    sup = _budget_sup(_envelopes_on_grid(c, (k1, k2, k3), grid),
                       (alpha, beta, gamma), grid)
     L = 1.05 * max(sup, 1e-9)
     return AssumptionBounds(k1=k1, k2=k2, k3=k3, alpha=alpha, beta=beta,
@@ -595,7 +560,7 @@ def check_assumptions(c: CoefficientSet, bounds: AssumptionBounds, grid,
     t_stride = max(1, grid.N // 16)
     slack = 1e-9
     K, g = c.on_grid(grid)
-    caps = [_envelope_on_grid(k, grid) for k in (bounds.k1, bounds.k2, bounds.k3)]
+    caps = _envelopes_on_grid(c, (bounds.k1, bounds.k2, bounds.k3), grid)
 
     checked = 0
     violations: List[Tuple[str, float, float, float]] = []

@@ -4,15 +4,21 @@ Brownian increments come from a counter-based generator (Philox): the
 increment of path m at step i is a pure function of (seed, m, i), so
 growing the batch or re-chunking the work never changes existing paths.
 
-Simulated processes, all coupled through one increment batch:
+``coupled_terminal_samples`` is the simulation driver.  It takes the
+run's deterministic limit x and derivative field D, streams M paths in
+fixed 2048-row chunks over the whole eps sweep, and returns X, the
+fluctuation X-tilde = (X_eps - x) / eps, the Gaussian limit Y, the
+second-order correction Z and the terminal Malliavin pairing of DZ, at
+the requested nodes only.  Chunks run in parallel without affecting any
+number.
 
+The whole-batch calls run the same engines on one increment batch:
+
+* ``sample_brownian``: the M x N increment table,
 * ``simulate_X``: the noisy path X_eps by an explicit Euler rule,
-* ``fluctuation``: X-tilde = (X_eps - x) / eps,
-* ``simulate_Y_euler``: the Gaussian limit Y by the linearized Euler rule,
-* ``simulate_Y_exact``: Y synthesized exactly from the derivative field
-  (Y_t = sum_i D[i, t] dB_i, Gaussian on the grid by construction),
+* ``simulate_Y_euler``: Y by the linearized Euler rule,
 * ``simulate_Z``: the second-order correction process,
-* ``simulate_DZ_terminal``: the terminal Malliavin row D_theta Z_T.
+* ``simulate_DZ_terminal``: the terminal Malliavin rows D_theta Z_T.
 
 Two engine families share every entry point.  State-only presets
 (coefficients that ignore (t, s)) run O(N) telescoped recursions per
@@ -21,10 +27,6 @@ and resum the Volterra convolution as one mat-vec against a column of
 the kernel matrix K[i, j] = k(t_j, s_i*), in a time-major layout; DZ
 follows from a closed form in both families.  Each finished array is
 scanned once for non-finite values.
-
-``coupled_terminal_samples`` is the chunked driver used for large M: one
-pass covers the whole eps sweep, keeps only the requested observation
-columns, and parallelizes across chunks without affecting results.
 """
 
 from __future__ import annotations
@@ -32,12 +34,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 from scipy import special
 
-from .deterministic import (DerivativeField, DivergenceError, LimitPath,
+# the solve_* names are not called here; perfbench/traced.py patches them
+# on this module, so they stay importable until that tracer is re-pointed
+from .deterministic import (DerivativeField, DivergenceError, LimitPath,  # noqa: F401
                             TimeGrid, _on_path, solve_derivative_field,
                             solve_deterministic_limit)
 from .kernels import CoefficientSet
@@ -61,23 +65,11 @@ class BrownianBatch:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """M paths of one process at the N+1 grid nodes."""
+    """M paths of one process at the N+1 grid nodes, driven by the batch
+    of ``seed``."""
 
     values: np.ndarray
     grid: TimeGrid
-    kind: str  # "X", "Xt", "Y", "Z"
-    preset: str
-    seed: int
-    eps: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class DerivativeRowEnsemble:
-    """DZ[m, i] ~ D_{theta_i*} Z_T per path."""
-
-    DZ: np.ndarray
-    grid: TimeGrid
-    preset: str
     seed: int
 
 
@@ -103,6 +95,17 @@ def _increment_rows(seed: int, grid: TimeGrid, m0: int, m1: int) -> np.ndarray:
     u = _uniform_block(seed, lo, g1 - lo)[g0 - lo:]
     z = special.ndtri(u + _UNIFORM_OFFSET)
     return (z * math.sqrt(grid.delta)).reshape(m1 - m0, N)
+
+
+def _chunks(M: int) -> List[Tuple[int, int]]:
+    """Row ranges (m0, m1) of the fixed chunk grid; never depends on threads."""
+    return [(m0, min(m0 + _CHUNK_ROWS, M)) for m0 in range(0, M, _CHUNK_ROWS)]
+
+
+def increment_chunks(seed: int, grid: TimeGrid, M: int) -> Iterator[np.ndarray]:
+    """The rows of the M-path increment table, one chunk at a time."""
+    for m0, m1 in _chunks(M):
+        yield _increment_rows(seed, grid, m0, m1)
 
 
 def sample_brownian(M: int, grid: TimeGrid, seed: int) -> BrownianBatch:
@@ -285,31 +288,7 @@ def simulate_X(c: CoefficientSet, grid: TimeGrid, x0: float, eps: float,
     if batch.grid != grid:
         raise ValueError("batch grid mismatch")
     values = _run("X", c, grid, float(x0), float(eps), batch.increments)
-    return PathEnsemble(values=values, grid=grid, kind="X", preset=c.name,
-                        seed=batch.seed, eps=eps)
-
-
-def fluctuation(X: PathEnsemble, x: LimitPath, eps: float) -> PathEnsemble:
-    """X-tilde = (X - x) / eps, pathwise on the common grid."""
-    if eps == 0.0:
-        raise ValueError("eps must be nonzero")
-    if X.grid != x.grid:
-        raise ValueError("grid mismatch between ensemble and limit path")
-    values = (X.values - x.values[None, :]) / eps
-    return PathEnsemble(values=values, grid=X.grid, kind="Xt", preset=X.preset,
-                        seed=X.seed, eps=eps)
-
-
-def simulate_Y_exact(D: DerivativeField, batch: BrownianBatch) -> PathEnsemble:
-    """Clark-Ocone synthesis Y_{t_j} = sum_{i<j} D[i, j] dB_i.
-
-    Exactly Gaussian on the grid with variance sum_{i<j} D[i, j]^2 delta.
-    """
-    if D.grid != batch.grid:
-        raise ValueError("derivative field and batch live on different grids")
-    values = batch.increments @ np.triu(D.D, 1)
-    return PathEnsemble(values=values, grid=D.grid, kind="Y", preset=D.preset,
-                        seed=batch.seed)
+    return PathEnsemble(values=values, grid=grid, seed=batch.seed)
 
 
 def simulate_Y_euler(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
@@ -321,8 +300,7 @@ def simulate_Y_euler(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
     if batch.grid != grid or x.grid != grid:
         raise ValueError("grid mismatch")
     values = _run("Y", c, grid, x.values, batch.increments)
-    return PathEnsemble(values=values, grid=grid, kind="Y", preset=c.name,
-                        seed=batch.seed)
+    return PathEnsemble(values=values, grid=grid, seed=batch.seed)
 
 
 def _require_coupled(Y: PathEnsemble, batch: BrownianBatch):
@@ -343,25 +321,24 @@ def simulate_Z(c: CoefficientSet, grid: TimeGrid, x: LimitPath, Y: PathEnsemble,
         raise ValueError("grid mismatch")
     _require_coupled(Y, batch)
     values = _run("Z", c, grid, x.values, Y.values, batch.increments)
-    return PathEnsemble(values=values, grid=grid, kind="Z", preset=c.name,
-                        seed=batch.seed)
+    return PathEnsemble(values=values, grid=grid, seed=batch.seed)
 
 
 def simulate_DZ_terminal(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
                          Y: PathEnsemble, D: DerivativeField,
-                         batch: BrownianBatch) -> DerivativeRowEnsemble:
-    """Terminal Malliavin row of the correction process:
+                         batch: BrownianBatch) -> np.ndarray:
+    """Terminal Malliavin rows DZ[m, i] of the correction process:
     D_theta Z_T = 2 sigma'(T, theta*, x_theta) Y_theta
                   + int_theta^T b' D_theta Z_s ds
                   + int_theta^T 2 b'' Y_s D_theta Y_s ds
                   + 2 int_theta^T sigma' D_theta Y_s dB_s,
-    with the deterministic field D_theta Y_s supplied by ``D``.
+    with the deterministic field D_theta Y_s supplied by ``D``; an (M, N)
+    array, row m for path m, column i for theta_i*.
     """
     if x.grid != grid or D.grid != grid:
         raise ValueError("grid mismatch")
     _require_coupled(Y, batch)
-    DZ = _dz_terminal(c, grid, x.values, Y.values, D.D, batch.increments)
-    return DerivativeRowEnsemble(DZ=DZ, grid=grid, preset=c.name, seed=batch.seed)
+    return _dz_terminal(c, grid, x.values, Y.values, D.D, batch.increments)
 
 
 # ---------------------------------------------------------------------------
@@ -369,21 +346,27 @@ def simulate_DZ_terminal(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
 # ---------------------------------------------------------------------------
 
 
-def coupled_terminal_samples(c: CoefficientSet, grid: TimeGrid, x0: float,
+def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField,
                              epsilons: Sequence[float], M: int, seed: int,
                              observe: Sequence[int] = (),
                              with_dzdy: bool = False,
                              threads: int = 1) -> Dict[str, dict]:
-    """Stream M coupled paths in fixed chunks over the whole eps sweep.
+    """Stream M coupled paths of ``c`` in fixed chunks over the whole eps sweep.
 
-    Each chunk draws its increments and solves Y, Z and DZ once, X once
-    per eps.  Returns "X" and "Xt" keyed by eps then node, "Y" and "Z" by
-    node, and "dzdy" (sum_i DZ[m, i] D[i, T] delta, terminal node only).
-    Every number is independent of ``threads``: chunk boundaries are
-    fixed and each chunk fills its own rows.  All chunks run before a
-    divergence is raised as the whole-batch calls meet it: first by stage
-    (X at the first eps, Y, Z, DZ, X at each later eps), then node, path.
+    ``x`` and ``D`` are the run's limit path and derivative field of ``c``;
+    the grid and x0 are read off ``x``.  Each chunk draws its increments
+    and solves Y, Z and DZ once, X once per eps.  Returns "X" and "Xt" =
+    (X - x) / eps keyed by eps then node, "Y" and "Z" by node, and "dzdy"
+    (sum_i DZ[m, i] D[i, T] delta, terminal node only).  The terminal node
+    is always observed.  Every number is independent of ``threads``: the
+    chunk grid is fixed and each chunk fills its own rows.  All chunks run
+    before a divergence is raised as the whole-batch calls meet it: first
+    by stage (X at the first eps, Y, Z, DZ, X at each later eps), then
+    node, path.
     """
+    grid = x.grid
+    if D.grid != grid:
+        raise ValueError("derivative field and limit path live on different grids")
     if M < 1:
         raise ValueError("M must be at least 1")
     if not epsilons or not all(0.0 < e < 1.0 for e in epsilons):
@@ -395,9 +378,6 @@ def coupled_terminal_samples(c: CoefficientSet, grid: TimeGrid, x0: float,
         raise ValueError("observation nodes must be >= 1")
     N = grid.N
 
-    x = solve_deterministic_limit(c, grid, x0)
-    D = solve_derivative_field(c, grid, x)
-
     def columns():
         return {j: np.empty(M) for j in observe}
 
@@ -407,15 +387,15 @@ def coupled_terminal_samples(c: CoefficientSet, grid: TimeGrid, x0: float,
     if with_dzdy:
         out["dzdy"] = {N: np.empty(M)}
 
-    def run_chunk(m0: int):
+    def run_chunk(rows: Tuple[int, int]):
         """Fill rows m0:m1; on divergence return (stage, node, path, name)."""
-        m1 = min(m0 + _CHUNK_ROWS, M)
+        m0, m1 = rows
         dB = _increment_rows(seed, grid, m0, m1)
         started = []  # stage names, in the order the whole-batch calls meet them
         try:
             for k, eps in enumerate(epsilons):
                 started.append("X")
-                Xv = _run("X", c, grid, float(x0), float(eps), dB)
+                Xv = _run("X", c, grid, x.x0, float(eps), dB)
                 for j in observe:
                     out["X"][eps][j][m0:m1] = Xv[:, j]
                     out["Xt"][eps][j][m0:m1] = (Xv[:, j] - x.values[j]) / eps
@@ -435,12 +415,11 @@ def coupled_terminal_samples(c: CoefficientSet, grid: TimeGrid, x0: float,
         except DivergenceError as exc:
             return len(started), exc.node, m0 + exc.path, started[-1]
 
-    starts = list(range(0, M, _CHUNK_ROWS))
     if threads == 1:
-        failures = [run_chunk(m0) for m0 in starts]
+        failures = [run_chunk(rows) for rows in _chunks(M)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            failures = list(pool.map(run_chunk, starts))
+            failures = list(pool.map(run_chunk, _chunks(M)))
     if any(failures):
         _, node, path, what = min(f for f in failures if f)
         raise _diverged(what, node, path)

@@ -96,9 +96,9 @@ def thm2_m1e6():
     for preset in ("trig", "multiplicative"):
         c = make_preset(preset)
         x = solve_deterministic_limit(c, grid, 1.0)
-        varY = float(variance_of_Y(solve_derivative_field(c, grid, x),
-                                   grid).values[N])
-        s = sim.coupled_terminal_samples(c, grid, 1.0, (eps, eps / 2.0),
+        D = solve_derivative_field(c, grid, x)
+        varY = float(variance_of_Y(D, grid).values[N])
+        s = sim.coupled_terminal_samples(c, x, D, (eps, eps / 2.0),
                                          1000000, SEED, observe=(N,),
                                          with_dzdy=True, threads=4)
         outs[preset] = dict(
@@ -275,19 +275,17 @@ def test_criterion_8_exactness(record_criterion):
                             sigma=zero, dsigma=zero, d2sigma=zero)
     x = solve_deterministic_limit(c, grid, 1.2)
     batch = sim.sample_brownian(50, grid, SEED)
-    Xt = sim.fluctuation(sim.simulate_X(c, grid, 1.2, 0.25, batch), x, 0.25)
-    checks.append(bool(np.all(Xt.values == 0.0)))
+    Xt = (sim.simulate_X(c, grid, 1.2, 0.25, batch).values - x.values) / 0.25
+    checks.append(bool(np.all(Xt == 0.0)))
 
     # pure additive noise with dyadic eps: Xt and Y bitwise equal
     c = make_preset("additive-unit")
     x = solve_deterministic_limit(c, grid, 0.0)
-    Xt = sim.fluctuation(sim.simulate_X(c, grid, 0.0, 0.25, batch), x, 0.25)
+    Xt = (sim.simulate_X(c, grid, 0.0, 0.25, batch).values - x.values) / 0.25
     Y = sim.simulate_Y_euler(c, grid, x, batch)
-    checks.append(bool(np.array_equal(Xt.values, Y.values)))
-    checks.append(st.kolmogorov_distance(Xt.values[:, -1],
-                                         Y.values[:, -1]) == 0.0)
-    checks.append(st.tv_histogram(Xt.values[:, -1], Y.values[:, -1],
-                                  16) == 0.0)
+    checks.append(bool(np.array_equal(Xt, Y.values)))
+    checks.append(st.kolmogorov_distance(Xt[:, -1], Y.values[:, -1]) == 0.0)
+    checks.append(st.tv_histogram(Xt[:, -1], Y.values[:, -1], 16) == 0.0)
 
     # flat drift curvature and state-free sigma: Z and the rhs vanish
     c = make_preset("linear-growth", a=0.8)
@@ -296,7 +294,7 @@ def test_criterion_8_exactness(record_criterion):
     Y = sim.simulate_Y_euler(c, grid, x, batch)
     Z = sim.simulate_Z(c, grid, x, Y, batch)
     checks.append(bool(np.all(Z.values == 0.0)))
-    DZ = sim.simulate_DZ_terminal(c, grid, x, Y, D, batch).DZ
+    DZ = sim.simulate_DZ_terminal(c, grid, x, Y, D, batch)
     delta = st.skorokhod_term(Y.values[:, -1], Z.values[:, -1], DZ,
                               D.D[:, grid.N], grid)
     varY = float((D.D[:, grid.N] ** 2).sum() * grid.delta)

@@ -137,6 +137,46 @@ def test_bad_configs_exit_2(tmp_path, capsys, doc):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("N", 16.9), ("M", 200.5), ("seed", 3.7),
+    ("N", True), ("M", False), ("seed", True),
+])
+def test_non_integral_counts_exit_2(tmp_path, capsys, field, value):
+    # int() would silently run N = 16.9 as 16; the field must be named
+    cfg = _cfg(tmp_path, **dict({"N": 16, "M": 200}, **{field: value}))
+    out = tmp_path / "o"
+    assert _run(["limit", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s: " % field)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_integral_floats_are_counts(tmp_path):
+    cfg = _cfg(tmp_path, N=16.0, M=1e5, seed=3.0)
+    out = tmp_path / "o"
+    assert _run(["limit", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "manifest.json").read_text())["config"]
+    assert (doc["N"], doc["M"], doc["seed"]) == (16, 100000, 3)
+
+
+def test_unwritable_out_dir_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = _cfg(tmp_path, preset="trig", N=16, M=200, epsilons=[0.2, 0.1, 0.05])
+    for command in ("limit", "rate-scan"):
+        assert _run([command, "--config", cfg,
+                     "--out", str(blocker / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out_dir: ")
+        assert "Traceback" not in err
+    # the directory exists but an artifact cannot be written into it
+    taken = tmp_path / "o"
+    (taken / "limit.csv").mkdir(parents=True)
+    assert _run(["limit", "--config", cfg, "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("config error: out_dir: ")
+
+
 def test_missing_and_malformed_config_files(tmp_path, capsys):
     assert _run(["limit", "--config", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"

@@ -216,6 +216,38 @@ def test_kernel_matrix_layout_and_mass():
     assert rel[-1] < 5e-3
 
 
+def _per_column_kernel_matrix(p, grid):
+    # the column-by-column construction the one-call matrix replaced
+    Km = np.zeros((grid.N, grid.N + 1))
+    for j in range(1, grid.N + 1):
+        Km[:j, j] = K.eval_fbm_kernel(p, grid.nodes[j], grid.midpoints[:j])
+    return Km
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("H", [0.1, 0.3, 0.7, 0.9])
+def test_kernel_matrix_equals_per_column_construction(H, N):
+    # one broadcast call gives the same bits: the series stops per element
+    grid = TimeGrid(T=1.0, N=N)
+    p = K.fbm_kernel_params(H)
+    np.testing.assert_array_equal(K.fbm_kernel_matrix(p, grid),
+                                  _per_column_kernel_matrix(p, grid))
+
+
+def test_kernel_broadcasts_over_t_and_s():
+    p = K.fbm_kernel_params(0.3)
+    t = np.array([[1.0], [0.5]])
+    s = np.array([0.1, 0.2, 0.4])
+    got = K.eval_fbm_kernel(p, t, s)
+    assert got.shape == (2, 3)
+    for a in range(2):
+        for b in range(3):
+            assert got[a, b] == K.eval_fbm_kernel(p, float(t[a, 0]), float(s[b]))
+    # the domain check is elementwise: one s >= t anywhere is an error
+    with pytest.raises(ValueError):
+        K.eval_fbm_kernel(p, np.array([1.0, 0.3]), np.array([0.5, 0.3]))
+
+
 def test_variance_lower_bound_const_positive():
     for H in (0.55, 0.7, 0.9):
         p = K.fbm_kernel_params(H)
@@ -306,11 +338,8 @@ def test_check_assumptions_detects_violation():
     probe = np.linspace(-5.0, 5.0, 9)
     c = K.make_preset("trig", kappa=2.0)
     # an envelope that is deliberately too small for kappa = 2
-    bad = K.AssumptionBounds(
-        k1=lambda t, s: np.full(np.shape(s), 0.5),
-        k2=lambda t, s: np.full(np.shape(s), 0.5),
-        k3=lambda t, s: np.full(np.shape(s), 0.5),
-        alpha=1.5, beta=1.5, gamma=1.5, L=10.0)
+    bad = K.AssumptionBounds(k1=0.5, k2=0.5, k3=0.5,
+                             alpha=1.5, beta=1.5, gamma=1.5, L=10.0)
     rep = K.check_assumptions(c, bad, grid, probe)
     assert not rep.ok
     assert rep.violations

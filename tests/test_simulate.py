@@ -17,11 +17,24 @@ def _zero_sigma(base):
     return dataclasses.replace(base, sigma=zero, dsigma=zero, d2sigma=zero)
 
 
+def _solved(c, grid, x0):
+    """The limit path and derivative field the driver takes."""
+    x = solve_deterministic_limit(c, grid, x0)
+    return x, solve_derivative_field(c, grid, x)
+
+
 def _pipeline(name, grid, x0, **params):
     c = make_preset(name, **params)
-    x = solve_deterministic_limit(c, grid, x0)
-    D = solve_derivative_field(c, grid, x)
-    return c, x, D
+    return (c,) + _solved(c, grid, x0)
+
+
+def _y_exact(D, batch):
+    """Reference Y by Clark-Ocone synthesis, Y_{t_j} = sum_{i<j} D[i, j] dB_i:
+    exactly Gaussian on the grid with variance sum_{i<j} D[i, j]^2 delta."""
+    if D.grid != batch.grid:
+        raise ValueError("derivative field and batch live on different grids")
+    return sim.PathEnsemble(values=batch.increments @ np.triu(D.D, 1),
+                            grid=D.grid, seed=batch.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -100,24 +113,11 @@ def test_fluctuation_equals_euler_gaussian_for_dyadic_eps():
     # b = 0, sigma = 1, x0 = 0, eps = 2^-2: scaling is exact in binary
     g = TimeGrid(T=1.0, N=64)
     c, x, D = _pipeline("additive-unit", g, 0.0)
-    batch = sim.sample_brownian(30, g, 21)
-    X = sim.simulate_X(c, g, 0.0, 0.25, batch)
-    Xt = sim.fluctuation(X, x, 0.25)
-    Y = sim.simulate_Y_euler(c, g, x, batch)
-    np.testing.assert_array_equal(Xt.values, Y.values)
-    assert Xt.kind == "Xt" and Xt.eps == 0.25
-
-
-def test_fluctuation_validation():
-    g = TimeGrid(T=1.0, N=8)
-    c, x, D = _pipeline("additive-unit", g, 0.0)
-    batch = sim.sample_brownian(3, g, 2)
-    X = sim.simulate_X(c, g, 0.0, 0.5, batch)
-    with pytest.raises(ValueError):
-        sim.fluctuation(X, x, 0.0)
-    x2 = solve_deterministic_limit(c, TimeGrid(T=1.0, N=16), 0.0)
-    with pytest.raises(ValueError):
-        sim.fluctuation(X, x2, 0.5)
+    nodes = range(1, g.N + 1)
+    out = sim.coupled_terminal_samples(c, x, D, (0.25,), 30, 21, observe=nodes)
+    for j in nodes:
+        np.testing.assert_array_equal(out["Xt"][0.25][j], out["Y"][j])
+    assert list(out["Xt"]) == [0.25]
 
 
 def test_simulate_x_validation():
@@ -157,7 +157,7 @@ def test_y_exact_variance_matches_quadrature():
     c, x, D = _pipeline("trig", g, 1.0, kappa=1.0)
     var = variance_of_Y(D, g)
     M = 50000
-    Y = sim.simulate_Y_exact(D, sim.sample_brownian(M, g, 17))
+    Y = _y_exact(D, sim.sample_brownian(M, g, 17))
     for j in (64, 128):
         sample = Y.values[:, j].var()
         target = var.values[j]
@@ -170,7 +170,7 @@ def test_y_exact_equals_euler_without_drift_linearization():
     for name in ("additive-unit", "multiplicative"):
         c, x, D = _pipeline(name, g, 1.3)
         batch = sim.sample_brownian(25, g, 5)
-        a = sim.simulate_Y_exact(D, batch)
+        a = _y_exact(D, batch)
         b = sim.simulate_Y_euler(c, g, x, batch)
         np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
 
@@ -182,7 +182,7 @@ def test_y_exact_euler_gap_shrinks_first_order():
         g = TimeGrid(T=1.0, N=N)
         c, x, D = _pipeline("linear-growth", g, 1.0, a=1.0)
         batch = sim.sample_brownian(M, g, 13)
-        gap = (sim.simulate_Y_exact(D, batch).values[:, -1]
+        gap = (_y_exact(D, batch).values[:, -1]
                - sim.simulate_Y_euler(c, g, x, batch).values[:, -1])
         rms[N] = math.sqrt(float(np.mean(gap ** 2)))
     assert 0.35 < rms[128] / rms[64] < 0.65
@@ -195,7 +195,7 @@ def test_zero_increments_give_zero_processes():
                               increments=np.zeros((4, 32)))
     Y = sim.simulate_Y_euler(c, g, x, batch)
     np.testing.assert_array_equal(Y.values, np.zeros((4, 33)))
-    np.testing.assert_array_equal(sim.simulate_Y_exact(D, batch).values,
+    np.testing.assert_array_equal(_y_exact(D, batch).values,
                                   np.zeros((4, 33)))
     Z = sim.simulate_Z(c, g, x, Y, batch)
     np.testing.assert_array_equal(Z.values, np.zeros((4, 33)))
@@ -218,7 +218,7 @@ def test_z_vanishes_without_curvature_or_sigma_slope():
         Z = sim.simulate_Z(c, g, x, Y, batch)
         np.testing.assert_array_equal(Z.values, np.zeros((20, 33)))
         DZ = sim.simulate_DZ_terminal(c, g, x, Y, D, batch)
-        np.testing.assert_array_equal(DZ.DZ, np.zeros((20, 32)))
+        np.testing.assert_array_equal(DZ, np.zeros((20, 32)))
 
 
 def test_z_multiplicative_discrete_identity():
@@ -286,7 +286,7 @@ def test_dz_multiplicative_closed_form():
     c, x, D = _pipeline("multiplicative", g, x0)
     batch = sim.sample_brownian(60, g, 37)
     Y = sim.simulate_Y_euler(c, g, x, batch)
-    DZ = sim.simulate_DZ_terminal(c, g, x, Y, D, batch).DZ
+    DZ = sim.simulate_DZ_terminal(c, g, x, Y, D, batch)
     BT = batch.increments.sum(axis=1)
     np.testing.assert_allclose(
         DZ, np.broadcast_to(2.0 * x0 * BT[:, None], DZ.shape), rtol=1e-10)
@@ -317,8 +317,8 @@ def test_engines_agree_when_kernel_path_is_forced():
     Zb = sim.simulate_Z(forced, g, x, Ya, batch)
     np.testing.assert_allclose(Za.values, Zb.values, rtol=0, atol=1e-13)
 
-    Da = sim.simulate_DZ_terminal(c, g, x, Ya, D, batch).DZ
-    Db = sim.simulate_DZ_terminal(forced, g, x, Ya, D, batch).DZ
+    Da = sim.simulate_DZ_terminal(c, g, x, Ya, D, batch)
+    Db = sim.simulate_DZ_terminal(forced, g, x, Ya, D, batch)
     np.testing.assert_allclose(Da, Db, rtol=0, atol=1e-12)
 
 
@@ -380,12 +380,12 @@ def test_kernel_engines_match_pointwise_oracle(name, params):
     X = sim.simulate_X(c, g, x0, eps, batch)
     Y = sim.simulate_Y_euler(c, g, x, batch)
     Z = sim.simulate_Z(c, g, x, Y, batch)
-    DZ = sim.simulate_DZ_terminal(c, g, x, Y, D, batch).DZ
+    DZ = sim.simulate_DZ_terminal(c, g, x, Y, D, batch)
     np.testing.assert_allclose(X.values, oX, **tol)
     np.testing.assert_allclose(Y.values, oY, **tol)
     np.testing.assert_allclose(Z.values, oZ, **tol)
     np.testing.assert_allclose(DZ, oDZ, **tol)
-    out = sim.coupled_terminal_samples(c, g, x0, (eps,), M, seed, with_dzdy=True)
+    out = sim.coupled_terminal_samples(c, x, D, (eps,), M, seed, with_dzdy=True)
     np.testing.assert_allclose(out["dzdy"][8], (oDZ @ oD[:, 8]) * g.delta, **tol)
     np.testing.assert_allclose(out["Z"][8], oZ[:, 8], **tol)
 
@@ -428,7 +428,7 @@ def test_coupling_is_enforced():
         sim.simulate_DZ_terminal(c, g, x, Y, D, other)
     g2 = TimeGrid(T=1.0, N=32)
     with pytest.raises(ValueError):
-        sim.simulate_Y_exact(D, sim.sample_brownian(10, g2, 61))
+        _y_exact(D, sim.sample_brownian(10, g2, 61))
 
 
 # ---------------------------------------------------------------------------
@@ -456,17 +456,17 @@ def test_coupled_driver_matches_direct_pipeline():
     g = TimeGrid(T=1.0, N=32)
     x0, eps, M, seed = 1.0, 0.2, 2500, 71  # crosses one chunk boundary
     c, x, D = _pipeline("trig", g, x0)
-    out = sim.coupled_terminal_samples(c, g, x0, (eps,), M, seed,
+    out = sim.coupled_terminal_samples(c, x, D, (eps,), M, seed,
                                        observe=(16,), with_dzdy=True)
     batch = sim.sample_brownian(M, g, seed)
     X = sim.simulate_X(c, g, x0, eps, batch)
-    Xt = sim.fluctuation(X, x, eps)
+    Xt = (X.values - x.values) / eps
     Y = sim.simulate_Y_euler(c, g, x, batch)
     Z = sim.simulate_Z(c, g, x, Y, batch)
-    DZ = sim.simulate_DZ_terminal(c, g, x, Y, D, batch).DZ
+    DZ = sim.simulate_DZ_terminal(c, g, x, Y, D, batch)
     for j in (16, 32):
         np.testing.assert_array_equal(out["X"][eps][j], X.values[:, j])
-        np.testing.assert_array_equal(out["Xt"][eps][j], Xt.values[:, j])
+        np.testing.assert_array_equal(out["Xt"][eps][j], Xt[:, j])
         np.testing.assert_array_equal(out["Y"][j], Y.values[:, j])
         np.testing.assert_array_equal(out["Z"][j], Z.values[:, j])
     # matmul-backed outputs shift at ULP level with the BLAS row blocking,
@@ -478,18 +478,20 @@ def test_coupled_driver_matches_direct_pipeline():
 def test_coupled_driver_thread_count_is_invisible():
     g = TimeGrid(T=1.0, N=24)
     c = make_preset("trig", kappa=1.1)
+    x, D = _solved(c, g, 1.0)
     kw = dict(observe=(12, 24), with_dzdy=True)
-    a = sim.coupled_terminal_samples(c, g, 1.0, (0.1,), 5000, 83, threads=1, **kw)
-    b = sim.coupled_terminal_samples(c, g, 1.0, (0.1,), 5000, 83, threads=4, **kw)
+    a = sim.coupled_terminal_samples(c, x, D, (0.1,), 5000, 83, threads=1, **kw)
+    b = sim.coupled_terminal_samples(c, x, D, (0.1,), 5000, 83, threads=4, **kw)
     _assert_same_outputs(a, b)
 
 
 def test_coupled_driver_fbm_thread_count_is_invisible():
     g = TimeGrid(T=1.0, N=16)
     c = make_preset("fbm-trig", H=0.7, kappa=0.9)
+    x, D = _solved(c, g, 1.0)
     kw = dict(observe=(8, 16), with_dzdy=True)
-    a = sim.coupled_terminal_samples(c, g, 1.0, (0.1,), 4200, 87, threads=1, **kw)
-    b = sim.coupled_terminal_samples(c, g, 1.0, (0.1,), 4200, 87, threads=2, **kw)
+    a = sim.coupled_terminal_samples(c, x, D, (0.1,), 4200, 87, threads=1, **kw)
+    b = sim.coupled_terminal_samples(c, x, D, (0.1,), 4200, 87, threads=2, **kw)
     _assert_same_outputs(a, b)
 
 
@@ -500,13 +502,14 @@ def test_coupled_driver_sweep_equals_single_eps_calls(name, params, threads):
     # one pass over the sweep gives, bit for bit, what one call per eps gives
     g = TimeGrid(T=1.0, N=16)
     c = make_preset(name, **params)
+    x, D = _solved(c, g, 1.0)
     sweep = (0.2, 0.1, 0.05)
     kw = dict(observe=(8,), with_dzdy=True, threads=threads)
-    fused = dict(_flat(sim.coupled_terminal_samples(c, g, 1.0, sweep, 2100, 89,
+    fused = dict(_flat(sim.coupled_terminal_samples(c, x, D, sweep, 2100, 89,
                                                     **kw)))
     seen = set()
     for eps in sweep:
-        single = sim.coupled_terminal_samples(c, g, 1.0, (eps,), 2100, 89, **kw)
+        single = sim.coupled_terminal_samples(c, x, D, (eps,), 2100, 89, **kw)
         for key, v in _flat(single):
             np.testing.assert_array_equal(fused[key], v)
             seen.add(key)
@@ -524,7 +527,7 @@ def test_coupled_driver_reports_divergence_like_whole_batch(sweep, threads):
     with pytest.raises(DivergenceError) as whole:
         sim.simulate_X(c, g, 0.0, 0.5, sim.sample_brownian(6000, g, 6))
     with pytest.raises(DivergenceError) as exc:
-        sim.coupled_terminal_samples(c, g, 0.0, sweep, 6000, 6,
+        sim.coupled_terminal_samples(c, *_solved(c, g, 0.0), sweep, 6000, 6,
                                      with_dzdy=True, threads=threads)
     assert (exc.value.node, exc.value.path) == (8, 2707)
     assert str(exc.value) == str(whole.value) == "X diverged at path 2707, node 8"
@@ -541,29 +544,33 @@ def test_driver_evaluates_the_fbm_kernel_once_per_grid(monkeypatch):
     monkeypatch.setattr(kernels, "hyp2f1", counted)
     kernels._fbm_matrix.cache_clear()
     g = TimeGrid(T=1.0, N=24)
-    c = make_preset("fbm-trig", H=0.7)
-    sim.coupled_terminal_samples(c, g, 1.0, (0.1,), 300, 5, observe=(12,),
+    c, x, D = _pipeline("fbm-trig", g, 1.0, H=0.7)
+    sim.coupled_terminal_samples(c, x, D, (0.1,), 300, 5, observe=(12,),
                                  with_dzdy=True)
-    assert 0 < len(calls) <= g.N
+    assert len(calls) == 1
 
 
 def test_coupled_driver_validation():
     g = TimeGrid(T=1.0, N=8)
-    c = make_preset("additive-unit")
+    c, x, D = _pipeline("additive-unit", g, 0.0)
     with pytest.raises(ValueError):
-        sim.coupled_terminal_samples(c, g, 0.0, (0.2,), 0, 1)
+        sim.coupled_terminal_samples(c, x, D, (0.2,), 0, 1)
     with pytest.raises(ValueError):
-        sim.coupled_terminal_samples(c, g, 0.0, (0.2, 1.2), 10, 1)
+        sim.coupled_terminal_samples(c, x, D, (0.2, 1.2), 10, 1)
     with pytest.raises(ValueError):
-        sim.coupled_terminal_samples(c, g, 0.0, (), 10, 1)
+        sim.coupled_terminal_samples(c, x, D, (), 10, 1)
     with pytest.raises(ValueError):
-        sim.coupled_terminal_samples(c, g, 0.0, (0.2,), 10, 1, observe=(0,))
+        sim.coupled_terminal_samples(c, x, D, (0.2,), 10, 1, observe=(0,))
     with pytest.raises(ValueError):
-        sim.coupled_terminal_samples(c, g, 0.0, (0.2,), 10, 1, threads=0)
+        sim.coupled_terminal_samples(c, x, D, (0.2,), 10, 1, threads=0)
+    # x and D must share one grid, which the driver then simulates on
+    D16 = _pipeline("additive-unit", TimeGrid(T=1.0, N=16), 0.0)[2]
+    with pytest.raises(ValueError, match="different grids"):
+        sim.coupled_terminal_samples(c, x, D16, (0.2,), 10, 1)
 
 
 def test_coupled_driver_always_observes_terminal_node():
     g = TimeGrid(T=1.0, N=8)
-    c = make_preset("additive-unit")
-    out = sim.coupled_terminal_samples(c, g, 0.0, (0.5,), 10, 1)
+    c, x, D = _pipeline("additive-unit", g, 0.0)
+    out = sim.coupled_terminal_samples(c, x, D, (0.5,), 10, 1)
     assert sorted(out["X"][0.5]) == sorted(out["Y"]) == [8]

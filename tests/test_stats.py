@@ -233,7 +233,7 @@ def test_skorokhod_term_multiplicative_closed_form():
     batch = sim.sample_brownian(M, g, 101)
     Y = sim.simulate_Y_euler(c, g, x, batch)
     Z = sim.simulate_Z(c, g, x, Y, batch)
-    DZ = sim.simulate_DZ_terminal(c, g, x, Y, D, batch).DZ
+    DZ = sim.simulate_DZ_terminal(c, g, x, Y, D, batch)
     out = st.skorokhod_term(Y.values[:, -1], Z.values[:, -1], DZ,
                             D.D[:, g.N], g)
     B = batch.increments.sum(axis=1)
