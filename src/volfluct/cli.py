@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .deterministic import (DivergenceError, TimeGrid,
@@ -66,8 +67,16 @@ class ExperimentConfig:
         (1.0, 0.5), (1.0, 0.25), (0.5, 0.25), (1.0, 1.0), (0.5, 0.5), (0.75, 0.25))
 
 
+def _real(v) -> float:
+    # float() would take true as 1.0 and "inf" or "nan" as numbers
+    x = float(v)
+    if isinstance(v, bool) or not math.isfinite(x):
+        raise ValueError("must be a finite real number, got %r" % (v,))
+    return x
+
+
 def _floats(v) -> Tuple[float, ...]:
-    return tuple(float(e) for e in v)
+    return tuple(_real(e) for e in v)
 
 
 def _integer(v) -> int:
@@ -80,13 +89,13 @@ def _integer(v) -> int:
 # one converter per ExperimentConfig field, in field order so the first bad
 # field names the error; the defaults live only in the dataclass
 _CONVERTERS = dict(
-    preset=str, params=lambda v: {str(k): float(p) for k, p in dict(v).items()},
-    x0=float, T=float, N=_integer, M=_integer, seed=_integer, epsilons=_floats,
-    H=lambda v: None if v is None else float(v),
+    preset=str, params=lambda v: {str(k): _real(p) for k, p in dict(v).items()},
+    x0=_real, T=_real, N=_integer, M=_integer, seed=_integer, epsilons=_floats,
+    H=lambda v: None if v is None else _real(v),
     observe_times=lambda v: None if v is None else _floats(v),
     test_functions=lambda v: tuple(str(p) for p in v), out_dir=str,
     H_list=_floats, t_list=_floats,
-    cov_pairs=lambda v: tuple((float(a), float(b)) for a, b in v))
+    cov_pairs=lambda v: tuple((_real(a), _real(b)) for a, b in v))
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -180,10 +189,12 @@ def _snap_node(t: float, grid: TimeGrid, what: str) -> int:
 
 
 def _observe_nodes(cfg: ExperimentConfig, grid: TimeGrid) -> List[int]:
+    """The requested nodes (default: T/2) plus the terminal node, which the
+    strong and terminal-distance gates always read."""
     if cfg.observe_times is None:
         return sorted({grid.N // 2, grid.N})
-    return sorted({_snap_node(t, grid, "observe_times")
-                   for t in cfg.observe_times})
+    return sorted({grid.N} | {_snap_node(t, grid, "observe_times")
+                              for t in cfg.observe_times})
 
 
 def _coefficients(cfg: ExperimentConfig):
@@ -225,7 +236,8 @@ def _write_csv(out_dir: str, name: str, header: Sequence[str],
 
 def _write_manifest(cfg: ExperimentConfig, command: str) -> None:
     doc = {"version": __version__, "command": command,
-           "config": dataclasses.asdict(cfg)}
+           "config": dataclasses.asdict(cfg),
+           "numerics": {"numpy": np.__version__, "scipy": scipy.__version__}}
     try:
         with open(os.path.join(cfg.out_dir, "manifest.json"), "w",
                   newline="") as fh:

@@ -124,16 +124,17 @@ def solve_deterministic_limit(c: CoefficientSet, grid: TimeGrid, x0: float) -> L
     x = np.empty(grid.N + 1)
     x[0] = float(x0)
     gb = np.empty(grid.N)
-    for j in range(1, grid.N + 1):
-        if K is None:
-            x[j] = x[j - 1] + float(np.asarray(
-                c.b(nodes[j], mids[j - 1], x[j - 1]))) * d
-        else:
-            gb[j - 1] = float(np.asarray(g.b(nodes[j], mids[j - 1], x[j - 1])))
-            x[j] = x0 + float(K[:j, j] @ gb[:j]) * d
-        if not np.isfinite(x[j]):
-            raise DivergenceError(
-                "limit path diverged at node %d (t=%.6g)" % (j, nodes[j]), node=j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, grid.N + 1):
+            if K is None:
+                x[j] = x[j - 1] + float(np.asarray(
+                    c.b(nodes[j], mids[j - 1], x[j - 1]))) * d
+            else:
+                gb[j - 1] = float(np.asarray(g.b(nodes[j], mids[j - 1], x[j - 1])))
+                x[j] = x0 + float(K[:j, j] @ gb[:j]) * d
+            if not np.isfinite(x[j]):
+                raise DivergenceError(
+                    "limit path diverged at node %d (t=%.6g)" % (j, nodes[j]), node=j)
     return LimitPath(values=x, grid=grid, preset=c.name)
 
 
@@ -156,18 +157,19 @@ def solve_derivative_field(c: CoefficientSet, grid: TimeGrid, x: LimitPath) -> D
     K, g = c.on_grid(grid)
     if K is None:
         K = np.triu(np.ones((N, N + 1)), 1)
-    # row j holds the column-j coefficients over k < j
-    bp = np.ascontiguousarray((K * _on_path(g.db, grid, x.values)[:, None]).T)
-    sig = np.ascontiguousarray((K * _on_path(g.sigma, grid, x.values)[:, None]).T)
-
     D = np.zeros((N, N + 1))
-    for j in range(1, N + 1):
-        D[j - 1, j - 1] = sig[j, j - 1]
-        col = sig[j, :j] + d * (D[:j, :j] @ bp[j, :j])
-        if not np.all(np.isfinite(col)):
-            raise DivergenceError(
-                "derivative field diverged at node %d (t=%.6g)" % (j, nodes[j]), node=j)
-        D[:j, j] = col
+    with np.errstate(over="ignore", invalid="ignore"):
+        # row j holds the column-j coefficients over k < j
+        bp = np.ascontiguousarray((K * _on_path(g.db, grid, x.values)[:, None]).T)
+        sig = np.ascontiguousarray((K * _on_path(g.sigma, grid, x.values)[:, None]).T)
+        for j in range(1, N + 1):
+            D[j - 1, j - 1] = sig[j, j - 1]
+            col = sig[j, :j] + d * (D[:j, :j] @ bp[j, :j])
+            if not np.all(np.isfinite(col)):
+                raise DivergenceError(
+                    "derivative field diverged at node %d (t=%.6g)" % (j, nodes[j]),
+                    node=j)
+            D[:j, j] = col
     return DerivativeField(D=D, grid=grid, preset=c.name)
 
 

@@ -4,11 +4,10 @@ The processes studied here are driven by two-time coefficient kernels
 b(t, s, x) and sigma(t, s, x) together with their partial derivatives in
 the state x.  This module supplies
 
-* ``hyp2f1``: the Gauss hypergeometric series on the non-positive real
-  axis, the special-function backbone of the fractional kernel,
 * ``FbmKernelParams`` / ``eval_fbm_kernel``: the kernel K_H mapping a
   standard Brownian motion to fractional Brownian motion with Hurst
-  index H, plus quadrature helpers built on it,
+  index H, through ``scipy.special.hyp2f1`` (re-exported here as
+  ``hyp2f1``), plus quadrature helpers built on it,
 * ``CoefficientSet`` presets spanning trivial, closed-form and fractional
   test equations; the fractional ones are separable, K_H(t, s) g(x), and
   evaluate K_H once per grid into a memoized kernel matrix, and
@@ -25,12 +24,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import integrate, special
+from scipy.special import hyp2f1
 
 _H_BROWNIAN_TOL = 1e-6
-_SERIES_TOL = 1e-16
-_SERIES_MAX_TERMS = 100_000
-_NEAR_INT_TOL = 1e-5
-_POLE_TOL = 1e-12
 
 _KNOWN_PRESETS = (
     "additive-unit",
@@ -43,126 +39,8 @@ _KNOWN_PRESETS = (
 
 
 class ConvergenceError(RuntimeError):
-    """A series or quadrature failed to reach its accuracy target."""
-
-
-# ---------------------------------------------------------------------------
-# Gauss hypergeometric function on z <= 0
-# ---------------------------------------------------------------------------
-
-
-def _near_integer(x: float, tol: float = _NEAR_INT_TOL) -> bool:
-    return abs(x - round(x)) < tol
-
-
-def _near_nonpositive_integer(x: float, tol: float = _NEAR_INT_TOL) -> bool:
-    return x < 0.5 and _near_integer(x, tol)
-
-
-def _gamma_sign(x: float) -> float:
-    if x > 0.0:
-        return 1.0
-    # Gamma alternates sign between consecutive negative integers
-    return -1.0 if math.floor(-x) % 2 == 0 else 1.0
-
-
-def _gamma_quotient(nums: Sequence[float], dens: Sequence[float]) -> float:
-    """prod Gamma(nums) / prod Gamma(dens); 0 when a denominator hits a pole.
-
-    The pole cutoff must be essentially exact: a denominator at distance
-    eta from a pole makes the quotient O(eta), small but still
-    significant relative to answers that are themselves 1 + O(eta).
-    """
-    for x in dens:
-        if _near_nonpositive_integer(x, tol=_POLE_TOL):
-            return 0.0
-    log_mag = 0.0
-    sign = 1.0
-    for x in nums:
-        log_mag += math.lgamma(x)
-        sign *= _gamma_sign(x)
-    for x in dens:
-        log_mag -= math.lgamma(x)
-        sign *= _gamma_sign(x)
-    return sign * math.exp(log_mag)
-
-
-def _gauss_series(A: float, B: float, C: float, w: np.ndarray, ctx: tuple) -> np.ndarray:
-    """Maclaurin series of 2F1(A, B; C; w) for w in [0, 1), vectorized in w."""
-    total = np.ones_like(w)
-    term = np.ones_like(w)
-    live = np.ones(w.shape, dtype=bool)
-    for k in range(_SERIES_MAX_TERMS):
-        term = term * ((A + k) * (B + k) / ((C + k) * (1.0 + k))) * w
-        total = np.where(live, total + term, total)
-        live = live & (np.abs(term) > _SERIES_TOL * np.abs(total))
-        if not live.any():
-            return total
-    raise ConvergenceError(
-        "2F1 series exceeded %d terms for (a, b, c, z)=%r" % (_SERIES_MAX_TERMS, ctx)
-    )
-
-
-def _linear_connection(A: float, B: float, C: float, v: np.ndarray, ctx: tuple) -> np.ndarray:
-    """2F1(A, B; C; 1 - v) for small v via the w -> 1 - w connection formula."""
-    d = C - A - B
-    if _near_integer(d):
-        # logarithmic case; the direct series at w = 1 - v still converges
-        return _gauss_series(A, B, C, 1.0 - v, ctx)
-    c1 = _gamma_quotient((C, d), (C - A, C - B))
-    c2 = _gamma_quotient((C, -d), (A, B))
-    f1 = _gauss_series(A, B, 1.0 - d, v, ctx) if c1 != 0.0 else 0.0
-    f2 = _gauss_series(C - A, C - B, 1.0 + d, v, ctx) if c2 != 0.0 else 0.0
-    return c1 * f1 + c2 * np.power(v, d) * f2
-
-
-def hyp2f1(a: float, b: float, c: float, z):
-    """Gauss hypergeometric function 2F1(a, b; c; z) for z <= 0.
-
-    Parameters
-    ----------
-    a, b, c : float
-        Series parameters; c must not be a non-positive integer.
-    z : float or array_like
-        Argument(s), all <= 0.  This is the only regime the fractional
-        kernel needs (z = 1 - t/s <= 0 for s <= t).
-
-    Returns
-    -------
-    float or ndarray
-        Function values, relative accuracy about 1e-10.
-
-    Notes
-    -----
-    The Pfaff transformation
-    2F1(a, b; c; z) = (1 - z)^(-a) 2F1(a, c - b; c; z/(z - 1))
-    maps z <= 0 to a series argument w in [0, 1).  For w <= 1/2 the
-    Maclaurin series converges geometrically; for w > 1/2 (s << t) the
-    value is assembled from series at 1 - w = 1/(1 - z) through the
-    linear connection formula, keeping every series argument in [0, 1/2].
-    """
-    if _near_nonpositive_integer(c, 1e-12):
-        raise ValueError("c=%r is a non-positive integer" % (c,))
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr > 0.0):
-        raise ValueError("hyp2f1 is restricted to z <= 0")
-    with np.errstate(invalid="ignore"):
-        w = z_arr / (z_arr - 1.0)
-    if not np.all((w >= 0.0) & (w < 1.0)):
-        raise ValueError("hyp2f1 needs finite z; the Pfaff argument escaped [0, 1)")
-    A, B, C = a, c - b, c
-    out = np.empty_like(w)
-    near = w <= 0.5
-    if near.any():
-        out[near] = _gauss_series(A, B, C, w[near], (a, b, c, z))
-    far = ~near
-    if far.any():
-        v = 1.0 / (1.0 - z_arr[far])  # equals 1 - w without cancellation
-        out[far] = _linear_connection(A, B, C, v, (a, b, c, z))
-    out = out * (1.0 - z_arr) ** (-a)
-    if np.ndim(z) == 0:
-        return float(out)
-    return out
+    """A kernel value came out non-finite, or a quadrature missed its
+    accuracy target."""
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +87,18 @@ def eval_fbm_kernel(p: FbmKernelParams, t, s):
     """
     t_arr, s_arr = np.broadcast_arrays(np.asarray(t, dtype=float),
                                        np.asarray(s, dtype=float))
-    if not np.all((0.0 < s_arr) & (s_arr < t_arr)):
-        raise ValueError("kernel requires 0 < s < t")
+    if not np.all((0.0 < s_arr) & (s_arr < t_arr) & np.isfinite(t_arr)):
+        raise ValueError("kernel requires 0 < s < t < inf")
     if p.brownian:
         out = np.ones(s_arr.shape)
     else:
         H = p.H
-        z = 1.0 - t_arr / s_arr
-        f = np.asarray(hyp2f1(H - 0.5, 0.5 - H, H + 0.5, z))
-        pref = (t_arr - s_arr) ** (H - 0.5) / (math.gamma(H + 0.5) * math.sqrt(p.VH))
-        out = pref * f
+        with np.errstate(all="ignore"):
+            f = hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1.0 - t_arr / s_arr)
+            pref = (t_arr - s_arr) ** (H - 0.5) / (math.gamma(H + 0.5) * math.sqrt(p.VH))
+            out = pref * f
+        if not np.all(np.isfinite(out)):
+            raise ConvergenceError("fBm kernel is not finite at H=%g" % H)
     if out.ndim == 0:
         return float(out)
     return out

@@ -4,7 +4,9 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
+import scipy
 
 import volfluct
 from volfluct import cli
@@ -109,6 +111,8 @@ def test_manifest_contents(tmp_path):
     assert doc["config"]["preset"] == "additive-unit"
     assert doc["config"]["N"] == 4
     assert doc["config"]["out_dir"] == str(out)
+    assert doc["numerics"] == {"numpy": np.__version__,
+                               "scipy": scipy.__version__}
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +148,29 @@ def test_bad_configs_exit_2(tmp_path, capsys, doc):
 def test_non_integral_counts_exit_2(tmp_path, capsys, field, value):
     # int() would silently run N = 16.9 as 16; the field must be named
     cfg = _cfg(tmp_path, **dict({"N": 16, "M": 200}, **{field: value}))
+    out = tmp_path / "o"
+    assert _run(["limit", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s: " % field)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,doc", [
+    ("x0", {"x0": True}),
+    ("T", {"T": "inf"}),
+    ("x0", {"x0": "nan"}),
+    ("params", {"preset": "trig", "params": {"kappa": "inf"}}),
+    ("H", {"preset": "fbm-trig", "H": False}),
+    ("epsilons", {"epsilons": [0.4, float("nan")]}),
+    ("observe_times", {"observe_times": [True]}),
+    ("H_list", {"H_list": ["-inf"]}),
+    ("t_list", {"t_list": [False]}),
+    ("cov_pairs", {"cov_pairs": [[1.0, "nan"]]}),
+])
+def test_booleans_and_non_finite_reals_exit_2(tmp_path, capsys, field, doc):
+    # float() would run x0 = true as 1.0 and carry "inf" into the solvers
+    cfg = _cfg(tmp_path, **dict({"N": 16, "M": 200}, **doc))
     out = tmp_path / "o"
     assert _run(["limit", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -248,6 +275,13 @@ def test_rate_scan_observe_times_snap(tmp_path, capsys):
     assert _run(["rate-scan", "--config", cfg, "--out", str(out)]) == 0
     ts = sorted({float(r["t"]) for r in _read_csv(out / "distances.csv")})
     assert ts == [0.5, 1.0]
+    # the terminal node is always observed: its distances feed the gates
+    for times in ([0.5], []):
+        cfg = _cfg(tmp_path, preset="trig", N=16, M=150,
+                   epsilons=[0.4, 0.2, 0.1], observe_times=times)
+        assert _run(["rate-scan", "--config", cfg, "--out", str(out)]) == 0
+        ts = sorted({float(r["t"]) for r in _read_csv(out / "distances.csv")})
+        assert ts == sorted({*times, 1.0})
     bad = _cfg(tmp_path, name="bad.json", preset="trig", N=16, M=150,
                epsilons=[0.4, 0.2, 0.1], observe_times=[0.33])
     assert _run(["rate-scan", "--config", bad, "--out", str(out)]) == 2
@@ -395,3 +429,18 @@ def test_divergent_limit_exits_3(tmp_path, capsys):
     assert _run(["limit", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 3
     assert "numerical divergence" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("preset,params,message", [
+    ("linear-growth", {"a": 1e300}, "limit path diverged at node 2 (t=0.125)"),
+    ("trig", {"kappa": 1e300}, "derivative field diverged at node 1 (t=0.0625)"),
+])
+def test_divergent_solver_prints_one_line(tmp_path, capfd, preset, params,
+                                          message):
+    # an overflow in a deterministic solver must reach stderr as the message
+    # alone, with no numpy RuntimeWarning ahead of it (the filter makes one
+    # an error)
+    cfg = _cfg(tmp_path, preset=preset, params=params, N=16, M=200)
+    assert _run(["limit", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capfd.readouterr().err.splitlines() == ["numerical divergence: " + message]

@@ -1,65 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, strategies as st
 
+from volfluct.cli import main
 from volfluct.deterministic import TimeGrid
 from volfluct import kernels as K
 
 
 # ---------------------------------------------------------------------------
-# hyp2f1: scipy.special.hyp2f1 is the independent oracle
+# fBm kernel
 # ---------------------------------------------------------------------------
-
-
-def test_hyp2f1_trivial_values():
-    assert K.hyp2f1(0.7, -0.3, 1.1, 0.0) == 1.0
-    # F(1,1;2;z) = -log(1-z)/z
-    assert abs(K.hyp2f1(1.0, 1.0, 2.0, -1.0) - math.log(2.0)) < 1e-14
-    # a or b zero terminates the series immediately
-    assert K.hyp2f1(0.0, 1.7, 0.9, -123.0) == 1.0
-
-
-def test_hyp2f1_symmetric_in_a_b():
-    assert K.hyp2f1(0.3, -0.7, 1.1, -2.5) == pytest.approx(
-        K.hyp2f1(-0.7, 0.3, 1.1, -2.5), rel=1e-14)
-
-
-def test_hyp2f1_kernel_family_against_scipy():
-    # the argument family the fBm kernel actually uses
-    for H in (0.05, 0.3, 0.45, 0.55, 0.7, 0.95):
-        a, b, c = H - 0.5, 0.5 - H, H + 0.5
-        for z in (0.0, -1e-6, -0.5, -1.0, -10.0, -1e3, -1e8):
-            ours = K.hyp2f1(a, b, c, z)
-            ref = float(sp.hyp2f1(a, b, c, z))
-            assert ours == pytest.approx(ref, rel=1e-10, abs=1e-12), (H, z)
-
-
-def test_hyp2f1_generic_params_against_scipy():
-    # b - a is kept away from integers: the integer-difference connection
-    # case is outside the supported domain (see the nonconvergence test)
-    for a in (-1.3, -0.25, 0.7, 2.2):
-        for b in (-0.85, 0.45, 1.9):
-            for c in (0.6, 1.9):
-                for z in (-1e4, -37.1, -2.0, -0.37):
-                    ours = K.hyp2f1(a, b, c, z)
-                    ref = float(sp.hyp2f1(a, b, c, z))
-                    assert ours == pytest.approx(ref, rel=1e-9, abs=1e-10), \
-                        (a, b, c, z)
-
-
-def test_hyp2f1_rejects_positive_z():
-    with pytest.raises(ValueError):
-        K.hyp2f1(0.2, 0.3, 1.0, 0.5)
-
-
-def test_hyp2f1_rejects_non_finite_z():
-    # the Pfaff argument z / (z - 1) leaves [0, 1) for z = nan or -inf
-    for z in (float("nan"), -math.inf, np.array([-1.0, float("nan")])):
-        with pytest.raises(ValueError, match="Pfaff"):
-            K.hyp2f1(0.2, 0.3, 1.2, z)
 
 
 def test_kernel_matrix_memo_is_shared_and_read_only():
@@ -71,36 +21,6 @@ def test_kernel_matrix_memo_is_shared_and_read_only():
     np.testing.assert_array_equal(
         Km, K.fbm_kernel_matrix(K.fbm_kernel_params(0.7), grid))
     assert K.make_preset("trig").on_grid(grid)[0] is None
-
-
-def test_hyp2f1_rejects_nonpositive_integer_c():
-    with pytest.raises(ValueError):
-        K.hyp2f1(0.2, 0.3, 0.0, -1.0)
-    with pytest.raises(ValueError):
-        K.hyp2f1(0.2, 0.3, -2.0, -1.0)
-
-
-def test_hyp2f1_reports_nonconvergence_at_extreme_z():
-    # b - a integral forces the plain-series fallback, which cannot reach
-    # the tolerance with w this close to 1; the failure must be loud
-    with pytest.raises(K.ConvergenceError):
-        K.hyp2f1(0.2, 0.2, 0.7, -1e12)
-    with pytest.raises(K.ConvergenceError):
-        K.hyp2f1(0.2, 1.2, 0.7, -1e12)
-
-
-@given(a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0),
-       c=st.floats(0.3, 3.0), z=st.floats(-50.0, 0.0))
-def test_hyp2f1_matches_scipy_property(a, b, c, z):
-    ours = K.hyp2f1(a, b, c, z)
-    ref = float(sp.hyp2f1(a, b, c, z))
-    assert math.isfinite(ours)
-    assert ours == pytest.approx(ref, rel=1e-8, abs=1e-8)
-
-
-# ---------------------------------------------------------------------------
-# fBm kernel
-# ---------------------------------------------------------------------------
 
 
 def test_fbm_params_validation():
@@ -122,10 +42,46 @@ def test_brownian_kernel_is_one():
 
 def test_kernel_requires_s_below_t():
     p = K.fbm_kernel_params(0.7)
-    with pytest.raises(ValueError):
-        K.eval_fbm_kernel(p, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        K.eval_fbm_kernel(p, 1.0, 0.0)
+    for t, s in ((1.0, 1.0), (1.0, 0.0), (1.0, float("nan")), (float("inf"), 0.5)):
+        with pytest.raises(ValueError):
+            K.eval_fbm_kernel(p, t, s)
+
+
+def test_kernel_is_scipy_hyp2f1():
+    assert K.hyp2f1 is sp.hyp2f1
+
+
+def test_kernel_matches_mpmath():
+    # the closed form at 40 digits, with s/t down to the N = 4096 grid's
+    # first midpoint 1/8192
+    mp = pytest.importorskip("mpmath")
+    ratios = (2.0 ** -13, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 2.0 ** -13)
+    with mp.workdps(40):
+        for H in (0.05, 0.3, 0.45, 0.55, 0.7, 0.95):
+            h = mp.mpf(H)
+            VH = mp.gamma(2 - 2 * h) * mp.cos(mp.pi * h) / (mp.pi * h * (1 - 2 * h))
+            norm = mp.gamma(h + 0.5) * mp.sqrt(VH)
+            p = K.fbm_kernel_params(H)
+            for t in (0.75, 1.0, 2.0):
+                for s in (r * t for r in ratios):
+                    ref = (mp.power(mp.mpf(t) - s, h - 0.5) / norm
+                           * mp.hyp2f1(h - 0.5, 0.5 - h, h + 0.5, 1 - mp.mpf(t) / s))
+                    assert K.eval_fbm_kernel(p, t, s) == pytest.approx(
+                        float(ref), rel=1e-13), (H, t, s)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_kernel_exits_3(tmp_path, monkeypatch, capsys):
+    p = K.fbm_kernel_params(0.7)
+    monkeypatch.setattr(K, "hyp2f1", lambda a, b, c, z: np.full(np.shape(z), np.nan))
+    with pytest.raises(K.ConvergenceError):
+        K.eval_fbm_kernel(p, 1.0, np.array([0.25, 0.5]))
+    K._fbm_matrix.cache_clear()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"preset": "fbm-trig", "H": 0.7, "N": 16, "M": 200}')
+    assert main(["limit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical divergence: ") and "Traceback" not in err
 
 
 def test_kernel_dual_route_H_above_half():
