@@ -42,8 +42,19 @@ def test_brownian_kernel_is_one():
 
 def test_kernel_requires_s_below_t():
     p = K.fbm_kernel_params(0.7)
-    for t, s in ((1.0, 1.0), (1.0, 0.0), (1.0, float("nan")), (float("inf"), 0.5)):
+    for t, s in ((1.0, 1.0), (1.0, 0.0)):
         with pytest.raises(ValueError):
+            K.eval_fbm_kernel(p, t, s)
+
+
+def test_hyp2f1_rejects_non_finite_z():
+    # hyp2f1's argument z = 1 - t/s is -inf at s = 0 and non-finite at
+    # s = nan or t = inf; the kernel refuses these before calling scipy
+    p = K.fbm_kernel_params(0.7)
+    nan = float("nan")
+    for t, s in ((1.0, 0.0), (1.0, nan), (float("inf"), 0.5),
+                 (np.array([1.0, 1.0]), np.array([0.5, nan]))):
+        with pytest.raises(ValueError, match="0 < s < t < inf"):
             K.eval_fbm_kernel(p, t, s)
 
 
