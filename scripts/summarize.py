@@ -23,7 +23,7 @@ def show(path):
     if path.name == "variance.csv":
         rows = rows[-1:]  # terminal node only
     print("== %s" % path)
-    widths = [max(len(c), *(len(_fmt(r[c])) for r in rows)) for c in cols]
+    widths = [max([len(c)] + [len(_fmt(r[c])) for r in rows]) for c in cols]
     print("  " + "  ".join(c.ljust(w) for c, w in zip(cols, widths)))
     for r in rows:
         print("  " + "  ".join(_fmt(r[c]).ljust(w)

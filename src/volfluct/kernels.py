@@ -7,7 +7,10 @@ the state x.  This module supplies
 * ``FbmKernelParams`` / ``eval_fbm_kernel``: the kernel K_H mapping a
   standard Brownian motion to fractional Brownian motion with Hurst
   index H, through ``scipy.special.hyp2f1`` (re-exported here as
-  ``hyp2f1``), plus quadrature helpers built on it,
+  ``hyp2f1``), plus two quadrature helpers built on it, which import
+  ``scipy.integrate`` (and with it ``scipy.optimize``, ``scipy.sparse``
+  and ``scipy.linalg``) on first use, so ``limit``, ``rate-scan`` and
+  ``thm2`` never load it,
 * ``CoefficientSet`` presets spanning trivial, closed-form and fractional
   test equations; the fractional ones are separable, K_H(t, s) g(x), and
   evaluate K_H once per grid into a memoized kernel matrix, and
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 from scipy.special import hyp2f1
 
 _H_BROWNIAN_TOL = 1e-6
@@ -112,6 +115,8 @@ def eval_fbm_kernel_integral(p: FbmKernelParams, t: float, s: float) -> float:
     u = s + v^(1/(H - 1/2)), which turns the integrand into
     u(v)^(H - 1/2) / (H - 1/2), smooth on [0, (t - s)^(H - 1/2)].
     """
+    from scipy import integrate
+
     H = p.H
     if not H > 0.5 + _H_BROWNIAN_TOL:
         raise ValueError("integral representation requires H > 1/2")
@@ -138,6 +143,8 @@ def kernel_l2_mass(p: FbmKernelParams, t: float) -> float:
     a0 = 1 - |2H - 1|, near s = t like (t - s)^(2H - 1); power
     substitutions flatten both endpoints before quadrature.
     """
+    from scipy import integrate
+
     if not t > 0.0:
         raise ValueError("t must be positive")
     if p.brownian:

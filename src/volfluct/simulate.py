@@ -374,8 +374,8 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     if threads < 1:
         raise ValueError("threads must be at least 1")
     observe = sorted(set(int(j) for j in observe) | {grid.N})
-    if observe[0] < 1:
-        raise ValueError("observation nodes must be >= 1")
+    if observe[0] < 1 or observe[-1] > grid.N:
+        raise ValueError("observation nodes must lie in [1, N]")
     N = grid.N
 
     def columns():

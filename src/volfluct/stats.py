@@ -268,6 +268,8 @@ def resolve_test_function(phi_id: str) -> Callable:
     optionally scaled as e.g. "cos:2.0" for cos(2 x)."""
     name, _, argstr = str(phi_id).partition(":")
     w = float(argstr) if argstr else 1.0
+    if not math.isfinite(w):
+        raise ValueError("test function scale must be finite, got %r" % (phi_id,))
     table = {
         "cos": lambda x: np.cos(w * x),
         "tanh": lambda x: np.tanh(w * x),

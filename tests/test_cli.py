@@ -1,8 +1,12 @@
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ import volfluct
 from volfluct import cli
 from volfluct.cli import main
 from volfluct.kernels import AssumptionReport
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _cfg(tmp_path, name="cfg.json", **kw):
@@ -134,6 +140,9 @@ def test_manifest_contents(tmp_path):
     {"preset": "no-such-preset"},
     {"test_functions": ["gauss"]},
     {"seed": -3},
+    {"test_functions": ["cos:inf"]},         # non-finite scales
+    {"test_functions": ["cos:nan"]},
+    {"test_functions": ["tanh:1e400"]},
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, doc):
     cfg = _cfg(tmp_path, **doc)
@@ -444,3 +453,69 @@ def test_divergent_solver_prints_one_line(tmp_path, capfd, preset, params,
     cfg = _cfg(tmp_path, preset=preset, params=params, N=16, M=200)
     assert _run(["limit", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert capfd.readouterr().err.splitlines() == ["numerical divergence: " + message]
+
+
+# ---------------------------------------------------------------------------
+# cold start
+# ---------------------------------------------------------------------------
+
+# scipy.integrate pulls in the other three; only the kernel quadrature needs it
+_QUADRATURE_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.sparse",
+                       "scipy.linalg")
+
+_COLD_START = """
+import json, sys
+from volfluct.cli import main
+thm2, rate, kc, out = sys.argv[1:]
+codes = [main(["thm2", "--config", thm2, "--out", out + "/thm2"]),
+         main(["rate-scan", "--config", rate, "--out", out + "/rate"])]
+loaded = [m for m in %r if m in sys.modules]
+codes.append(main(["kernel-check", "--config", kc, "--out", out + "/kc"]))
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "integrate_after": "scipy.integrate" in sys.modules}))
+""" % (_QUADRATURE_MODULES,)
+
+
+def test_simulation_commands_do_not_import_quadrature(tmp_path):
+    # a fresh interpreter, as the battery and the benchmark start each job
+    args = [_cfg(tmp_path, "thm2.json", preset="fbm-trig", H=0.7, N=16, M=200,
+                 epsilons=[0.2, 0.1]),
+            _cfg(tmp_path, "rate.json", preset="trig", N=16, M=200),
+            _cfg(tmp_path, "kc.json", N=16, M=200, H_list=[0.7], t_list=[1.0],
+                 cov_pairs=[[1.0, 0.5]]),
+            str(tmp_path / "o")]
+    src = os.path.dirname(os.path.dirname(volfluct.__file__))
+    env = dict(os.environ, VF_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START] + args, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["codes"] == [0, 0, 0]
+    assert doc["loaded"] == []
+    # the lazy import still serves kernel-check's quadrature
+    assert (tmp_path / "o" / "kc" / "kernel.csv").is_file()
+    assert doc["integrate_after"]
+
+
+# ---------------------------------------------------------------------------
+# scripts/summarize.py
+# ---------------------------------------------------------------------------
+
+
+def test_summarize_prints_header_of_empty_csv(tmp_path, capsys):
+    # no t_list and no cov_pairs: kernel.csv holds the header and no rows
+    cfg = _cfg(tmp_path, N=16, M=200, H_list=[0.3], t_list=[], cov_pairs=[])
+    out = tmp_path / "o"
+    assert _run(["kernel-check", "--config", cfg, "--out", str(out)]) == 0
+    assert len((out / "kernel.csv").read_text().splitlines()) == 1
+    spec = importlib.util.spec_from_file_location(
+        "summarize", REPO / "scripts" / "summarize.py")
+    summarize = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(summarize)
+    capsys.readouterr()
+    assert summarize.run([str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "== %s" % (out / "kernel.csv")
+    assert lines[1].split() == ["kind", "H", "t", "s", "value", "target", "z"]
+    assert len(lines) == 2

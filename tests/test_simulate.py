@@ -561,6 +561,8 @@ def test_coupled_driver_validation():
         sim.coupled_terminal_samples(c, x, D, (), 10, 1)
     with pytest.raises(ValueError):
         sim.coupled_terminal_samples(c, x, D, (0.2,), 10, 1, observe=(0,))
+    with pytest.raises(ValueError, match=r"lie in \[1, N\]"):
+        sim.coupled_terminal_samples(c, x, D, (0.2,), 10, 1, observe=(g.N + 1,))
     with pytest.raises(ValueError):
         sim.coupled_terminal_samples(c, x, D, (0.2,), 10, 1, threads=0)
     # x and D must share one grid, which the driver then simulates on
