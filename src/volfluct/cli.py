@@ -36,9 +36,8 @@ from .kernels import (ConvergenceError, bounds_for, check_assumptions,
                       fbm_covariance, fbm_kernel_matrix, fbm_kernel_params,
                       kernel_l2_mass, make_preset, variance_lower_bound_const)
 from .simulate import coupled_terminal_samples, increment_chunks
-from .stats import (GATE_SE, distance_report, rate_fit,
-                    resolve_test_function, rms_with_se, thm2_report,
-                    thm2_richardson)
+from .stats import (GATE_SE, distance_report, parse_test_function,
+                    rate_fit, rms_with_se, thm2_report, thm2_richardson)
 
 _SNAP_TOL = 1e-9
 
@@ -79,6 +78,13 @@ def _floats(v) -> Tuple[float, ...]:
     return tuple(_real(e) for e in v)
 
 
+def _pair(v) -> Tuple[float, float]:
+    # checked before unpacking, which would fail with Python's own message
+    if not isinstance(v, list) or len(v) != 2:
+        raise ValueError("entries must be (t, s) pairs")
+    return _real(v[0]), _real(v[1])
+
+
 def _integer(v) -> int:
     # int() would truncate 16.9 to 16; integral floats such as 1e5 pass
     if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
@@ -95,7 +101,7 @@ _CONVERTERS = dict(
     observe_times=lambda v: None if v is None else _floats(v),
     test_functions=lambda v: tuple(str(p) for p in v), out_dir=str,
     H_list=_floats, t_list=_floats,
-    cov_pairs=lambda v: tuple((_real(a), _real(b)) for a, b in v))
+    cov_pairs=lambda v: tuple(_pair(p) for p in v))
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -165,7 +171,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for t in cfg.t_list:
         _require(0.0 < t <= cfg.T, "t_list: values must be in (0, T], got %g" % t)
     for pair in cfg.cov_pairs:
-        _require(len(pair) == 2, "cov_pairs: entries must be (t, s) pairs")
         for v in pair:
             _require(0.0 < v <= cfg.T,
                      "cov_pairs: times must be in (0, T], got %g" % v)
@@ -173,11 +178,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         for t in cfg.observe_times:
             _require(0.0 < t <= cfg.T,
                      "observe_times: values must be in (0, T], got %g" % t)
+    seen = set()
     for phi in cfg.test_functions:
         try:
-            resolve_test_function(phi)
+            key = parse_test_function(phi)
         except ValueError as exc:
             raise ConfigError("test_functions: %s" % exc) from exc
+        _require(key not in seen,
+                 "test_functions: %r repeats an earlier entry" % (phi,))
+        seen.add(key)
 
 
 def _snap_node(t: float, grid: TimeGrid, what: str) -> int:

@@ -226,7 +226,7 @@ class CoefficientSet:
     to the matrix K[i, j] = k(t_j, theta_i*) (zero for i >= j), and
     ``state``, the preset of its state functions g (``None``: the set's
     own callables).  On a grid the solvers and engines evaluate K times g;
-    presets without a kernel ignore (t, s) and run telescoped recursions.
+    presets without a kernel ignore (t, s), and the same engines telescope.
     """
 
     name: str
@@ -239,10 +239,6 @@ class CoefficientSet:
     params: Dict[str, float] = field(default_factory=dict)
     kernel: Optional[Callable] = None
     state: Optional["CoefficientSet"] = None
-
-    @property
-    def time_dependent(self) -> bool:
-        return self.kernel is not None
 
     def on_grid(self, grid):
         """(K, g): the kernel matrix on ``grid`` (None when k = 1) and the

@@ -20,13 +20,14 @@ The whole-batch calls run the same engines on one increment batch:
 * ``simulate_Z``: the second-order correction process,
 * ``simulate_DZ_terminal``: the terminal Malliavin rows D_theta Z_T.
 
-Two engine families share every entry point.  State-only presets
-(coefficients that ignore (t, s)) run O(N) telescoped recursions per
-path.  Separable presets k(t, s) g(x) evaluate g once per path and step
-and resum the Volterra convolution as one mat-vec against a column of
-the kernel matrix K[i, j] = k(t_j, s_i*), in a time-major layout; DZ
-follows from a closed form in both families.  Each finished array is
-scanned once for non-finite values.
+Every entry point runs one engine per process, time-major: g is
+evaluated once per path and step, and the Volterra convolution is
+resummed as one mat-vec against a column of the kernel matrix
+K[i, j] = k(t_j, s_i*) of a separable preset k(t, s) g(x).  State-only
+presets (coefficients that ignore (t, s), k = 1) have no kernel matrix,
+and the same engine telescopes the sum into an O(N) recursion.  DZ
+follows from a closed form.  Each finished array is scanned once for
+non-finite values.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import special
@@ -118,96 +119,61 @@ def sample_brownian(M: int, grid: TimeGrid, seed: int) -> BrownianBatch:
                          increments=_increment_rows(seed, grid, 0, M))
 
 
-def _x_state_only(c, grid, x0, eps, dB):
-    M, N = dB.shape
-    nodes = grid.nodes
-    mids = grid.midpoints
-    d = grid.delta
-    X = np.empty((M, N + 1))
-    X[:, 0] = x0
-    cur = np.full(M, float(x0))
-    for i in range(N):
-        bv = np.asarray(c.b(nodes[i + 1], mids[i], cur), dtype=float)
-        sv = np.asarray(c.sigma(nodes[i + 1], mids[i], cur), dtype=float)
-        cur = cur + bv * d + eps * sv * dB[:, i]
-        X[:, i + 1] = cur
-    return X
+def _volterra(K: Optional[np.ndarray], base: float, dB: np.ndarray,
+              step) -> np.ndarray:
+    """V_j = base + sum_{i<j} K[i, j] (drift_i + noise_i), built time-major.
 
-
-def _y_state_only(c, grid, xv, dB):
-    M, N = dB.shape
-    d = grid.delta
-    bp = _on_path(c.db, grid, xv)
-    sg = _on_path(c.sigma, grid, xv)
-    Y = np.empty((M, N + 1))
-    Y[:, 0] = 0.0
-    cur = np.zeros(M)
-    for i in range(N):
-        cur = cur + bp[i] * cur * d + sg[i] * dB[:, i]
-        Y[:, i + 1] = cur
-    return Y
-
-
-def _z_state_only(c, grid, xv, Yv, dB):
-    M, N = dB.shape
-    d = grid.delta
-    bp = _on_path(c.db, grid, xv)
-    bpp = _on_path(c.d2b, grid, xv)
-    sp = _on_path(c.dsigma, grid, xv)
-    Z = np.empty((M, N + 1))
-    Z[:, 0] = 0.0
-    cur = np.zeros(M)
-    for i in range(N):
-        cur = cur + (bp[i] * cur + bpp[i] * Yv[:, i] ** 2) * d \
-            + 2.0 * sp[i] * Yv[:, i] * dB[:, i]
-        Z[:, i + 1] = cur
-    return Z
-
-
-def _volterra(K: np.ndarray, base: float, dB: np.ndarray, step) -> np.ndarray:
-    """V_j = base + sum_{i<j} K[i, j] step(i, V_i, dB_i), built time-major.
-
-    ``step`` returns the (M,) increment of cell i; each node is one
-    mat-vec of a contiguous kernel row against the increments so far.
-    Returns the (M, N+1) path-major view.
+    ``step(i, V_i, dB_i)`` returns the (M,) drift and noise of cell i.
+    Without a kernel (K is None, k = 1) the sum telescopes,
+    V_j = V_{j-1} + drift + noise; with one, each node is one mat-vec of
+    a contiguous kernel row against the cell increments so far.  Returns
+    the (M, N+1) path-major view.
     """
     M, N = dB.shape
-    Kt = np.ascontiguousarray(K.T)
     dBt = np.ascontiguousarray(dB.T)
     V = np.empty((N + 1, M))
-    F = np.empty((N, M))
     V[0] = base
+    if K is None:
+        for j in range(1, N + 1):
+            drift, noise = step(j - 1, V[j - 1], dBt[j - 1])
+            np.add(V[j - 1], drift, out=V[j])
+            V[j] += noise
+        return V.T
+    Kt = np.ascontiguousarray(K.T)
+    F = np.empty((N, M))
     for j in range(1, N + 1):
-        F[j - 1] = step(j - 1, V[j - 1], dBt[j - 1])
+        drift, noise = step(j - 1, V[j - 1], dBt[j - 1])
+        np.add(drift, noise, out=F[j - 1])
         np.dot(Kt[j, :j], F[:j], out=V[j])
         if base:
             V[j] += base
     return V.T
 
 
-def _x_kernel(c, grid, x0, eps, dB):
+def _x(c, grid, x0, eps, dB):
     K, g = c.on_grid(grid)
     t, s, d = grid.nodes, grid.midpoints, grid.delta
-    return _volterra(K, x0, dB, lambda i, Xi, dBi: g.b(t[i + 1], s[i], Xi) * d
-                     + eps * g.sigma(t[i + 1], s[i], Xi) * dBi)
+    return _volterra(K, x0, dB, lambda i, Xi, dBi: (g.b(t[i + 1], s[i], Xi) * d,
+                                                    eps * g.sigma(t[i + 1], s[i], Xi) * dBi))
 
 
-def _y_kernel(c, grid, xv, dB):
+def _y(c, grid, xv, dB):
     K, g = c.on_grid(grid)
-    bpd = _on_path(g.db, grid, xv) * grid.delta
+    d = grid.delta
+    bp = _on_path(g.db, grid, xv)
     sg = _on_path(g.sigma, grid, xv)
-    return _volterra(K, 0.0, dB, lambda i, Yi, dBi: bpd[i] * Yi + sg[i] * dBi)
+    return _volterra(K, 0.0, dB, lambda i, Yi, dBi: (bp[i] * Yi * d, sg[i] * dBi))
 
 
-def _z_kernel(c, grid, xv, Yv, dB):
+def _z(c, grid, xv, Yv, dB):
     K, g = c.on_grid(grid)
     d = grid.delta
     bp = _on_path(g.db, grid, xv)
     bpp = _on_path(g.d2b, grid, xv)
     sp2 = 2.0 * _on_path(g.dsigma, grid, xv)
     Yt = np.ascontiguousarray(Yv.T)
-    return _volterra(K, 0.0, dB, lambda i, Zi, dBi: (bp[i] * Zi + bpp[i] * Yt[i] ** 2) * d
-                     + sp2[i] * Yt[i] * dBi)
+    return _volterra(K, 0.0, dB, lambda i, Zi, dBi: ((bp[i] * Zi + bpp[i] * Yt[i] ** 2) * d,
+                                                     sp2[i] * Yt[i] * dBi))
 
 
 def _diverged(what: str, node: int, path: int) -> DivergenceError:
@@ -252,23 +218,25 @@ def _dz_terminal(c, grid, xv, Yv, Dmat, dB):
             r[k] = d * bp[k] * w[k]
         lead = r[:N] * np.diagonal(K, 1) + w
     upper = np.triu(Dmat[:, :N])  # D[i, k], k >= i, diagonal seed included
-    S = 2.0 * sp[None, :] * Yv[:, :N]
-    C = (2.0 * d * bpp[None, :] * Yv[:, :N] + 2.0 * sp[None, :] * dB) * w[None, :]
-    DZ = S * lead[None, :] + C @ upper.T
+    # time-major, as the engines return Y; mixing layouts costs a strided pass
+    Yt = Yv.T[:N]
+    S = 2.0 * sp[:, None] * Yt
+    C = (2.0 * d * bpp[:, None] * Yt + 2.0 * sp[:, None] * dB.T) * w[:, None]
+    DZ = S.T * lead[None, :] + C.T @ upper.T
     if not np.all(np.isfinite(DZ)):
         raise _diverged("DZ", N, int(np.argmax((~np.isfinite(DZ)).any(axis=1))))
     return DZ
 
 
-_ENGINES = {"X": (_x_state_only, _x_kernel), "Y": (_y_state_only, _y_kernel),
-            "Z": (_z_state_only, _z_kernel)}
+_ENGINES = {"X": _x, "Y": _y, "Z": _z}
 
 
 def _run(what: str, c: CoefficientSet, *args) -> np.ndarray:
-    """Run the engine family of ``c``, then scan the finished (M, N+1)
-    array once: the first non-finite node j >= 1, then its first bad path."""
+    """Run the one engine of process ``what`` (it telescopes when ``c`` has
+    no kernel), then scan the finished (M, N+1) array once: the first
+    non-finite node j >= 1, then its first bad path."""
     with np.errstate(over="ignore", invalid="ignore"):
-        V = _ENGINES[what][c.time_dependent](c, *args)
+        V = _ENGINES[what](c, *args)
     bad = ~np.isfinite(V[:, 1:])
     if bad.any():
         j = int(np.argmax(bad.any(axis=0))) + 1

@@ -263,23 +263,35 @@ def skorokhod_term(Y_T, Z_T, DZ_rows, D_row, grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_TEST_FUNCTIONS = {
+    "cos": lambda w, x: np.cos(w * x),
+    "tanh": lambda w, x: np.tanh(w * x),
+    "sigmoid": lambda w, x: special.expit(w * x),
+    "const": lambda w, x: np.full(np.shape(x), w),
+}
+
+
+def parse_test_function(phi_id: str) -> Tuple[str, float]:
+    """(name, scale) of a test-function id: "cos" is ("cos", 1.0) and
+    "cos:2.0" is ("cos", 2.0); two ids with one key are one function."""
+    name, sep, argstr = str(phi_id).partition(":")
+    if sep and not argstr:
+        raise ValueError("test function scale is empty in %r" % (phi_id,))
+    w = float(argstr) if sep else 1.0
+    if not math.isfinite(w):
+        raise ValueError("test function scale must be finite, got %r" % (phi_id,))
+    if name not in _TEST_FUNCTIONS:
+        raise ValueError("unknown test function %r; known: %s"
+                         % (phi_id, ", ".join(sorted(_TEST_FUNCTIONS))))
+    return name, w
+
+
 def resolve_test_function(phi_id: str) -> Callable:
     """Bounded test-function menu: "cos", "tanh", "sigmoid", "const",
     optionally scaled as e.g. "cos:2.0" for cos(2 x)."""
-    name, _, argstr = str(phi_id).partition(":")
-    w = float(argstr) if argstr else 1.0
-    if not math.isfinite(w):
-        raise ValueError("test function scale must be finite, got %r" % (phi_id,))
-    table = {
-        "cos": lambda x: np.cos(w * x),
-        "tanh": lambda x: np.tanh(w * x),
-        "sigmoid": lambda x: special.expit(w * x),
-        "const": lambda x: np.full(np.shape(x), w),
-    }
-    if name not in table:
-        raise ValueError("unknown test function %r; known: %s"
-                         % (phi_id, ", ".join(sorted(table))))
-    return table[name]
+    name, w = parse_test_function(phi_id)
+    f = _TEST_FUNCTIONS[name]
+    return lambda x: f(w, x)
 
 
 def _mean_se(vals: np.ndarray) -> Tuple[float, float]:

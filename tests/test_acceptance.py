@@ -251,6 +251,29 @@ def test_golden_artifacts_match_committed_out(sweep_m1e4, workdir):
             _assert_csv_close(out / csv_name, golden / csv_name)
 
 
+def test_golden_thm2_rows_match_committed_out(thm2_m1e6):
+    """The criterion-5 paths are the committed thm2 configs' paths, so their
+    rows are compared with ``out/`` at the golden tolerance without a new
+    simulation."""
+    for preset, s in thm2_m1e6.items():
+        cfg = json.loads((REPO / "scripts" / "configs"
+                          / ("thm2_%s.json" % preset)).read_text())
+        assert (cfg["preset"], cfg["x0"], cfg["N"], cfg["M"], cfg["seed"]) == \
+            (preset, 1.0, 256, 1000000, SEED)
+        Xt = {C5_EPS: s["Xt"], C5_EPS / 2.0: s["Xt_half"]}
+        rows = _read_csv(REPO / "out" / ("thm2-" + preset) / "thm2.csv")
+        assert [(float(r["epsilon"]), r["phi"]) for r in rows] == \
+            [(e, phi) for e in cfg["epsilons"] for phi in cfg["test_functions"]]
+        for r in rows:
+            eps = float(r["epsilon"])
+            rep = st.thm2_report(r["phi"], eps, Xt[eps], s["Y"], s["delta"],
+                                 s["varY"])
+            np.testing.assert_allclose(
+                [rep.lhs, rep.lhs_se, rep.rhs, rep.rhs_se],
+                [float(r[k]) for k in ("lhs", "lhs_se", "rhs", "rhs_se")],
+                rtol=1e-9, atol=1e-12, err_msg="%s %s" % (preset, r["phi"]))
+
+
 def test_criterion_7_variance_margin(workdir, record_criterion):
     cfg = _write_cfg(workdir / "c7.json", N=512, M=100, H_list=[0.7],
                      t_list=[1.0], cov_pairs=[[1.0, 0.5]],

@@ -143,11 +143,32 @@ def test_manifest_contents(tmp_path):
     {"test_functions": ["cos:inf"]},         # non-finite scales
     {"test_functions": ["cos:nan"]},
     {"test_functions": ["tanh:1e400"]},
+    {"test_functions": ["cos:"]},            # empty scale
+    {"test_functions": ["cos", "cos:1"]},    # one function, two spellings
+    {"test_functions": ["tanh", "tanh"]},
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, doc):
     cfg = _cfg(tmp_path, **doc)
     assert _run(["limit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"cov_pairs": [[1.0, 0.5, 0.25]]}, "cov_pairs: entries must be (t, s) pairs"),
+    ({"cov_pairs": [[1.0]]}, "cov_pairs: entries must be (t, s) pairs"),
+    ({"cov_pairs": [1.0]}, "cov_pairs: entries must be (t, s) pairs"),
+    ({"test_functions": ["cos:"]}, "test_functions: test function scale is empty"),
+    ({"test_functions": ["tanh:2", "cos", "tanh:2.0"]},
+     "test_functions: 'tanh:2.0' repeats an earlier entry"),
+])
+def test_malformed_list_entries_name_their_field(tmp_path, capsys, doc, message):
+    cfg = _cfg(tmp_path, **dict({"N": 16, "M": 200}, **doc))
+    out = tmp_path / "o"
+    assert _run(["limit", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message)
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field,value", [

@@ -244,9 +244,9 @@ def test_preset_values():
     mul = K.make_preset("multiplicative")
     assert float(mul.sigma(1.0, 0.5, -3.0)) == -3.0
     assert float(mul.dsigma(1.0, 0.5, -3.0)) == 1.0
-    assert not mul.time_dependent
+    assert mul.kernel is None
     fbm = K.make_preset("fbm-additive", H=0.7, sigma0=2.0)
-    assert fbm.time_dependent
+    assert fbm.kernel is not None
     p = K.fbm_kernel_params(0.7)
     assert float(fbm.sigma(1.0, 0.5, 0.0)) == pytest.approx(
         2.0 * K.eval_fbm_kernel(p, 1.0, 0.5), rel=1e-12)

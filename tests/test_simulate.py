@@ -297,12 +297,12 @@ def _unit_kernel(grid):
 
 
 def test_engines_agree_when_kernel_path_is_forced():
-    # the mat-vec kernel engines with K = 1 must match the telescoped
-    # recursions on a state-only preset
+    # the mat-vec branch with K = 1 must match the telescoped branch on a
+    # state-only preset
     g = TimeGrid(T=1.0, N=12)
     c, x, D = _pipeline("trig", g, 1.0, kappa=0.8)
     forced = dataclasses.replace(c, kernel=_unit_kernel)
-    assert forced.time_dependent and not c.time_dependent
+    assert forced.kernel is not None and c.kernel is None
     batch = sim.sample_brownian(6, g, 53)
 
     Xa = sim.simulate_X(c, g, 1.0, 0.2, batch)

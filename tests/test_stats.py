@@ -272,6 +272,7 @@ def test_resolve_test_function_menu():
                                   np.full(3, 3.0))
     with pytest.raises(ValueError, match="unknown test function"):
         st.resolve_test_function("gauss")
+    assert st.parse_test_function("cos") == st.parse_test_function("cos:1.0")
 
 
 def test_thm2_lhs_trivial_zero_and_validation():
