@@ -9,8 +9,11 @@ run's deterministic limit x and derivative field D, streams M paths in
 fixed 2048-row chunks over the whole eps sweep, and returns X, the
 fluctuation X-tilde = (X_eps - x) / eps, the Gaussian limit Y, the
 second-order correction Z and the terminal Malliavin pairing of DZ, at
-the requested nodes only.  Chunks run in parallel without affecting any
-number.
+the requested nodes only.  Each chunk's increments are transposed once
+to time-major and shared by every engine.  The pairing is one number per
+path, so the driver contracts the DZ closed form with D[:, N] into two
+weight vectors once per call and never forms the (M, N) DZ rows.  Chunks
+run in parallel without affecting any number.
 
 The whole-batch calls run the same engines on one increment batch:
 
@@ -25,9 +28,10 @@ evaluated once per path and step, and the Volterra convolution is
 resummed as one mat-vec against a column of the kernel matrix
 K[i, j] = k(t_j, s_i*) of a separable preset k(t, s) g(x).  State-only
 presets (coefficients that ignore (t, s), k = 1) have no kernel matrix,
-and the same engine telescopes the sum into an O(N) recursion.  DZ
-follows from a closed form.  Each finished array is scanned once for
-non-finite values.
+and the same engine telescopes the sum into an O(N) recursion.  The
+engines read time-major (N, M) increments; each whole-batch call
+transposes its batch once.  DZ follows from a closed form.  Each
+finished array is scanned once for non-finite values.
 """
 
 from __future__ import annotations
@@ -119,18 +123,18 @@ def sample_brownian(M: int, grid: TimeGrid, seed: int) -> BrownianBatch:
                          increments=_increment_rows(seed, grid, 0, M))
 
 
-def _volterra(K: Optional[np.ndarray], base: float, dB: np.ndarray,
+def _volterra(K: Optional[np.ndarray], base: float, dBt: np.ndarray,
               step) -> np.ndarray:
     """V_j = base + sum_{i<j} K[i, j] (drift_i + noise_i), built time-major.
 
-    ``step(i, V_i, dB_i)`` returns the (M,) drift and noise of cell i.
-    Without a kernel (K is None, k = 1) the sum telescopes,
-    V_j = V_{j-1} + drift + noise; with one, each node is one mat-vec of
-    a contiguous kernel row against the cell increments so far.  Returns
-    the (M, N+1) path-major view.
+    ``dBt`` is the (N, M) time-major increment block, row i the step-i
+    increments of every path.  ``step(i, V_i, dB_i)`` returns the (M,)
+    drift and noise of cell i.  Without a kernel (K is None, k = 1) the
+    sum telescopes, V_j = V_{j-1} + drift + noise; with one, each node is
+    one mat-vec of a contiguous kernel row against the cell increments so
+    far.  Returns the (M, N+1) path-major view.
     """
-    M, N = dB.shape
-    dBt = np.ascontiguousarray(dB.T)
+    N, M = dBt.shape
     V = np.empty((N + 1, M))
     V[0] = base
     if K is None:
@@ -150,30 +154,30 @@ def _volterra(K: Optional[np.ndarray], base: float, dB: np.ndarray,
     return V.T
 
 
-def _x(c, grid, x0, eps, dB):
+def _x(c, grid, x0, eps, dBt):
     K, g = c.on_grid(grid)
     t, s, d = grid.nodes, grid.midpoints, grid.delta
-    return _volterra(K, x0, dB, lambda i, Xi, dBi: (g.b(t[i + 1], s[i], Xi) * d,
-                                                    eps * g.sigma(t[i + 1], s[i], Xi) * dBi))
+    return _volterra(K, x0, dBt, lambda i, Xi, dBi: (g.b(t[i + 1], s[i], Xi) * d,
+                                                     eps * g.sigma(t[i + 1], s[i], Xi) * dBi))
 
 
-def _y(c, grid, xv, dB):
+def _y(c, grid, xv, dBt):
     K, g = c.on_grid(grid)
     d = grid.delta
     bp = _on_path(g.db, grid, xv)
     sg = _on_path(g.sigma, grid, xv)
-    return _volterra(K, 0.0, dB, lambda i, Yi, dBi: (bp[i] * Yi * d, sg[i] * dBi))
+    return _volterra(K, 0.0, dBt, lambda i, Yi, dBi: (bp[i] * Yi * d, sg[i] * dBi))
 
 
-def _z(c, grid, xv, Yv, dB):
+def _z(c, grid, xv, Yv, dBt):
     K, g = c.on_grid(grid)
     d = grid.delta
     bp = _on_path(g.db, grid, xv)
     bpp = _on_path(g.d2b, grid, xv)
     sp2 = 2.0 * _on_path(g.dsigma, grid, xv)
     Yt = np.ascontiguousarray(Yv.T)
-    return _volterra(K, 0.0, dB, lambda i, Zi, dBi: ((bp[i] * Zi + bpp[i] * Yt[i] ** 2) * d,
-                                                     sp2[i] * Yt[i] * dBi))
+    return _volterra(K, 0.0, dBt, lambda i, Zi, dBi: ((bp[i] * Zi + bpp[i] * Yt[i] ** 2) * d,
+                                                      sp2[i] * Yt[i] * dBi))
 
 
 def _diverged(what: str, node: int, path: int) -> DivergenceError:
@@ -181,28 +185,13 @@ def _diverged(what: str, node: int, path: int) -> DivergenceError:
                            node=node, path=path)
 
 
-def _dz_terminal(c, grid, xv, Yv, Dmat, dB):
-    """Closed form of the terminal Malliavin row D_{theta_i} Z_T.
-
-    Row i solves the linear Volterra equation
-      DZ[i, j] = K[i, j] S_i + sum_{i<=k<j} K[k, j] (delta b'_k DZ[i, k]
-                 + D[i, k] (2 b''_k Y_k delta + 2 sigma'_k dB_k)),
-    seeded DZ[i, i] = K[i, i+1] S_i with S_i = 2 sigma'_i Y_i (primes are
-    the state functions g at x_k).  Its b' operator is deterministic: with
-    the last resolvent row r_N = 1, r_k = delta b'_k w_k and
-    w_k = sum_{m>k} K[k, m] r_m,
-      DZ[i, N] = S_i (r_i K[i, i+1] + w_i)
-                 + sum_{k>=i} D[i, k] (2 b''_k Y_k delta + 2 sigma'_k dB_k) w_k,
-    the k-sum being one matmul against the upper triangle of D (diagonal
-    seed included).  Without a kernel w_k = G_{k+1} and the S-weight is
-    G_k, with G_k = prod_{l=k}^{N-1} (1 + delta b'_l).
-    """
-    M, N = dB.shape
-    d = grid.delta
+def _dz_operator(c, grid, xv, Dmat):
+    """The path-free part of the DZ closed form (see ``_dz_terminal``):
+    sigma'_k, b''_k, the S-weight ``lead``, the resolvent weight w and the
+    upper triangle of D[:, :N] (diagonal seed included)."""
+    N, d = grid.N, grid.delta
     K, g = c.on_grid(grid)
     bp = _on_path(g.db, grid, xv)
-    bpp = _on_path(g.d2b, grid, xv)
-    sp = _on_path(g.dsigma, grid, xv)
     if K is None:
         G = np.empty(N + 1)
         G[N] = 1.0
@@ -217,15 +206,52 @@ def _dz_terminal(c, grid, xv, Yv, Dmat, dB):
             w[k] = K[k, k + 1:] @ r[k + 1:]
             r[k] = d * bp[k] * w[k]
         lead = r[:N] * np.diagonal(K, 1) + w
-    upper = np.triu(Dmat[:, :N])  # D[i, k], k >= i, diagonal seed included
+    return (_on_path(g.dsigma, grid, xv), _on_path(g.d2b, grid, xv), lead, w,
+            np.triu(Dmat[:, :N]))
+
+
+def _dz_terminal(c, grid, xv, Yv, Dmat, dBt):
+    """Closed form of the terminal Malliavin row D_{theta_i} Z_T.
+
+    Row i solves the linear Volterra equation
+      DZ[i, j] = K[i, j] S_i + sum_{i<=k<j} K[k, j] (delta b'_k DZ[i, k]
+                 + D[i, k] (2 b''_k Y_k delta + 2 sigma'_k dB_k)),
+    seeded DZ[i, i] = K[i, i+1] S_i with S_i = 2 sigma'_i Y_i (primes are
+    the state functions g at x_k).  Its b' operator is deterministic: with
+    the last resolvent row r_N = 1, r_k = delta b'_k w_k and
+    w_k = sum_{m>k} K[k, m] r_m,
+      DZ[i, N] = S_i (r_i K[i, i+1] + w_i)
+                 + sum_{k>=i} D[i, k] (2 b''_k Y_k delta + 2 sigma'_k dB_k) w_k,
+    the k-sum being one matmul against the upper triangle of D (diagonal
+    seed included).  Without a kernel w_k = G_{k+1} and the S-weight is
+    G_k, with G_k = prod_{l=k}^{N-1} (1 + delta b'_l).  ``dBt`` is the
+    time-major (N, M) increment block.
+    """
+    d = grid.delta
+    sp, bpp, lead, w, upper = _dz_operator(c, grid, xv, Dmat)
     # time-major, as the engines return Y; mixing layouts costs a strided pass
-    Yt = Yv.T[:N]
+    Yt = Yv.T[:grid.N]
     S = 2.0 * sp[:, None] * Yt
-    C = (2.0 * d * bpp[:, None] * Yt + 2.0 * sp[:, None] * dB.T) * w[:, None]
-    DZ = S.T * lead[None, :] + C.T @ upper.T
+    C = (2.0 * d * bpp[:, None] * Yt + 2.0 * sp[:, None] * dBt) * w[:, None]
+    DZ = C.T @ upper.T
+    DZ += S.T * lead
     if not np.all(np.isfinite(DZ)):
-        raise _diverged("DZ", N, int(np.argmax((~np.isfinite(DZ)).any(axis=1))))
+        raise _diverged("DZ", grid.N, int(np.argmax((~np.isfinite(DZ)).any(axis=1))))
     return DZ
+
+
+def _dzdy_weights(c, grid, xv, Dmat):
+    """Weights (a, b) with sum_i DZ[m, i] D[i, N] = Y[m, :N] @ a + dB[m] @ b.
+
+    The closed form of ``_dz_terminal`` contracted with v = D[:, N] before
+    any path enters: with u = triu(D[:, :N])^T v,
+    a = 2 sigma' lead v + 2 delta b'' w u and b = 2 sigma' w u, so the
+    pairing costs two O(M N) gemvs and no (M, N) DZ is formed.
+    """
+    sp, bpp, lead, w, upper = _dz_operator(c, grid, xv, Dmat)
+    v = Dmat[:, grid.N]
+    wu = w * (v @ upper)
+    return 2.0 * sp * lead * v + 2.0 * grid.delta * bpp * wu, 2.0 * sp * wu
 
 
 _ENGINES = {"X": _x, "Y": _y, "Z": _z}
@@ -255,7 +281,8 @@ def simulate_X(c: CoefficientSet, grid: TimeGrid, x0: float, eps: float,
         raise ValueError("eps must lie in (0, 1)")
     if batch.grid != grid:
         raise ValueError("batch grid mismatch")
-    values = _run("X", c, grid, float(x0), float(eps), batch.increments)
+    values = _run("X", c, grid, float(x0), float(eps),
+                  np.ascontiguousarray(batch.increments.T))
     return PathEnsemble(values=values, grid=grid, seed=batch.seed)
 
 
@@ -267,7 +294,7 @@ def simulate_Y_euler(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
     """
     if batch.grid != grid or x.grid != grid:
         raise ValueError("grid mismatch")
-    values = _run("Y", c, grid, x.values, batch.increments)
+    values = _run("Y", c, grid, x.values, np.ascontiguousarray(batch.increments.T))
     return PathEnsemble(values=values, grid=grid, seed=batch.seed)
 
 
@@ -288,7 +315,8 @@ def simulate_Z(c: CoefficientSet, grid: TimeGrid, x: LimitPath, Y: PathEnsemble,
     if x.grid != grid:
         raise ValueError("grid mismatch")
     _require_coupled(Y, batch)
-    values = _run("Z", c, grid, x.values, Y.values, batch.increments)
+    values = _run("Z", c, grid, x.values, Y.values,
+                  np.ascontiguousarray(batch.increments.T))
     return PathEnsemble(values=values, grid=grid, seed=batch.seed)
 
 
@@ -306,7 +334,8 @@ def simulate_DZ_terminal(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
     if x.grid != grid or D.grid != grid:
         raise ValueError("grid mismatch")
     _require_coupled(Y, batch)
-    return _dz_terminal(c, grid, x.values, Y.values, D.D, batch.increments)
+    return _dz_terminal(c, grid, x.values, Y.values, D.D,
+                        np.ascontiguousarray(batch.increments.T))
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +351,14 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     """Stream M coupled paths of ``c`` in fixed chunks over the whole eps sweep.
 
     ``x`` and ``D`` are the run's limit path and derivative field of ``c``;
-    the grid and x0 are read off ``x``.  Each chunk draws its increments
-    and solves Y, Z and DZ once, X once per eps.  Returns "X" and "Xt" =
-    (X - x) / eps keyed by eps then node, "Y" and "Z" by node, and "dzdy"
-    (sum_i DZ[m, i] D[i, T] delta, terminal node only).  The terminal node
-    is always observed.  Every number is independent of ``threads``: the
-    chunk grid is fixed and each chunk fills its own rows.  All chunks run
+    the grid and x0 are read off ``x``.  Each chunk draws its increments,
+    transposes them once to time-major, and solves Y and Z once, X once
+    per eps.  Returns "X" and "Xt" = (X - x) / eps keyed by eps then node,
+    "Y" and "Z" by node, and "dzdy" (sum_i DZ[m, i] D[i, T] delta, terminal
+    node only), a per-path contraction Y[m, :N] @ a + dB[m] @ b against
+    weights built once per call, so no (M, N) DZ is formed.  The terminal
+    node is always observed.  Every number is independent of ``threads``:
+    the chunk grid is fixed and each chunk fills its own rows.  All chunks run
     before a divergence is raised as the whole-batch calls meet it: first
     by stage (X at the first eps, Y, Z, DZ, X at each later eps), then
     node, path.
@@ -354,32 +385,39 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
                             "Y": columns(), "Z": columns()}
     if with_dzdy:
         out["dzdy"] = {N: np.empty(M)}
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b = _dzdy_weights(c, grid, x.values, D.D)
 
     def run_chunk(rows: Tuple[int, int]):
         """Fill rows m0:m1; on divergence return (stage, node, path, name)."""
         m0, m1 = rows
-        dB = _increment_rows(seed, grid, m0, m1)
+        # one transpose per chunk, shared by every engine and the dB gemv
+        dBt = np.ascontiguousarray(_increment_rows(seed, grid, m0, m1).T)
         started = []  # stage names, in the order the whole-batch calls meet them
         try:
             for k, eps in enumerate(epsilons):
                 started.append("X")
-                Xv = _run("X", c, grid, x.x0, float(eps), dB)
+                Xv = _run("X", c, grid, x.x0, float(eps), dBt)
                 for j in observe:
                     out["X"][eps][j][m0:m1] = Xv[:, j]
                     out["Xt"][eps][j][m0:m1] = (Xv[:, j] - x.values[j]) / eps
                 del Xv
                 if k == 0:
                     started.append("Y")
-                    Yv = _run("Y", c, grid, x.values, dB)
+                    Yv = _run("Y", c, grid, x.values, dBt)
                     started.append("Z")
-                    Zv = _run("Z", c, grid, x.values, Yv, dB)
+                    Zv = _run("Z", c, grid, x.values, Yv, dBt)
                     for j in observe:
                         out["Y"][j][m0:m1] = Yv[:, j]
                         out["Z"][j][m0:m1] = Zv[:, j]
                     if with_dzdy:
                         started.append("DZ")
-                        out["dzdy"][N][m0:m1] = (_dz_terminal(
-                            c, grid, x.values, Yv, D.D, dB) @ D.D[:, N]) * grid.delta
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            dzdy = (a @ Yv.T[:N] + b @ dBt) * grid.delta
+                        bad = ~np.isfinite(dzdy)
+                        if bad.any():
+                            raise _diverged("DZ", N, int(np.argmax(bad)))
+                        out["dzdy"][N][m0:m1] = dzdy
         except DivergenceError as exc:
             return len(started), exc.node, m0 + exc.path, started[-1]
 

@@ -475,6 +475,45 @@ def test_coupled_driver_matches_direct_pipeline():
                                rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("name,params", [("multiplicative", {}),
+                                         ("trig", {"kappa": 1.1}),
+                                         ("fbm-trig", {"H": 0.7, "kappa": 0.9})])
+def test_driver_dzdy_contraction_equals_matrix_pairing(name, params):
+    # delta = 1/50 is no power of two, and 2100 paths cross a chunk boundary
+    g = TimeGrid(T=1.0, N=50)
+    c, x, D = _pipeline(name, g, 1.0, **params)
+    M, seed = 2100, 73
+    a, b = (sim.coupled_terminal_samples(c, x, D, (0.2,), M, seed, with_dzdy=True,
+                                         threads=threads)["dzdy"][50]
+            for threads in (1, 2))
+    np.testing.assert_array_equal(a, b)
+    batch = sim.sample_brownian(M, g, seed)
+    Y = sim.simulate_Y_euler(c, g, x, batch)
+    DZ = sim.simulate_DZ_terminal(c, g, x, Y, D, batch)
+    np.testing.assert_allclose(a, (DZ @ D.D[:, 50]) * g.delta, rtol=1e-12, atol=1e-15)
+
+
+def test_driver_never_forms_the_dz_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the driver formed the (M, N) DZ rows")
+
+    monkeypatch.setattr(sim, "_dz_terminal", refuse)
+    g = TimeGrid(T=1.0, N=16)
+    c, x, D = _pipeline("trig", g, 1.0)
+    out = sim.coupled_terminal_samples(c, x, D, (0.2,), 300, 5, with_dzdy=True)
+    assert np.all(np.isfinite(out["dzdy"][16]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_driver_divergent_field_raises_without_warnings():
+    # x0 = 1e160 overflows the DZ weights, which the driver builds before any
+    # chunk; the stage order still names Z first, and no RuntimeWarning leaks
+    g = TimeGrid(T=1.0, N=16)
+    c, x, D = _pipeline("multiplicative", g, 1e160)
+    with pytest.raises(DivergenceError, match=r"^Z diverged at path 0, node 2$"):
+        sim.coupled_terminal_samples(c, x, D, (0.5,), 300, 6, with_dzdy=True)
+
+
 def test_coupled_driver_thread_count_is_invisible():
     g = TimeGrid(T=1.0, N=24)
     c = make_preset("trig", kappa=1.1)
