@@ -153,16 +153,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for a, b in zip(cfg.epsilons, cfg.epsilons[1:]):
         _require(b < a, "epsilons: must be strictly decreasing")
 
-    fbm_family = cfg.preset.startswith("fbm")
-    has_h = cfg.H is not None or "H" in cfg.params
-    if fbm_family:
-        _require(has_h, "H: required for preset %r" % cfg.preset)
-        _require(not (cfg.H is not None and "H" in cfg.params),
-                 "H: given both as top-level key and in params")
-        hval = cfg.H if cfg.H is not None else cfg.params["H"]
-        _require(0.0 < hval < 1.0, "H: must be in (0,1), got %g" % hval)
+    _require("H" not in cfg.params, "params: give H as the top-level key, not in params")
+    if cfg.preset.startswith("fbm"):
+        _require(cfg.H is not None, "H: required for preset %r" % cfg.preset)
+        _require(0.0 < cfg.H < 1.0, "H: must be in (0,1), got %g" % cfg.H)
     else:
-        _require(not has_h,
+        _require(cfg.H is None,
                  "H: only meaningful for fbm presets, not %r" % cfg.preset)
 
     for h in cfg.H_list:

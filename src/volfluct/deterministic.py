@@ -1,8 +1,12 @@
-"""Deterministic Volterra solvers.
+"""Deterministic Volterra solvers and the Volterra engine.
 
 Computes the zero-noise limit path x_t, the derivative field
 D_theta Y_t of the Gaussian fluctuation limit, and the variance profile
 Var(Y_t) obtained as the squared L2 norm of a derivative row.
+
+x, D and the processes X, Y and Z of ``simulate`` all run on the one
+Volterra engine ``_volterra`` defined here: x as one noiseless path, D as
+the Y step on unit increments, one path per theta-cell.
 
 All solvers share one discretization: explicit (left-point) rule in the
 state argument, kernel arguments evaluated at cell midpoints
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -71,7 +76,6 @@ class LimitPath:
 
     values: np.ndarray
     grid: TimeGrid
-    preset: str
 
     @property
     def x0(self) -> float:
@@ -89,7 +93,6 @@ class DerivativeField:
 
     D: np.ndarray
     grid: TimeGrid
-    preset: str
 
 
 @dataclass(frozen=True)
@@ -106,71 +109,103 @@ def _on_path(f, grid: TimeGrid, xv: np.ndarray) -> np.ndarray:
                                       dtype=float), (grid.N,))
 
 
+def _volterra(K: Optional[np.ndarray], base: float, dBt: np.ndarray,
+              step) -> np.ndarray:
+    """V_j = base + sum_{i<j} K[i, j] (drift_i + noise_i), built time-major.
+
+    ``dBt`` is the (N, M) time-major increment block, row i the step-i
+    increments of every path.  ``step(i, V_i, dB_i)`` returns the (M,)
+    drift and noise of cell i.  Without a kernel (K is None, k = 1) the
+    sum telescopes, V_j = V_{j-1} + drift + noise; with one, each node is
+    one mat-vec of a contiguous kernel row against the cell increments so
+    far.  Returns the (M, N+1) path-major view.
+    """
+    N, M = dBt.shape
+    V = np.empty((N + 1, M))
+    V[0] = base
+    if K is None:
+        for j in range(1, N + 1):
+            drift, noise = step(j - 1, V[j - 1], dBt[j - 1])
+            np.add(V[j - 1], drift, out=V[j])
+            V[j] += noise
+        return V.T
+    Kt = np.ascontiguousarray(K.T)
+    F = np.empty((N, M))
+    for j in range(1, N + 1):
+        drift, noise = step(j - 1, V[j - 1], dBt[j - 1])
+        np.add(drift, noise, out=F[j - 1])
+        np.dot(Kt[j, :j], F[:j], out=V[j])
+        if base:
+            V[j] += base
+    return V.T
+
+
+def _first_nonfinite(V: np.ndarray) -> Optional[Tuple[int, int]]:
+    """(node, path) of the first non-finite entry of the (M, N+1) array V,
+    by node j >= 1 first; None when every entry is finite."""
+    bad = ~np.isfinite(V[:, 1:])
+    if not bad.any():
+        return None
+    j = int(np.argmax(bad.any(axis=0))) + 1
+    return j, int(np.argmax(bad[:, j - 1]))
+
+
+def _solve(what: str, grid: TimeGrid, K, base: float, dBt, step) -> np.ndarray:
+    """One engine run; a non-finite value raises at its first node."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = _volterra(K, base, dBt, step)
+    bad = _first_nonfinite(V)
+    if bad:
+        j = bad[0]
+        raise DivergenceError("%s diverged at node %d (t=%.6g)" % (what, j, grid.nodes[j]),
+                              node=j)
+    return V
+
+
 def solve_deterministic_limit(c: CoefficientSet, grid: TimeGrid, x0: float) -> LimitPath:
     """Solve x_t = x0 + int_0^t b(t, s, x_s) ds at first order:
 
-    x_{t_j} = x0 + sum_{i<j} b(t_j, s_i*, x_{t_i}) delta.
+    x_{t_j} = x0 + sum_{i<j} b(t_j, s_i*, x_{t_i}) delta,
 
-    When b does not depend on its first argument the sum telescopes and
-    the solve is incremental; the update order then matches the noisy
-    Euler scheme exactly, so a zero-diffusion simulation reproduces this
-    path bit for bit.  A separable b = K g(x) evaluates g once per node
-    and resums one kernel column per node.
+    as one noiseless path of the engine that runs X.  Without a kernel the
+    sum telescopes with X's update order, so a zero-diffusion simulation
+    reproduces this path bit for bit.
     """
-    nodes = grid.nodes
-    mids = grid.midpoints
-    d = grid.delta
     K, g = c.on_grid(grid)
-    x = np.empty(grid.N + 1)
-    x[0] = float(x0)
-    gb = np.empty(grid.N)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, grid.N + 1):
-            if K is None:
-                x[j] = x[j - 1] + float(np.asarray(
-                    c.b(nodes[j], mids[j - 1], x[j - 1]))) * d
-            else:
-                gb[j - 1] = float(np.asarray(g.b(nodes[j], mids[j - 1], x[j - 1])))
-                x[j] = x0 + float(K[:j, j] @ gb[:j]) * d
-            if not np.isfinite(x[j]):
-                raise DivergenceError(
-                    "limit path diverged at node %d (t=%.6g)" % (j, nodes[j]), node=j)
-    return LimitPath(values=x, grid=grid, preset=c.name)
+    t, s, d = grid.nodes, grid.midpoints, grid.delta
+    V = _solve("limit path", grid, K, float(x0), np.zeros((grid.N, 1)),
+               lambda i, xi, _: (g.b(t[i + 1], s[i], xi) * d, 0.0))
+    return LimitPath(values=V[0], grid=grid)
 
 
 def solve_derivative_field(c: CoefficientSet, grid: TimeGrid, x: LimitPath) -> DerivativeField:
-    """Forward column solve of
-    D[i, j] = sigma(t_j, theta_i*, x_i) + sum_{i<=k<j} b'(t_j, s_k*, x_k) D[i, k] delta.
-
-    b'(t_j, s_k*, x_k) = K[k, j] g'(x_k) is cached as a matrix once per
-    call (O(N^2) memory, K = 1 without a kernel) so each column costs one
-    triangular mat-vec; total work is O(N^3).  The diagonal seed
-    D[i, i] = sigma(t_{i+1}, theta_i*, x_i) supplies the k = i term; for
+    """Solve
+    D[i, j] = sigma(t_j, theta_i*, x_i) + sum_{i<=k<j} b'(t_j, s_k*, x_k) D[i, k] delta
+    as the Euler Y engine on unit increments, one path per theta-cell: path
+    i has dB = 1 at cell i only, and the k = i term, absent from Y, adds
+    b'_i delta D[i, i] to it there.  The diagonal seed
+    D[i, i] = sigma(t_{i+1}, theta_i*, x_i) is written after the solve; for
     time-independent sigma it equals the defining sigma(t_i, theta_i*, x_i),
     and it keeps fractional kernel arguments inside their s < t domain.
     """
     if x.grid != grid:
         raise ValueError("limit path was solved on a different grid")
-    N = grid.N
     d = grid.delta
-    nodes = grid.nodes
     K, g = c.on_grid(grid)
-    if K is None:
-        K = np.triu(np.ones((N, N + 1)), 1)
-    D = np.zeros((N, N + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        # row j holds the column-j coefficients over k < j
-        bp = np.ascontiguousarray((K * _on_path(g.db, grid, x.values)[:, None]).T)
-        sig = np.ascontiguousarray((K * _on_path(g.sigma, grid, x.values)[:, None]).T)
-        for j in range(1, N + 1):
-            D[j - 1, j - 1] = sig[j, j - 1]
-            col = sig[j, :j] + d * (D[:j, :j] @ bp[j, :j])
-            if not np.all(np.isfinite(col)):
-                raise DivergenceError(
-                    "derivative field diverged at node %d (t=%.6g)" % (j, nodes[j]),
-                    node=j)
-            D[:j, j] = col
-    return DerivativeField(D=D, grid=grid, preset=c.name)
+        bp = _on_path(g.db, grid, x.values)
+        sg = _on_path(g.sigma, grid, x.values)
+        seed = sg if K is None else np.diagonal(K, 1) * sg
+        kick = d * (seed * bp)
+
+    def step(i, Vi, dBi):
+        drift = bp[i] * Vi * d
+        drift[i] += kick[i]
+        return drift, sg[i] * dBi
+
+    D = np.ascontiguousarray(_solve("derivative field", grid, K, 0.0, np.eye(grid.N), step))
+    np.fill_diagonal(D, seed)
+    return DerivativeField(D=D, grid=grid)
 
 
 def variance_of_Y(D: DerivativeField, grid: TimeGrid) -> VariancePath:

@@ -23,15 +23,16 @@ The whole-batch calls run the same engines on one increment batch:
 * ``simulate_Z``: the second-order correction process,
 * ``simulate_DZ_terminal``: the terminal Malliavin rows D_theta Z_T.
 
-Every entry point runs one engine per process, time-major: g is
-evaluated once per path and step, and the Volterra convolution is
-resummed as one mat-vec against a column of the kernel matrix
-K[i, j] = k(t_j, s_i*) of a separable preset k(t, s) g(x).  State-only
-presets (coefficients that ignore (t, s), k = 1) have no kernel matrix,
-and the same engine telescopes the sum into an O(N) recursion.  The
-engines read time-major (N, M) increments; each whole-batch call
-transposes its batch once.  DZ follows from a closed form.  Each
-finished array is scanned once for non-finite values.
+Every entry point runs X, Y and Z on the time-major Volterra engine of
+``deterministic``, which also solves x and D: g is evaluated once per
+path and step, and the Volterra convolution is resummed as one mat-vec
+against a column of the kernel matrix K[i, j] = k(t_j, s_i*) of a
+separable preset k(t, s) g(x).  State-only presets (coefficients that
+ignore (t, s), k = 1) have no kernel matrix, and the same engine
+telescopes the sum into an O(N) recursion.  The engines read time-major
+(N, M) increments; each whole-batch call transposes its batch once.  DZ
+follows from a closed form.  Each finished array is scanned once for
+non-finite values.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 from scipy import special
@@ -47,8 +48,8 @@ from scipy import special
 # the solve_* names are not called here; perfbench/traced.py patches them
 # on this module, so they stay importable until that tracer is re-pointed
 from .deterministic import (DerivativeField, DivergenceError, LimitPath,  # noqa: F401
-                            TimeGrid, _on_path, solve_derivative_field,
-                            solve_deterministic_limit)
+                            TimeGrid, _first_nonfinite, _on_path, _volterra,
+                            solve_derivative_field, solve_deterministic_limit)
 from .kernels import CoefficientSet
 
 _CHUNK_ROWS = 2048
@@ -121,37 +122,6 @@ def sample_brownian(M: int, grid: TimeGrid, seed: int) -> BrownianBatch:
         raise ValueError("seed must fit in 64 bits")
     return BrownianBatch(M=M, grid=grid, seed=seed,
                          increments=_increment_rows(seed, grid, 0, M))
-
-
-def _volterra(K: Optional[np.ndarray], base: float, dBt: np.ndarray,
-              step) -> np.ndarray:
-    """V_j = base + sum_{i<j} K[i, j] (drift_i + noise_i), built time-major.
-
-    ``dBt`` is the (N, M) time-major increment block, row i the step-i
-    increments of every path.  ``step(i, V_i, dB_i)`` returns the (M,)
-    drift and noise of cell i.  Without a kernel (K is None, k = 1) the
-    sum telescopes, V_j = V_{j-1} + drift + noise; with one, each node is
-    one mat-vec of a contiguous kernel row against the cell increments so
-    far.  Returns the (M, N+1) path-major view.
-    """
-    N, M = dBt.shape
-    V = np.empty((N + 1, M))
-    V[0] = base
-    if K is None:
-        for j in range(1, N + 1):
-            drift, noise = step(j - 1, V[j - 1], dBt[j - 1])
-            np.add(V[j - 1], drift, out=V[j])
-            V[j] += noise
-        return V.T
-    Kt = np.ascontiguousarray(K.T)
-    F = np.empty((N, M))
-    for j in range(1, N + 1):
-        drift, noise = step(j - 1, V[j - 1], dBt[j - 1])
-        np.add(drift, noise, out=F[j - 1])
-        np.dot(Kt[j, :j], F[:j], out=V[j])
-        if base:
-            V[j] += base
-    return V.T
 
 
 def _x(c, grid, x0, eps, dBt):
@@ -258,16 +228,13 @@ _ENGINES = {"X": _x, "Y": _y, "Z": _z}
 
 
 def _run(what: str, c: CoefficientSet, *args) -> np.ndarray:
-    """Run the one engine of process ``what`` (it telescopes when ``c`` has
-    no kernel), then scan the finished (M, N+1) array once: the first
-    non-finite node j >= 1, then its first bad path."""
+    """Run the engine of process ``what``; a non-finite value in the finished
+    (M, N+1) array raises at its first node, then its first path."""
     with np.errstate(over="ignore", invalid="ignore"):
         V = _ENGINES[what](c, *args)
-    bad = ~np.isfinite(V[:, 1:])
-    if bad.any():
-        j = int(np.argmax(bad.any(axis=0))) + 1
-        m = int(np.argmax(bad[:, j - 1]))
-        raise _diverged(what, j, m)
+    bad = _first_nonfinite(V)
+    if bad:
+        raise _diverged(what, *bad)
     return V
 
 

@@ -300,11 +300,11 @@ def _mean_se(vals: np.ndarray) -> Tuple[float, float]:
     return m, se
 
 
-def thm2_lhs(phi, Xt_T, Y_T, eps: float) -> Tuple[float, float]:
+def thm2_lhs(phi_id: str, Xt_T, Y_T, eps: float) -> Tuple[float, float]:
     """mean (phi(Xt_T) - phi(Y_T)) / eps with per-path differencing."""
     if eps == 0.0:
         raise ValueError("eps must be nonzero")
-    f = resolve_test_function(phi) if isinstance(phi, str) else phi
+    f = resolve_test_function(phi_id)
     xt = _as_sample(Xt_T)
     y = _as_sample(Y_T)
     if xt.shape != y.shape:
@@ -312,11 +312,11 @@ def thm2_lhs(phi, Xt_T, Y_T, eps: float) -> Tuple[float, float]:
     return _mean_se((f(xt) - f(y)) / eps)
 
 
-def thm2_rhs(phi, Y_T, delta, varY: float) -> Tuple[float, float]:
+def thm2_rhs(phi_id: str, Y_T, delta, varY: float) -> Tuple[float, float]:
     """mean phi(Y_T) delta / (2 Var(Y_T)) with its standard error."""
     if not varY > 0.0:
         raise ValueError("degenerate Gaussian limit: Var(Y_T) must be positive")
-    f = resolve_test_function(phi) if isinstance(phi, str) else phi
+    f = resolve_test_function(phi_id)
     y = _as_sample(Y_T)
     dlt = _as_sample(delta)
     if y.shape != dlt.shape:

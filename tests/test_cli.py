@@ -160,6 +160,8 @@ def test_bad_configs_exit_2(tmp_path, capsys, doc):
     ({"test_functions": ["cos:"]}, "test_functions: test function scale is empty"),
     ({"test_functions": ["tanh:2", "cos", "tanh:2.0"]},
      "test_functions: 'tanh:2.0' repeats an earlier entry"),
+    ({"preset": "fbm-trig", "params": {"H": 0.7}},
+     "params: give H as the top-level key, not in params"),
 ])
 def test_malformed_list_entries_name_their_field(tmp_path, capsys, doc, message):
     cfg = _cfg(tmp_path, **dict({"N": 16, "M": 200}, **doc))

@@ -303,6 +303,9 @@ def test_engines_agree_when_kernel_path_is_forced():
     c, x, D = _pipeline("trig", g, 1.0, kappa=0.8)
     forced = dataclasses.replace(c, kernel=_unit_kernel)
     assert forced.kernel is not None and c.kernel is None
+    xf, Df = _solved(forced, g, 1.0)
+    np.testing.assert_allclose(xf.values, x.values, rtol=1e-13)
+    np.testing.assert_allclose(Df.D, D.D, rtol=0, atol=1e-13)
     batch = sim.sample_brownian(6, g, 53)
 
     Xa = sim.simulate_X(c, g, 1.0, 0.2, batch)
