@@ -110,7 +110,7 @@ def _on_path(f, grid: TimeGrid, xv: np.ndarray) -> np.ndarray:
 
 
 def _volterra(K: Optional[np.ndarray], base: float, dBt: np.ndarray,
-              step) -> np.ndarray:
+              step, out: Optional[np.ndarray] = None) -> np.ndarray:
     """V_j = base + sum_{i<j} K[i, j] (drift_i + noise_i), built time-major.
 
     ``dBt`` is the (N, M) time-major increment block, row i the step-i
@@ -118,10 +118,11 @@ def _volterra(K: Optional[np.ndarray], base: float, dBt: np.ndarray,
     drift and noise of cell i.  Without a kernel (K is None, k = 1) the
     sum telescopes, V_j = V_{j-1} + drift + noise; with one, each node is
     one mat-vec of a contiguous kernel row against the cell increments so
-    far.  Returns the (M, N+1) path-major view.
+    far.  The paths are written into ``out``, a C-contiguous (N+1, M)
+    buffer, when one is given.  Returns the (M, N+1) path-major view.
     """
     N, M = dBt.shape
-    V = np.empty((N + 1, M))
+    V = np.empty((N + 1, M)) if out is None else out
     V[0] = base
     if K is None:
         for j in range(1, N + 1):
@@ -143,9 +144,10 @@ def _volterra(K: Optional[np.ndarray], base: float, dBt: np.ndarray,
 def _first_nonfinite(V: np.ndarray) -> Optional[Tuple[int, int]]:
     """(node, path) of the first non-finite entry of the (M, N+1) array V,
     by node j >= 1 first; None when every entry is finite."""
-    bad = ~np.isfinite(V[:, 1:])
-    if not bad.any():
+    ok = np.isfinite(V[:, 1:])
+    if ok.all():
         return None
+    bad = np.logical_not(ok, out=ok)
     j = int(np.argmax(bad.any(axis=0))) + 1
     return j, int(np.argmax(bad[:, j - 1]))
 

@@ -9,11 +9,16 @@ run's deterministic limit x and derivative field D, streams M paths in
 fixed 2048-row chunks over the whole eps sweep, and returns X, the
 fluctuation X-tilde = (X_eps - x) / eps, the Gaussian limit Y, the
 second-order correction Z and the terminal Malliavin pairing of DZ, at
-the requested nodes only.  Each chunk's increments are transposed once
-to time-major and shared by every engine.  The pairing is one number per
-path, so the driver contracts the DZ closed form with D[:, N] into two
-weight vectors once per call and never forms the (M, N) DZ rows.  Chunks
-run in parallel without affecting any number.
+the requested nodes only.  Each chunk's increments are drawn with the
+offset, the normal quantile and the sqrt(delta) scale applied in place,
+then copied to time-major in cache-sized row blocks and shared by every
+engine.  Each worker thread keeps one workspace across its chunks: the
+time-major increments and one (N+1, rows) buffer that X (at every eps)
+and Z take in turn, Z after X's observed columns are copied out; Y is
+allocated after the draws are freed and reuses their block.  The pairing
+is one number per path, so the driver contracts the DZ closed form with
+D[:, N] into two weight vectors once per call and never forms the
+(M, N) DZ rows.  Chunks run in parallel without affecting any number.
 
 The whole-batch calls run the same engines on one increment batch:
 
@@ -38,6 +43,7 @@ non-finite values.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -53,6 +59,8 @@ from .deterministic import (DerivativeField, DivergenceError, LimitPath,  # noqa
 from .kernels import CoefficientSet
 
 _CHUNK_ROWS = 2048
+# rows per block of the time-major copy: 64 rows at N = 256 are 128 KiB
+_TRANSPOSE_ROWS = 64
 _U64 = 2 ** 64
 # uniforms are u = k 2^-53; the half-ulp shift makes them symmetric in (0, 1),
 # so the normal quantile never sees 0 and the population mean is exactly 0
@@ -98,9 +106,19 @@ def _increment_rows(seed: int, grid: TimeGrid, m0: int, m1: int) -> np.ndarray:
     g0 = m0 * N
     g1 = m1 * N
     lo = (g0 // 4) * 4
-    u = _uniform_block(seed, lo, g1 - lo)[g0 - lo:]
-    z = special.ndtri(u + _UNIFORM_OFFSET)
-    return (z * math.sqrt(grid.delta)).reshape(m1 - m0, N)
+    # offset, normal quantile and scale in place: one allocation per call
+    z = _uniform_block(seed, lo, g1 - lo)[g0 - lo:]
+    z += _UNIFORM_OFFSET
+    special.ndtri(z, out=z)
+    z *= math.sqrt(grid.delta)
+    return z.reshape(m1 - m0, N)
+
+
+def _time_major(rows: np.ndarray, out: np.ndarray) -> None:
+    """Copy the (M, N) path-major ``rows`` into the (N, M) ``out``, a block
+    of _TRANSPOSE_ROWS rows at a time so each block stays in cache."""
+    for r in range(0, rows.shape[0], _TRANSPOSE_ROWS):
+        out[:, r:r + _TRANSPOSE_ROWS] = rows[r:r + _TRANSPOSE_ROWS].T
 
 
 def _chunks(M: int) -> List[Tuple[int, int]]:
@@ -124,22 +142,23 @@ def sample_brownian(M: int, grid: TimeGrid, seed: int) -> BrownianBatch:
                          increments=_increment_rows(seed, grid, 0, M))
 
 
-def _x(c, grid, x0, eps, dBt):
+def _x(c, grid, x0, eps, dBt, out=None):
     K, g = c.on_grid(grid)
     t, s, d = grid.nodes, grid.midpoints, grid.delta
     return _volterra(K, x0, dBt, lambda i, Xi, dBi: (g.b(t[i + 1], s[i], Xi) * d,
-                                                     eps * g.sigma(t[i + 1], s[i], Xi) * dBi))
+                                                     eps * g.sigma(t[i + 1], s[i], Xi) * dBi),
+                     out)
 
 
-def _y(c, grid, xv, dBt):
+def _y(c, grid, xv, dBt, out=None):
     K, g = c.on_grid(grid)
     d = grid.delta
     bp = _on_path(g.db, grid, xv)
     sg = _on_path(g.sigma, grid, xv)
-    return _volterra(K, 0.0, dBt, lambda i, Yi, dBi: (bp[i] * Yi * d, sg[i] * dBi))
+    return _volterra(K, 0.0, dBt, lambda i, Yi, dBi: (bp[i] * Yi * d, sg[i] * dBi), out)
 
 
-def _z(c, grid, xv, Yv, dBt):
+def _z(c, grid, xv, Yv, dBt, out=None):
     K, g = c.on_grid(grid)
     d = grid.delta
     bp = _on_path(g.db, grid, xv)
@@ -147,7 +166,8 @@ def _z(c, grid, xv, Yv, dBt):
     sp2 = 2.0 * _on_path(g.dsigma, grid, xv)
     Yt = np.ascontiguousarray(Yv.T)
     return _volterra(K, 0.0, dBt, lambda i, Zi, dBi: ((bp[i] * Zi + bpp[i] * Yt[i] ** 2) * d,
-                                                      sp2[i] * Yt[i] * dBi))
+                                                      sp2[i] * Yt[i] * dBi),
+                     out)
 
 
 def _diverged(what: str, node: int, path: int) -> DivergenceError:
@@ -227,11 +247,12 @@ def _dzdy_weights(c, grid, xv, Dmat):
 _ENGINES = {"X": _x, "Y": _y, "Z": _z}
 
 
-def _run(what: str, c: CoefficientSet, *args) -> np.ndarray:
-    """Run the engine of process ``what``; a non-finite value in the finished
-    (M, N+1) array raises at its first node, then its first path."""
+def _run(what: str, c: CoefficientSet, *args, out=None) -> np.ndarray:
+    """Run the engine of process ``what`` (into the time-major ``out`` when
+    given); a non-finite value in the finished (M, N+1) array raises at its
+    first node, then its first path."""
     with np.errstate(over="ignore", invalid="ignore"):
-        V = _ENGINES[what](c, *args)
+        V = _ENGINES[what](c, *args, out=out)
     bad = _first_nonfinite(V)
     if bad:
         raise _diverged(what, *bad)
@@ -355,25 +376,39 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
         with np.errstate(over="ignore", invalid="ignore"):
             a, b = _dzdy_weights(c, grid, x.values, D.D)
 
+    width = min(M, _CHUNK_ROWS)
+    local = threading.local()
+
+    def workspace(rows: int):
+        """This worker's time-major dBt (N, rows) and X/Z (N+1, rows)
+        buffers: contiguous views of flat arrays made on its first chunk."""
+        flat = getattr(local, "flat", None)
+        if flat is None:
+            flat = local.flat = (np.empty(N * width), np.empty((N + 1) * width))
+        return (flat[0][:N * rows].reshape(N, rows),
+                flat[1][:(N + 1) * rows].reshape(N + 1, rows))
+
     def run_chunk(rows: Tuple[int, int]):
         """Fill rows m0:m1; on divergence return (stage, node, path, name)."""
         m0, m1 = rows
-        # one transpose per chunk, shared by every engine and the dB gemv
-        dBt = np.ascontiguousarray(_increment_rows(seed, grid, m0, m1).T)
+        dBt, XZw = workspace(m1 - m0)
+        # one time-major copy per chunk, shared by every engine and the dB
+        # gemv; Y, allocated after the draws are freed, reuses their block
+        _time_major(_increment_rows(seed, grid, m0, m1), dBt)
         started = []  # stage names, in the order the whole-batch calls meet them
         try:
             for k, eps in enumerate(epsilons):
                 started.append("X")
-                Xv = _run("X", c, grid, x.x0, float(eps), dBt)
+                Xv = _run("X", c, grid, x.x0, float(eps), dBt, out=XZw)
                 for j in observe:
                     out["X"][eps][j][m0:m1] = Xv[:, j]
                     out["Xt"][eps][j][m0:m1] = (Xv[:, j] - x.values[j]) / eps
-                del Xv
                 if k == 0:
                     started.append("Y")
                     Yv = _run("Y", c, grid, x.values, dBt)
+                    # X's observed columns are out, so Z takes its buffer
                     started.append("Z")
-                    Zv = _run("Z", c, grid, x.values, Yv, dBt)
+                    Zv = _run("Z", c, grid, x.values, Yv, dBt, out=XZw)
                     for j in observe:
                         out["Y"][j][m0:m1] = Yv[:, j]
                         out["Z"][j][m0:m1] = Zv[:, j]

@@ -117,16 +117,16 @@ class CountedSample:
 
     def span(self) -> Tuple[float, float]:
         """First and last point with a nonzero count: the min and the max."""
-        first = np.searchsorted(self.cum, 0, side="right") - 1
-        last = np.searchsorted(self.cum, self.cum[-1], side="left") - 1
+        first = self.cum.searchsorted(0, side="right") - 1
+        last = self.cum.searchsorted(self.cum[-1], side="left") - 1
         return self.x[first], self.x[last]
 
     def histogram(self, edges: np.ndarray) -> np.ndarray:
         """Counts in [e_k, e_k+1), the last bin closed: what np.histogram
         reads off a sorted sample for array edges."""
-        at = np.concatenate([np.searchsorted(self.x, edges[:-1], side="left"),
-                             np.searchsorted(self.x, edges[-1:], side="right")])
-        return np.diff(self.cum[at])
+        at = self.cum[self.x.searchsorted(edges, side="left")]
+        at[-1] = self.cum[self.x.searchsorted(edges[-1], side="right")]
+        return np.diff(at)
 
 
 def presort_pair(a, b) -> Tuple[CountedSample, CountedSample]:
@@ -184,7 +184,17 @@ def tv_histogram(a, b, bins: int) -> float:
     hi = max(hi_a, hi_b)
     if hi <= lo:
         return 0.0  # both samples concentrated on one common atom
-    edges = np.linspace(lo, hi, bins + 1)
+    # np.linspace(lo, hi, bins + 1), its arithmetic without its overhead
+    delta = hi - lo
+    step = delta / bins
+    edges = np.arange(bins + 1, dtype=float)
+    if step == 0:  # subnormal span: linspace scales by delta after dividing
+        edges /= bins
+        edges *= delta
+    else:
+        edges *= step
+    edges += lo
+    edges[-1] = hi
     return float(0.5 * np.abs(ca.histogram(edges) / ca.n
                               - cb.histogram(edges) / cb.n).sum())
 

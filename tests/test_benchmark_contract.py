@@ -51,3 +51,26 @@ def test_probes_run_on_a_tiny_config(harness, tmp_path, doc):
     chunks = probes.chunks(str(cfg))
     assert math.isfinite(setup["var_T"]) and setup["var_T"] > 0.0
     assert chunks and all(math.isfinite(v) and v >= 0.0 for v in chunks.values())
+
+
+def test_tracer_runs_a_thm2_invocation(harness, tmp_path, monkeypatch):
+    # what --trace 1 does: one CLI call under every wrapper, each chunk
+    # drawing its increments through the patched RNG entry point once
+    _, traced = harness
+    from volfluct import cli, simulate
+    monkeypatch.setenv("VF_THREADS", "1")
+    N, M = 16, 2 * simulate._CHUNK_ROWS + 37
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "multiplicative", "N": N, "M": M,
+                               "epsilons": [0.1], "test_functions": ["cos"],
+                               "out_dir": str(tmp_path / "o")}))
+    tracer = traced.Tracer("contract")
+    try:
+        tracer.install()
+        rc = tracer.call("cli.main", cli.main, ["thm2", "--config", str(cfg)])
+    finally:
+        restored = tracer.restore()
+    assert rc == 0
+    assert restored
+    assert tracer.summary()["spans"]["simulate.rng"]["calls"] == len(simulate._chunks(M))
+    assert tracer.counts["rng_draws"] == M * N

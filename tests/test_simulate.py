@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy import special
 
 from volfluct import kernels
 from volfluct.kernels import make_preset
@@ -64,6 +66,24 @@ def test_brownian_chunk_addressing():
     whole = sim.sample_brownian(9, g, 5).increments
     part = sim._increment_rows(5, g, 4, 7)
     np.testing.assert_array_equal(part, whole[4:7])
+
+
+@pytest.mark.parametrize("N,rows", [(13, [(0, 9), (4, 7), (5, 6), (3, 11)]),
+                                     (256, [(0, 3), (1, 4), (2, 2050)])])
+def test_increment_rows_follow_the_stated_rng_scheme(N, rows):
+    # the reproducibility statement, rebuilt from Philox's raw 64-bit words:
+    # draw k is ndtri((word_k >> 11) 2^-53 + 2^-54) sqrt(delta), and row m
+    # holds draws m N .. m N + N - 1; N = 13 puts chunk edges inside the
+    # 4-word counter blocks
+    g = TimeGrid(T=1.0, N=N)
+    seed = 2 ** 63 + 12345
+    for m0, m1 in rows:
+        words = np.random.Philox(key=seed).random_raw(m1 * N)[m0 * N:]
+        u = (words >> np.uint64(11)).astype(float) * 2.0 ** -53
+        want = special.ndtri(u + 2.0 ** -54) * math.sqrt(g.delta)
+        got = sim._increment_rows(seed, g, m0, m1)
+        assert got.shape == (m1 - m0, N)
+        np.testing.assert_array_equal(got, want.reshape(m1 - m0, N))
 
 
 def test_brownian_moments():
@@ -515,6 +535,36 @@ def test_driver_divergent_field_raises_without_warnings():
     c, x, D = _pipeline("multiplicative", g, 1e160)
     with pytest.raises(DivergenceError, match=r"^Z diverged at path 0, node 2$"):
         sim.coupled_terminal_samples(c, x, D, (0.5,), 300, 6, with_dzdy=True)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("name,params", [("multiplicative", {}),
+                                         ("fbm-trig", {"H": 0.7, "kappa": 0.9})])
+def test_driver_workspace_reuse_matches_whole_batch(name, params, threads):
+    # each worker reuses its dBt and X/Z buffers across chunks: the short
+    # last chunk (37 rows) reshapes them, and the second eps writes X where
+    # Z was; every observed column must still equal the whole-batch engines.
+    # More workers than cores and a short switch interval make a workspace
+    # shared between threads show.
+    g = TimeGrid(T=1.0, N=16)
+    c, x, D = _pipeline(name, g, 1.0, **params)
+    M, seed, sweep = 2 * sim._CHUNK_ROWS + 37, 97, (0.2, 0.1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = sim.coupled_terminal_samples(c, x, D, sweep, M, seed, observe=(8,),
+                                           threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    batch = sim.sample_brownian(M, g, seed)
+    X = {eps: sim.simulate_X(c, g, 1.0, eps, batch) for eps in sweep}
+    Y = sim.simulate_Y_euler(c, g, x, batch)
+    Z = sim.simulate_Z(c, g, x, Y, batch)
+    for j in (8, 16):
+        for eps in sweep:
+            np.testing.assert_array_equal(out["X"][eps][j], X[eps].values[:, j])
+        np.testing.assert_array_equal(out["Y"][j], Y.values[:, j])
+        np.testing.assert_array_equal(out["Z"][j], Z.values[:, j])
 
 
 def test_coupled_driver_thread_count_is_invisible():
