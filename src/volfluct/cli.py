@@ -32,7 +32,7 @@ from . import __version__
 from .deterministic import (DivergenceError, TimeGrid,
                             solve_deterministic_limit,
                             solve_derivative_field, variance_of_Y)
-from .kernels import (ConvergenceError, bounds_for, check_assumptions,
+from .kernels import (ConvergenceError, check_assumptions,
                       fbm_covariance, fbm_kernel_matrix, fbm_kernel_params,
                       kernel_l2_mass, make_preset, variance_lower_bound_const)
 from .simulate import coupled_terminal_samples, increment_chunks
@@ -280,12 +280,9 @@ def run_limit(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     lo = min(float(x.values.min()), cfg.x0) - 1.0
     hi = max(float(x.values.max()), cfg.x0) + 1.0
     probe = np.linspace(lo, hi, 33)
-    report = check_assumptions(coeff, bounds_for(coeff, grid), grid, probe)
+    report = check_assumptions(coeff, grid, probe)
     failures.extend("assumption check: %s bound violated at t=%.6g, s=%.6g, x=%.6g"
                     % v for v in report.violations)
-    if not report.ok and not report.violations:
-        failures.append("assumption check: integrability budget exceeded by %.3g"
-                        % -report.integrability_margin)
     if not np.all(np.isfinite(var.values)):
         failures.append("variance path contains non-finite values")
     return failures
@@ -452,6 +449,9 @@ def run_thm2(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
 
 def run_kernel_check(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     """fBm kernel mass identity, synthesized covariance, variance bound"""
+    unknown = sorted(set(cfg.params) - {"sigma0"})
+    _require(not unknown, "params: kernel-check takes only sigma0, got %s"
+             % ", ".join(unknown))
     grid = TimeGrid(T=cfg.T, N=cfg.N)
     sigma0 = float(cfg.params.get("sigma0", 1.0))
     rows: List[list] = []

@@ -173,10 +173,10 @@ def solve_deterministic_limit(c: CoefficientSet, grid: TimeGrid, x0: float) -> L
     sum telescopes with X's update order, so a zero-diffusion simulation
     reproduces this path bit for bit.
     """
-    K, g = c.on_grid(grid)
+    K = c.on_grid(grid)
     t, s, d = grid.nodes, grid.midpoints, grid.delta
     V = _solve("limit path", grid, K, float(x0), np.zeros((grid.N, 1)),
-               lambda i, xi, _: (g.b(t[i + 1], s[i], xi) * d, 0.0))
+               lambda i, xi, _: (c.b(t[i + 1], s[i], xi) * d, 0.0))
     return LimitPath(values=V[0], grid=grid)
 
 
@@ -193,10 +193,10 @@ def solve_derivative_field(c: CoefficientSet, grid: TimeGrid, x: LimitPath) -> D
     if x.grid != grid:
         raise ValueError("limit path was solved on a different grid")
     d = grid.delta
-    K, g = c.on_grid(grid)
+    K = c.on_grid(grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        bp = _on_path(g.db, grid, x.values)
-        sg = _on_path(g.sigma, grid, x.values)
+        bp = _on_path(c.db, grid, x.values)
+        sg = _on_path(c.sigma, grid, x.values)
         seed = sg if K is None else np.diagonal(K, 1) * sg
         kick = d * (seed * bp)
 

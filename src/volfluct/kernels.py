@@ -1,8 +1,8 @@
 """Coefficient presets and the fractional Brownian motion Volterra kernel.
 
-The processes studied here are driven by two-time coefficient kernels
-b(t, s, x) and sigma(t, s, x) together with their partial derivatives in
-the state x.  This module supplies
+The processes studied here have separable coefficients
+b(t, s, x) = k(t, s) g_b(x) and sigma(t, s, x) = k(t, s) g_sigma(x): a
+Volterra kernel k times state functions g.  This module supplies
 
 * ``FbmKernelParams`` / ``eval_fbm_kernel``: the kernel K_H mapping a
   standard Brownian motion to fractional Brownian motion with Hurst
@@ -12,18 +12,20 @@ the state x.  This module supplies
   and ``scipy.linalg``) on first use, so ``limit``, ``rate-scan`` and
   ``thm2`` never load it,
 * ``CoefficientSet`` presets spanning trivial, closed-form and fractional
-  test equations; the fractional ones are separable, K_H(t, s) g(x), and
-  evaluate K_H once per grid into a memoized kernel matrix, and
+  test equations, each declared once: g, its x-derivatives and envelope
+  scales, plus for the fractional ones k = K_H, evaluated once per grid
+  into a memoized kernel matrix, and
 * ``check_assumptions``: advisory spot checks of the linear-growth and
   derivative bounds required by the limit theory.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import special
@@ -219,14 +221,15 @@ _COEFF_FIELDS = ("b", "sigma", "db", "dsigma", "d2b", "d2sigma")
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Drift/diffusion kernels b(t, s, x), sigma(t, s, x) and x-derivatives.
+    """Separable coefficients b = k(t, s) g_b(x), sigma = k(t, s) g_sigma(x).
 
-    All callables broadcast over numpy inputs and serve pointwise use.  A
-    separable preset k(t, s) g(x) also carries ``kernel``, mapping a grid
-    to the matrix K[i, j] = k(t_j, theta_i*) (zero for i >= j), and
-    ``state``, the preset of its state functions g (``None``: the set's
-    own callables).  On a grid the solvers and engines evaluate K times g;
-    presets without a kernel ignore (t, s), and the same engines telescope.
+    The six callables are the state functions g and their x-derivatives;
+    they broadcast over numpy x and take (t, s, x) but ignore t and s.
+    ``bounds = (k1, k2, k3)`` are the envelope scales of g:
+    |g_b| + |g_sigma| <= k1 (1 + |x|), |g_b'| + |g_sigma'| <= k2 and
+    |g_b''| + |g_sigma''| <= k3.  ``kernel`` maps a grid to the matrix
+    K[i, j] = k(t_j, theta_i*) (zero for i >= j); ``None`` means k = 1,
+    and the engines then telescope.
     """
 
     name: str
@@ -236,16 +239,12 @@ class CoefficientSet:
     dsigma: Callable
     d2b: Callable
     d2sigma: Callable
-    params: Dict[str, float] = field(default_factory=dict)
+    bounds: Tuple[float, float, float]
     kernel: Optional[Callable] = None
-    state: Optional["CoefficientSet"] = None
 
-    def on_grid(self, grid):
-        """(K, g): the kernel matrix on ``grid`` (None when k = 1) and the
-        set whose callables are the state functions g."""
-        if self.kernel is None:
-            return None, self
-        return self.kernel(grid), (self if self.state is None else self.state)
+    def on_grid(self, grid) -> Optional[np.ndarray]:
+        """The kernel matrix on ``grid``; None when k = 1."""
+        return None if self.kernel is None else self.kernel(grid)
 
 
 def _zero_coeff(t, s, x):
@@ -254,18 +253,6 @@ def _zero_coeff(t, s, x):
 
 def _unit_coeff(t, s, x):
     return np.ones(np.shape(x))
-
-
-def _fbm_separable(name: str, g: CoefficientSet, H: float, params) -> CoefficientSet:
-    """K_H(t, s) g(x): pointwise products plus the memoized grid matrix."""
-    p = fbm_kernel_params(H)
-
-    def times_kernel(f):
-        return lambda t, s, x: eval_fbm_kernel(p, t, s) * np.asarray(f(t, s, x), dtype=float)
-
-    return CoefficientSet(name, *(times_kernel(getattr(g, f)) for f in _COEFF_FIELDS),
-                          params=params, kernel=functools.partial(_fbm_matrix, H),
-                          state=g)
 
 
 def make_preset(name: str, **params) -> CoefficientSet:
@@ -288,7 +275,7 @@ def make_preset(name: str, **params) -> CoefficientSet:
 
     if name == "additive-unit":
         cs = CoefficientSet(name, _zero_coeff, _unit_coeff, _zero_coeff,
-                            _zero_coeff, _zero_coeff, _zero_coeff, params={})
+                            _zero_coeff, _zero_coeff, _zero_coeff, bounds=(1.0, 0.0, 0.0))
     elif name == "multiplicative":
         cs = CoefficientSet(
             name,
@@ -298,7 +285,7 @@ def make_preset(name: str, **params) -> CoefficientSet:
             dsigma=_unit_coeff,
             d2b=_zero_coeff,
             d2sigma=_zero_coeff,
-            params={},
+            bounds=(1.0, 1.0, 0.0),
         )
     elif name == "linear-growth":
         a = take("a", 1.0)
@@ -310,10 +297,11 @@ def make_preset(name: str, **params) -> CoefficientSet:
             dsigma=_zero_coeff,
             d2b=_zero_coeff,
             d2sigma=_zero_coeff,
-            params={"a": a},
+            bounds=(max(abs(a), 1.0), abs(a), 0.0),
         )
     elif name == "trig":
         kappa = take("kappa", 1.0)
+        k = math.sqrt(2.0) * abs(kappa)
         cs = CoefficientSet(
             name,
             b=lambda t, s, x: kappa * np.sin(x),
@@ -322,100 +310,30 @@ def make_preset(name: str, **params) -> CoefficientSet:
             dsigma=lambda t, s, x: -kappa * np.sin(x),
             d2b=lambda t, s, x: -kappa * np.sin(x),
             d2sigma=lambda t, s, x: -kappa * np.cos(x),
-            params={"kappa": kappa},
+            bounds=(k, k, k),
         )
-    else:  # fbm-additive, fbm-trig
+    else:  # fbm-additive, fbm-trig: K_H(t, s) times a state preset g
         if "H" not in params:
             raise ValueError("preset %r requires H" % name)
         H = take("H", None)
+        fbm_kernel_params(H)  # validates H
         if name == "fbm-additive":
             sigma0 = take("sigma0", 1.0)
-            g = CoefficientSet("additive", _zero_coeff,
+            g = CoefficientSet(name, _zero_coeff,
                                lambda t, s, x: np.full(np.shape(x), sigma0),
                                _zero_coeff, _zero_coeff, _zero_coeff, _zero_coeff,
-                               params={"sigma0": sigma0})
+                               bounds=(abs(sigma0), 0.0, 0.0))
         else:
             g = make_preset("trig", kappa=take("kappa", 1.0))
-        cs = _fbm_separable(name, g, H, dict(g.params, H=H))
+        cs = dataclasses.replace(g, name=name, kernel=functools.partial(_fbm_matrix, H))
     if params:
         raise ValueError("unknown parameters for preset %r: %s" % (name, sorted(params)))
     return cs
 
 
 # ---------------------------------------------------------------------------
-# Assumption bounds and the advisory checker
+# The advisory assumption checker
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AssumptionBounds:
-    """Scales k1, k2, k3 >= 0 of the envelopes k W, with exponents alpha,
-    beta, gamma > 1 and budget L > 0 such that, along the grid,
-
-        sup_t int_0^t ((k1 W)^(2 alpha) + (k2 W)^(2 beta)) ds <= L,
-        sup_t int_0^t (k3 W)^(2 gamma) ds <= L.
-
-    W(t, s) is the preset's kernel, and 1 for presets without one.
-    """
-
-    k1: float
-    k2: float
-    k3: float
-    alpha: float
-    beta: float
-    gamma: float
-    L: float
-
-
-def _fbm_exponent(H: float) -> float:
-    # K_H^(2 alpha) stays integrable iff alpha < 1 / |2H - 1|
-    gap = abs(2.0 * H - 1.0)
-    if gap <= 2.0 * _H_BROWNIAN_TOL:
-        return 1.5
-    amax = 1.0 / gap
-    return 1.5 if amax >= 2.0 else 0.5 * (1.0 + amax)
-
-
-def _envelopes_on_grid(c: CoefficientSet, scales, grid) -> List[np.ndarray]:
-    """k W[i, j] for each scale k, with W[i, j] = W(t_j, theta_i*) for
-    i < j and zero elsewhere."""
-    W = c.on_grid(grid)[0]
-    if W is None:
-        W = np.triu(np.ones((grid.N, grid.N + 1)), 1)
-    return [k * W for k in scales]
-
-
-def _budget_sup(envelopes, exponents, grid) -> float:
-    """max(sup_t int (k1^(2 alpha) + k2^(2 beta)), sup_t int k3^(2 gamma))."""
-    sups = [float(np.max(np.sum(E ** (2.0 * a), axis=0)) * grid.delta)
-            for E, a in zip(envelopes, exponents)]
-    return max(sups[0] + sups[1], sups[2])
-
-
-def bounds_for(c: CoefficientSet, grid) -> AssumptionBounds:
-    """Declared envelopes for a built-in preset, with L fitted on the grid."""
-    name = c.name
-    if name == "additive-unit":
-        k1, k2, k3 = 1.0, 0.0, 0.0
-    elif name == "multiplicative":
-        k1, k2, k3 = 1.0, 1.0, 0.0
-    elif name == "linear-growth":
-        a = abs(c.params["a"])
-        k1, k2, k3 = max(a, 1.0), a, 0.0
-    elif name in ("trig", "fbm-trig"):
-        k1 = k2 = k3 = math.sqrt(2.0) * abs(c.params["kappa"])
-    elif name == "fbm-additive":
-        k1, k2, k3 = c.params["sigma0"], 0.0, 0.0
-    else:  # pragma: no cover - make_preset guards the name set
-        raise ValueError("no declared bounds for preset %r" % name)
-    alpha = beta = gamma = (_fbm_exponent(c.params["H"]) if "H" in c.params
-                            else 1.5)
-
-    sup = _budget_sup(_envelopes_on_grid(c, (k1, k2, k3), grid),
-                      (alpha, beta, gamma), grid)
-    L = 1.05 * max(sup, 1e-9)
-    return AssumptionBounds(k1=k1, k2=k2, k3=k3, alpha=alpha, beta=beta,
-                            gamma=gamma, L=L)
 
 
 @dataclass
@@ -425,15 +343,16 @@ class AssumptionReport:
     checked: int
     violations: List[Tuple[str, float, float, float]]
     growth_margin: float
-    integrability_margin: float
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
-def check_assumptions(c: CoefficientSet, bounds: AssumptionBounds, grid,
-                      probe_xs: Sequence[float]) -> AssumptionReport:
-    """Spot-check |b| + |sigma| <= k1 (1 + |x|), |b'| + |sigma'| <= k2,
-    |b''| + |sigma''| <= k3 on sampled (t, s, x) triples, plus the
-    integrability budget.  Purely advisory.
+def check_assumptions(c: CoefficientSet, grid, probe_xs: Sequence[float]) -> AssumptionReport:
+    """Spot-check the coefficients k g against the envelopes k1 W (1 + |x|),
+    k2 W and k3 W of ``c.bounds``, with W = K on the grid (1 without a
+    kernel), on sampled (t, s, x) triples.  Purely advisory.
     """
     probe_xs = list(probe_xs)
     if not probe_xs:
@@ -442,8 +361,8 @@ def check_assumptions(c: CoefficientSet, bounds: AssumptionBounds, grid,
     mids = grid.midpoints
     t_stride = max(1, grid.N // 16)
     slack = 1e-9
-    K, g = c.on_grid(grid)
-    caps = _envelopes_on_grid(c, (bounds.k1, bounds.k2, bounds.k3), grid)
+    K = c.on_grid(grid)
+    k1, k2, k3 = c.bounds
 
     checked = 0
     violations: List[Tuple[str, float, float, float]] = []
@@ -452,28 +371,21 @@ def check_assumptions(c: CoefficientSet, bounds: AssumptionBounds, grid,
         t = nodes[j]
         rows = np.arange(j)[:: max(1, j // 16)]
         ss = mids[rows]
-        kcol = 1.0 if K is None else K[rows, j]
+        w = 1.0 if K is None else K[rows, j]
         for x in probe_xs:
             xv = np.full(ss.shape, float(x))
-            v = {f: np.abs(kcol * np.asarray(getattr(g, f)(t, ss, xv), dtype=float))
+            v = {f: np.abs(w * np.asarray(getattr(c, f)(t, ss, xv), dtype=float))
                  for f in _COEFF_FIELDS}
             growth = v["b"] + v["sigma"]
-            cap1 = caps[0][rows, j] * (1.0 + abs(x))
+            cap1 = k1 * w * (1.0 + abs(x))
             checked += 3 * ss.size
             for kind, val, cap in (("growth", growth, cap1),
-                                   ("first-derivative", v["db"] + v["dsigma"],
-                                    caps[1][rows, j]),
-                                   ("second-derivative", v["d2b"] + v["d2sigma"],
-                                    caps[2][rows, j])):
+                                   ("first-derivative", v["db"] + v["dsigma"], k2 * w),
+                                   ("second-derivative", v["d2b"] + v["d2sigma"], k3 * w)):
                 bad = val > cap * (1.0 + slack) + 1e-12
                 if np.any(bad):
                     i = int(np.argmax(bad))
                     violations.append((kind, float(t), float(ss[i]), float(x)))
             growth_margin = min(growth_margin, float(np.min(cap1 - growth)))
-
-    sup = _budget_sup(caps, (bounds.alpha, bounds.beta, bounds.gamma), grid)
-    integrability_margin = float(bounds.L - sup)
-    ok = not violations and integrability_margin >= 0.0
     return AssumptionReport(checked=checked, violations=violations,
-                            growth_margin=growth_margin,
-                            integrability_margin=integrability_margin, ok=ok)
+                            growth_margin=growth_margin)

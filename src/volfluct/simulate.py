@@ -31,13 +31,12 @@ The whole-batch calls run the same engines on one increment batch:
 Every entry point runs X, Y and Z on the time-major Volterra engine of
 ``deterministic``, which also solves x and D: g is evaluated once per
 path and step, and the Volterra convolution is resummed as one mat-vec
-against a column of the kernel matrix K[i, j] = k(t_j, s_i*) of a
-separable preset k(t, s) g(x).  State-only presets (coefficients that
-ignore (t, s), k = 1) have no kernel matrix, and the same engine
-telescopes the sum into an O(N) recursion.  The engines read time-major
-(N, M) increments; each whole-batch call transposes its batch once.  DZ
-follows from a closed form.  Each finished array is scanned once for
-non-finite values.
+against a column of the kernel matrix K[i, j] = k(t_j, s_i*) of the
+preset's coefficients k(t, s) g(x).  State-only presets (k = 1) have no
+kernel matrix, and the same engine telescopes the sum into an O(N)
+recursion.  The engines read time-major (N, M) increments; each
+whole-batch call transposes its batch once.  DZ follows from a closed
+form.  Each finished array is scanned once for non-finite values.
 """
 
 from __future__ import annotations
@@ -143,27 +142,27 @@ def sample_brownian(M: int, grid: TimeGrid, seed: int) -> BrownianBatch:
 
 
 def _x(c, grid, x0, eps, dBt, out=None):
-    K, g = c.on_grid(grid)
+    K = c.on_grid(grid)
     t, s, d = grid.nodes, grid.midpoints, grid.delta
-    return _volterra(K, x0, dBt, lambda i, Xi, dBi: (g.b(t[i + 1], s[i], Xi) * d,
-                                                     eps * g.sigma(t[i + 1], s[i], Xi) * dBi),
+    return _volterra(K, x0, dBt, lambda i, Xi, dBi: (c.b(t[i + 1], s[i], Xi) * d,
+                                                     eps * c.sigma(t[i + 1], s[i], Xi) * dBi),
                      out)
 
 
 def _y(c, grid, xv, dBt, out=None):
-    K, g = c.on_grid(grid)
+    K = c.on_grid(grid)
     d = grid.delta
-    bp = _on_path(g.db, grid, xv)
-    sg = _on_path(g.sigma, grid, xv)
+    bp = _on_path(c.db, grid, xv)
+    sg = _on_path(c.sigma, grid, xv)
     return _volterra(K, 0.0, dBt, lambda i, Yi, dBi: (bp[i] * Yi * d, sg[i] * dBi), out)
 
 
 def _z(c, grid, xv, Yv, dBt, out=None):
-    K, g = c.on_grid(grid)
+    K = c.on_grid(grid)
     d = grid.delta
-    bp = _on_path(g.db, grid, xv)
-    bpp = _on_path(g.d2b, grid, xv)
-    sp2 = 2.0 * _on_path(g.dsigma, grid, xv)
+    bp = _on_path(c.db, grid, xv)
+    bpp = _on_path(c.d2b, grid, xv)
+    sp2 = 2.0 * _on_path(c.dsigma, grid, xv)
     Yt = np.ascontiguousarray(Yv.T)
     return _volterra(K, 0.0, dBt, lambda i, Zi, dBi: ((bp[i] * Zi + bpp[i] * Yt[i] ** 2) * d,
                                                       sp2[i] * Yt[i] * dBi),
@@ -180,8 +179,8 @@ def _dz_operator(c, grid, xv, Dmat):
     sigma'_k, b''_k, the S-weight ``lead``, the resolvent weight w and the
     upper triangle of D[:, :N] (diagonal seed included)."""
     N, d = grid.N, grid.delta
-    K, g = c.on_grid(grid)
-    bp = _on_path(g.db, grid, xv)
+    K = c.on_grid(grid)
+    bp = _on_path(c.db, grid, xv)
     if K is None:
         G = np.empty(N + 1)
         G[N] = 1.0
@@ -196,7 +195,7 @@ def _dz_operator(c, grid, xv, Dmat):
             w[k] = K[k, k + 1:] @ r[k + 1:]
             r[k] = d * bp[k] * w[k]
         lead = r[:N] * np.diagonal(K, 1) + w
-    return (_on_path(g.dsigma, grid, xv), _on_path(g.d2b, grid, xv), lead, w,
+    return (_on_path(c.dsigma, grid, xv), _on_path(c.d2b, grid, xv), lead, w,
             np.triu(Dmat[:, :N]))
 
 

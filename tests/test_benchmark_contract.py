@@ -74,3 +74,24 @@ def test_tracer_runs_a_thm2_invocation(harness, tmp_path, monkeypatch):
     assert restored
     assert tracer.summary()["spans"]["simulate.rng"]["calls"] == len(simulate._chunks(M))
     assert tracer.counts["rng_draws"] == M * N
+
+
+def test_tracer_counts_fbm_coefficient_calls(harness, tmp_path, monkeypatch):
+    # the engines evaluate an fBm preset through the six callables the
+    # tracer wraps, so kernels.coeff_calls measures fBm coefficient work too
+    _, traced = harness
+    from volfluct import cli
+    monkeypatch.setenv("VF_THREADS", "1")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "fbm-trig", "H": 0.7, "N": 16, "M": 200,
+                               "epsilons": [0.1], "test_functions": ["cos"],
+                               "out_dir": str(tmp_path / "o")}))
+    tracer = traced.Tracer("contract")
+    try:
+        tracer.install()
+        rc = tracer.call("cli.main", cli.main, ["thm2", "--config", str(cfg)])
+    finally:
+        restored = tracer.restore()
+    assert rc == 0
+    assert restored
+    assert tracer.counts["coeff_calls"] > 0

@@ -66,17 +66,11 @@ def test_limit_fbm_variance(tmp_path):
     assert abs(float(var[-1]["var_y"]) - 1.0) < 2e-2
 
 
-def _stub_assumptions(monkeypatch, violations, integrability_margin):
-    report = AssumptionReport(
-        checked=1, violations=violations, growth_margin=0.0,
-        integrability_margin=integrability_margin,
-        ok=not violations and integrability_margin >= 0.0)
-    monkeypatch.setattr(cli, "check_assumptions", lambda *args: report)
-
-
 def test_limit_assumption_violation_fails_assert(tmp_path, capsys,
                                                  monkeypatch):
-    _stub_assumptions(monkeypatch, [("growth", 0.5, 0.25, 1.0)], 0.1)
+    report = AssumptionReport(checked=1, violations=[("growth", 0.5, 0.25, 1.0)],
+                              growth_margin=0.0)
+    monkeypatch.setattr(cli, "check_assumptions", lambda *args: report)
     cfg = _cfg(tmp_path, preset="trig", N=16)
     out = str(tmp_path / "o")
     assert _run(["limit", "--config", cfg, "--out", out]) == 0
@@ -87,14 +81,12 @@ def test_limit_assumption_violation_fails_assert(tmp_path, capsys,
     assert "Traceback" not in err
 
 
-def test_limit_integrability_budget_alone_fails_assert(tmp_path, capsys,
-                                                       monkeypatch):
-    _stub_assumptions(monkeypatch, [], -0.25)
-    cfg = _cfg(tmp_path, preset="trig", N=16)
+def test_limit_negative_sigma0_passes_assert(tmp_path, capsys):
+    # the envelope scale is |sigma0|: a negative sign is no violation
+    cfg = _cfg(tmp_path, preset="fbm-additive", H=0.1, N=64, params={"sigma0": -2.0})
     assert _run(["limit", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--assert"]) == 4
-    assert ("assert failed: assumption check: integrability budget "
-            "exceeded by 0.25") in capsys.readouterr().err
+                 "--assert"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_limit_rerun_is_byte_identical(tmp_path):
@@ -448,6 +440,14 @@ def test_kernel_check_rough_and_smooth(tmp_path):
     margins = [r for r in rows if r["kind"] == "varmargin"]
     assert [float(r["H"]) for r in margins] == [0.7]
     assert float(margins[0]["value"]) >= 0.0
+
+
+def test_kernel_check_rejects_params_other_than_sigma0(tmp_path, capsys):
+    # a misspelled sigma0 would otherwise run silently as sigma0 = 1
+    cfg = _cfg(tmp_path, N=16, M=200, H_list=[0.7], params={"sigmo0": 2.0})
+    assert _run(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: params: kernel-check takes only sigma0, got sigmo0\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -15,12 +17,12 @@ from volfluct import kernels as K
 def test_kernel_matrix_memo_is_shared_and_read_only():
     grid = TimeGrid(T=1.0, N=16)
     c = K.make_preset("fbm-trig", H=0.7)
-    Km, g = c.on_grid(grid)
-    assert Km is K.make_preset("fbm-additive", H=0.7).on_grid(grid)[0]
-    assert g.name == "trig" and not Km.flags.writeable
+    Km = c.on_grid(grid)
+    assert Km is K.make_preset("fbm-additive", H=0.7).on_grid(grid)
+    assert not Km.flags.writeable
     np.testing.assert_array_equal(
         Km, K.fbm_kernel_matrix(K.fbm_kernel_params(0.7), grid))
-    assert K.make_preset("trig").on_grid(grid)[0] is None
+    assert K.make_preset("trig").on_grid(grid) is None
 
 
 def test_fbm_params_validation():
@@ -245,11 +247,17 @@ def test_preset_values():
     assert float(mul.sigma(1.0, 0.5, -3.0)) == -3.0
     assert float(mul.dsigma(1.0, 0.5, -3.0)) == 1.0
     assert mul.kernel is None
-    fbm = K.make_preset("fbm-additive", H=0.7, sigma0=2.0)
-    assert fbm.kernel is not None
-    p = K.fbm_kernel_params(0.7)
-    assert float(fbm.sigma(1.0, 0.5, 0.0)) == pytest.approx(
-        2.0 * K.eval_fbm_kernel(p, 1.0, 0.5), rel=1e-12)
+    # an fBm preset is its state preset g with the kernel K_H attached
+    fbm = K.make_preset("fbm-additive", H=0.7, sigma0=-2.0)
+    assert fbm.kernel is not None and fbm.bounds == (2.0, 0.0, 0.0)
+    assert float(fbm.sigma(1.0, 0.5, 0.0)) == -2.0
+    trig = K.make_preset("trig", kappa=0.9)
+    fbm_trig = K.make_preset("fbm-trig", H=0.7, kappa=0.9)
+    assert fbm_trig.name == "fbm-trig" and fbm_trig.bounds == trig.bounds
+    xs = np.array([-1.0, 0.3, 2.0])
+    for f in K._COEFF_FIELDS:
+        np.testing.assert_array_equal(getattr(fbm_trig, f)(1.0, 0.5, xs),
+                                      getattr(trig, f)(1.0, 0.5, xs))
 
 
 def test_removed_alias_preset_is_rejected():
@@ -280,23 +288,31 @@ def test_preset_derivatives_match_finite_differences(name, params):
         assert np.all(np.abs(fd - supplied) <= 1e-6 * scale), name
 
 
-def test_check_assumptions_clean_presets():
+_DEFAULT_PRESETS = [(name, {"H": 0.7} if name.startswith("fbm") else {})
+                    for name in K._KNOWN_PRESETS]
+
+
+@pytest.mark.parametrize("name,params", _DEFAULT_PRESETS + [
+    ("linear-growth", {"a": -2.5}),
+    ("trig", {"kappa": -1.3}),
+    ("fbm-trig", {"H": 0.1, "kappa": -1.3}),
+    ("fbm-additive", {"H": 0.1, "sigma0": -2.0}),
+    ("fbm-additive", {"H": 0.7, "sigma0": -2.0}),
+])
+def test_check_assumptions_clean_presets(name, params):
     grid = TimeGrid(T=1.0, N=64)
     probe = np.linspace(-3.0, 3.0, 13)
-    for name in ("additive-unit", "multiplicative", "trig", "linear-growth"):
-        c = K.make_preset(name)
-        rep = K.check_assumptions(c, K.bounds_for(c, grid), grid, probe)
-        assert rep.ok, (name, rep.violations)
-        assert rep.checked > 0
-        assert rep.growth_margin >= 0.0
-        assert rep.integrability_margin >= 0.0
+    rep = K.check_assumptions(K.make_preset(name, **params), grid, probe)
+    assert rep.ok, (name, rep.violations)
+    assert rep.checked > 0
+    assert rep.growth_margin >= 0.0
 
 
 def test_check_assumptions_fbm():
     grid = TimeGrid(T=1.0, N=64)
     probe = np.linspace(-2.0, 2.0, 7)
     c = K.make_preset("fbm-additive", H=0.7)
-    rep = K.check_assumptions(c, K.bounds_for(c, grid), grid, probe)
+    rep = K.check_assumptions(c, grid, probe)
     assert rep.ok, rep.violations
 
 
@@ -305,9 +321,8 @@ def test_check_assumptions_detects_violation():
     probe = np.linspace(-5.0, 5.0, 9)
     c = K.make_preset("trig", kappa=2.0)
     # an envelope that is deliberately too small for kappa = 2
-    bad = K.AssumptionBounds(k1=0.5, k2=0.5, k3=0.5,
-                             alpha=1.5, beta=1.5, gamma=1.5, L=10.0)
-    rep = K.check_assumptions(c, bad, grid, probe)
+    bad = dataclasses.replace(c, bounds=(0.5, 0.5, 0.5))
+    rep = K.check_assumptions(bad, grid, probe)
     assert not rep.ok
     assert rep.violations
 
@@ -316,4 +331,4 @@ def test_check_assumptions_empty_probe():
     grid = TimeGrid(T=1.0, N=16)
     c = K.make_preset("trig")
     with pytest.raises(ValueError):
-        K.check_assumptions(c, K.bounds_for(c, grid), grid, np.array([]))
+        K.check_assumptions(c, grid, np.array([]))

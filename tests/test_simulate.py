@@ -345,12 +345,14 @@ def test_engines_agree_when_kernel_path_is_forced():
     np.testing.assert_allclose(Da, Db, rtol=0, atol=1e-12)
 
 
-def _volterra_oracle(c, g, x0, eps, dB):
-    """The defining Volterra sums, evaluated pointwise through the preset's
-    (t, s, x) callables: limit x, field D, X, Y, Z and the DZ rows."""
+def _volterra_oracle(c, H, g, x0, eps, dB):
+    """The defining Volterra sums, evaluated pointwise as K_H(t, s) times the
+    preset's state callables: limit x, field D, X, Y, Z and the DZ rows."""
     M, N = dB.shape
     t, s, d = g.nodes, g.midpoints, g.delta
-    f = {name: (lambda fn: lambda j, i, v: np.asarray(fn(t[j], s[i], v), dtype=float))(
+    p = kernels.fbm_kernel_params(H)
+    f = {name: (lambda fn: lambda j, i, v: kernels.eval_fbm_kernel(p, t[j], s[i])
+                * np.asarray(fn(t[j], s[i], v), dtype=float))(
         getattr(c, name)) for name in ("b", "sigma", "db", "dsigma", "d2b")}
     x = np.full(N + 1, float(x0))
     D = np.zeros((N, N + 1))
@@ -396,7 +398,7 @@ def test_kernel_engines_match_pointwise_oracle(name, params):
     x0, eps, M, seed = 1.0, 0.2, 5, 91
     c, x, D = _pipeline(name, g, x0, **params)
     batch = sim.sample_brownian(M, g, seed)
-    ox, oD, oX, oY, oZ, oDZ = _volterra_oracle(c, g, x0, eps, batch.increments)
+    ox, oD, oX, oY, oZ, oDZ = _volterra_oracle(c, params["H"], g, x0, eps, batch.increments)
     tol = dict(rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(x.values, ox, **tol)
     np.testing.assert_allclose(D.D, oD, **tol)
