@@ -252,6 +252,15 @@ def _write_manifest(cfg: ExperimentConfig, command: str) -> None:
         raise ConfigError("out_dir: %s" % exc) from exc
 
 
+def _make_out_dir(cfg: ExperimentConfig) -> None:
+    """Create out_dir; each runner calls it once its own config checks have
+    passed, so a rejected config leaves no directory behind."""
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out_dir: %s" % exc) from exc
+
+
 def _prepare(cfg: ExperimentConfig):
     coeff = _coefficients(cfg)
     grid = TimeGrid(T=cfg.T, N=cfg.N)
@@ -270,6 +279,7 @@ def _prepare(cfg: ExperimentConfig):
 def run_limit(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     """deterministic limit path and fluctuation variance"""
     coeff, grid, x, D, var = _prepare(cfg)
+    _make_out_dir(cfg)
     _write_csv(cfg.out_dir, "limit.csv", ("t", "x"),
                list(zip(grid.nodes, x.values)))
     _write_csv(cfg.out_dir, "variance.csv", ("t", "var_y"),
@@ -293,6 +303,7 @@ def run_rate_scan(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     _require(len(cfg.epsilons) >= 3, "epsilons: rate scan needs at least 3")
     coeff, grid, x, D, var = _prepare(cfg)
     obs = _observe_nodes(cfg, grid)
+    _make_out_dir(cfg)
     N = grid.N
 
     dist_rows: List[list] = []
@@ -389,6 +400,7 @@ def run_thm2(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     """two-sided weak-expansion check at each (epsilon, test function)"""
     _require(len(cfg.test_functions) >= 1, "test_functions: must be non-empty")
     coeff, grid, x, D, var = _prepare(cfg)
+    _make_out_dir(cfg)
     N = grid.N
     varY = float(var.values[N])
 
@@ -459,6 +471,7 @@ def run_kernel_check(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
 
     pair_nodes = [( _snap_node(t, grid, "cov_pairs"),
                     _snap_node(s, grid, "cov_pairs")) for t, s in cfg.cov_pairs]
+    _make_out_dir(cfg)
 
     for H in cfg.H_list:
         p = fbm_kernel_params(H)
@@ -553,10 +566,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(args.config, out_override=args.out,
                           seed_override=args.seed)
         threads = _threads_from_env()
-        try:
-            os.makedirs(cfg.out_dir, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError("out_dir: %s" % exc) from exc
         failures = _RUNNERS[args.command](cfg, threads=threads)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -110,34 +110,48 @@ def _on_path(f, grid: TimeGrid, xv: np.ndarray) -> np.ndarray:
 
 
 def _volterra(K: Optional[np.ndarray], base: float, dBt: np.ndarray,
-              step, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """V_j = base + sum_{i<j} K[i, j] (drift_i + noise_i), built time-major.
+              step) -> Iterator[np.ndarray]:
+    """Yield V_j = base + sum_{i<j} K[i, j] (drift_i + noise_i), j = 0..N,
+    one (M,) time-major row per node.
 
     ``dBt`` is the (N, M) time-major increment block, row i the step-i
     increments of every path.  ``step(i, V_i, dB_i)`` returns the (M,)
     drift and noise of cell i.  Without a kernel (K is None, k = 1) the
-    sum telescopes, V_j = V_{j-1} + drift + noise; with one, each node is
+    sum telescopes, V_j = V_{j-1} + drift + noise, in one row updated in
+    place, so a non-finite value persists to V_N; with one, each node is
     one mat-vec of a contiguous kernel row against the cell increments so
-    far.  The paths are written into ``out``, a C-contiguous (N+1, M)
-    buffer, when one is given.  Returns the (M, N+1) path-major view.
+    far, and a non-finite V_j need not reach later nodes.  Each yielded row
+    is overwritten by the next, so a caller copies the nodes it keeps.
     """
     N, M = dBt.shape
-    V = np.empty((N + 1, M)) if out is None else out
-    V[0] = base
+    V = np.empty(M)
+    V[...] = base
+    yield V
     if K is None:
-        for j in range(1, N + 1):
-            drift, noise = step(j - 1, V[j - 1], dBt[j - 1])
-            np.add(V[j - 1], drift, out=V[j])
-            V[j] += noise
-        return V.T
+        for i in range(N):
+            drift, noise = step(i, V, dBt[i])
+            V += drift
+            V += noise
+            yield V
+        return
     Kt = np.ascontiguousarray(K.T)
     F = np.empty((N, M))
-    for j in range(1, N + 1):
-        drift, noise = step(j - 1, V[j - 1], dBt[j - 1])
-        np.add(drift, noise, out=F[j - 1])
-        np.dot(Kt[j, :j], F[:j], out=V[j])
+    for i in range(N):
+        drift, noise = step(i, V, dBt[i])
+        np.add(drift, noise, out=F[i])
+        np.dot(Kt[i + 1, :i + 1], F[:i + 1], out=V)
         if base:
-            V[j] += base
+            V += base
+        yield V
+
+
+def _paths(rows: Iterator[np.ndarray], shape: Tuple[int, int]) -> np.ndarray:
+    """Every node of an engine run on (N, M) increments: the (M, N+1)
+    path-major view of a C-contiguous (N+1, M) array."""
+    N, M = shape
+    V = np.empty((N + 1, M))
+    for j, Vj in enumerate(rows):
+        V[j] = Vj
     return V.T
 
 
@@ -155,7 +169,7 @@ def _first_nonfinite(V: np.ndarray) -> Optional[Tuple[int, int]]:
 def _solve(what: str, grid: TimeGrid, K, base: float, dBt, step) -> np.ndarray:
     """One engine run; a non-finite value raises at its first node."""
     with np.errstate(over="ignore", invalid="ignore"):
-        V = _volterra(K, base, dBt, step)
+        V = _paths(_volterra(K, base, dBt, step), dBt.shape)
     bad = _first_nonfinite(V)
     if bad:
         j = bad[0]

@@ -9,16 +9,18 @@ run's deterministic limit x and derivative field D, streams M paths in
 fixed 2048-row chunks over the whole eps sweep, and returns X, the
 fluctuation X-tilde = (X_eps - x) / eps, the Gaussian limit Y, the
 second-order correction Z and the terminal Malliavin pairing of DZ, at
-the requested nodes only.  Each chunk's increments are drawn with the
-offset, the normal quantile and the sqrt(delta) scale applied in place,
-then copied to time-major in cache-sized row blocks and shared by every
-engine.  Each worker thread keeps one workspace across its chunks: the
-time-major increments and one (N+1, rows) buffer that X (at every eps)
-and Z take in turn, Z after X's observed columns are copied out; Y is
-allocated after the draws are freed and reuses their block.  The pairing
-is one number per path, so the driver contracts the DZ closed form with
-D[:, N] into two weight vectors once per call and never forms the
-(M, N) DZ rows.  Chunks run in parallel without affecting any number.
+the requested nodes only.  Each chunk's increments are drawn in row
+blocks of about 512 KiB, each with the offset, the normal quantile and
+the sqrt(delta) scale applied in place and copied straight into a
+time-major buffer shared by every engine.  The engine yields one row per
+node and the driver keeps only what it reads: X at each eps writes its
+observed nodes into the output columns, and Y feeds Z's step row by row
+in lockstep.  Each worker thread keeps one workspace across its chunks:
+the time-major increments and, for the DZ pairing, all of Y.  The
+pairing is one number per path, so the driver contracts the DZ closed
+form with D[:, N] into two weight vectors once per call and never forms
+the (M, N) DZ rows.  Chunks run in parallel without affecting any
+number.
 
 The whole-batch calls run the same engines on one increment batch:
 
@@ -35,8 +37,9 @@ against a column of the kernel matrix K[i, j] = k(t_j, s_i*) of the
 preset's coefficients k(t, s) g(x).  State-only presets (k = 1) have no
 kernel matrix, and the same engine telescopes the sum into an O(N)
 recursion.  The engines read time-major (N, M) increments; each
-whole-batch call transposes its batch once.  DZ follows from a closed
-form.  Each finished array is scanned once for non-finite values.
+whole-batch call transposes its batch once and keeps every node.  DZ
+follows from a closed form.  Each finished array is scanned once for
+non-finite values.
 """
 
 from __future__ import annotations
@@ -53,12 +56,15 @@ from scipy import special
 # the solve_* names are not called here; perfbench/traced.py patches them
 # on this module, so they stay importable until that tracer is re-pointed
 from .deterministic import (DerivativeField, DivergenceError, LimitPath,  # noqa: F401
-                            TimeGrid, _first_nonfinite, _on_path, _volterra,
+                            TimeGrid, _first_nonfinite, _on_path, _paths,
+                            _volterra,
                             solve_derivative_field, solve_deterministic_limit)
 from .kernels import CoefficientSet
 
 _CHUNK_ROWS = 2048
-# rows per block of the time-major copy: 64 rows at N = 256 are 128 KiB
+# the driver draws each chunk in row blocks of about 512 KiB (256 rows at
+# N = 256) and copies each to time-major in 64-row (128 KiB) sub-blocks
+_RNG_BLOCK_BYTES = 2 ** 19
 _TRANSPOSE_ROWS = 64
 _U64 = 2 ** 64
 # uniforms are u = k 2^-53; the half-ulp shift makes them symmetric in (0, 1),
@@ -125,6 +131,12 @@ def _chunks(M: int) -> List[Tuple[int, int]]:
     return [(m0, min(m0 + _CHUNK_ROWS, M)) for m0 in range(0, M, _CHUNK_ROWS)]
 
 
+def _row_blocks(N: int, m0: int, m1: int) -> List[Tuple[int, int]]:
+    """Row ranges of the RNG calls that draw chunk rows m0:m1."""
+    rows = max(1, _RNG_BLOCK_BYTES // (8 * N))
+    return [(r, min(r + rows, m1)) for r in range(m0, m1, rows)]
+
+
 def increment_chunks(seed: int, grid: TimeGrid, M: int) -> Iterator[np.ndarray]:
     """The rows of the M-path increment table, one chunk at a time."""
     for m0, m1 in _chunks(M):
@@ -141,32 +153,36 @@ def sample_brownian(M: int, grid: TimeGrid, seed: int) -> BrownianBatch:
                          increments=_increment_rows(seed, grid, 0, M))
 
 
-def _x(c, grid, x0, eps, dBt, out=None):
+def _x(c, grid, x0, eps, dBt):
     K = c.on_grid(grid)
     t, s, d = grid.nodes, grid.midpoints, grid.delta
     return _volterra(K, x0, dBt, lambda i, Xi, dBi: (c.b(t[i + 1], s[i], Xi) * d,
-                                                     eps * c.sigma(t[i + 1], s[i], Xi) * dBi),
-                     out)
+                                                     eps * c.sigma(t[i + 1], s[i], Xi) * dBi))
 
 
-def _y(c, grid, xv, dBt, out=None):
+def _y(c, grid, xv, dBt):
     K = c.on_grid(grid)
     d = grid.delta
     bp = _on_path(c.db, grid, xv)
     sg = _on_path(c.sigma, grid, xv)
-    return _volterra(K, 0.0, dBt, lambda i, Yi, dBi: (bp[i] * Yi * d, sg[i] * dBi), out)
+    return _volterra(K, 0.0, dBt, lambda i, Yi, dBi: (bp[i] * Yi * d, sg[i] * dBi))
 
 
-def _z(c, grid, xv, Yv, dBt, out=None):
+def _z(c, grid, xv, Y, dBt):
+    """Z's rows; ``Y`` gives Y's time-major rows Y_0, Y_1, ... (an (N+1, M)
+    array, or a running Y engine that Z's step i advances to Y_i)."""
     K = c.on_grid(grid)
     d = grid.delta
     bp = _on_path(c.db, grid, xv)
     bpp = _on_path(c.d2b, grid, xv)
     sp2 = 2.0 * _on_path(c.dsigma, grid, xv)
-    Yt = np.ascontiguousarray(Yv.T)
-    return _volterra(K, 0.0, dBt, lambda i, Zi, dBi: ((bp[i] * Zi + bpp[i] * Yt[i] ** 2) * d,
-                                                      sp2[i] * Yt[i] * dBi),
-                     out)
+    Yrows = iter(Y)
+
+    def step(i, Zi, dBi):
+        Yi = next(Yrows)
+        return (bp[i] * Zi + bpp[i] * Yi ** 2) * d, sp2[i] * Yi * dBi
+
+    return _volterra(K, 0.0, dBt, step)
 
 
 def _diverged(what: str, node: int, path: int) -> DivergenceError:
@@ -246,12 +262,12 @@ def _dzdy_weights(c, grid, xv, Dmat):
 _ENGINES = {"X": _x, "Y": _y, "Z": _z}
 
 
-def _run(what: str, c: CoefficientSet, *args, out=None) -> np.ndarray:
-    """Run the engine of process ``what`` (into the time-major ``out`` when
-    given); a non-finite value in the finished (M, N+1) array raises at its
-    first node, then its first path."""
+def _run(what: str, c: CoefficientSet, *args) -> np.ndarray:
+    """Run the engine of process ``what`` (its last argument the time-major
+    increments) keeping every node; a non-finite value in the (M, N+1)
+    result raises at its first node, then its first path."""
     with np.errstate(over="ignore", invalid="ignore"):
-        V = _ENGINES[what](c, *args, out=out)
+        V = _paths(_ENGINES[what](c, *args), args[-1].shape)
     bad = _first_nonfinite(V)
     if bad:
         raise _diverged(what, *bad)
@@ -302,7 +318,7 @@ def simulate_Z(c: CoefficientSet, grid: TimeGrid, x: LimitPath, Y: PathEnsemble,
     if x.grid != grid:
         raise ValueError("grid mismatch")
     _require_coupled(Y, batch)
-    values = _run("Z", c, grid, x.values, Y.values,
+    values = _run("Z", c, grid, x.values, np.ascontiguousarray(Y.values.T),
                   np.ascontiguousarray(batch.increments.T))
     return PathEnsemble(values=values, grid=grid, seed=batch.seed)
 
@@ -330,6 +346,42 @@ def simulate_DZ_terminal(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
 # ---------------------------------------------------------------------------
 
 
+class _Kept:
+    """One pass over an engine's node rows that keeps some of them.
+
+    Row j is copied into ``sinks[j]``, when the run keeps it, before it is
+    passed on.  ``finite`` turns False at the first non-finite checked row:
+    the kept ones, which include the terminal node, where a non-finite value
+    of the telescoping recursion always arrives, or every row when
+    ``every`` (the kernel branch, where it need not).
+    """
+
+    def __init__(self, rows: Iterator[np.ndarray], sinks: Dict[int, np.ndarray],
+                 every: bool):
+        self._rows = enumerate(rows)
+        self._sinks = sinks
+        self._every = every
+        self.finite = True
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> np.ndarray:
+        j, V = next(self._rows)
+        dst = self._sinks.get(j)
+        if dst is not None:
+            dst[...] = V
+        if self.finite and (dst is not None or self._every):
+            self.finite = bool(np.isfinite(V).all())
+        return V
+
+    def drain(self) -> bool:
+        """Run to the last node; True when every checked row was finite."""
+        for _ in self:
+            pass
+        return self.finite
+
+
 def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField,
                              epsilons: Sequence[float], M: int, seed: int,
                              observe: Sequence[int] = (),
@@ -338,17 +390,20 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     """Stream M coupled paths of ``c`` in fixed chunks over the whole eps sweep.
 
     ``x`` and ``D`` are the run's limit path and derivative field of ``c``;
-    the grid and x0 are read off ``x``.  Each chunk draws its increments,
-    transposes them once to time-major, and solves Y and Z once, X once
-    per eps.  Returns "X" and "Xt" = (X - x) / eps keyed by eps then node,
-    "Y" and "Z" by node, and "dzdy" (sum_i DZ[m, i] D[i, T] delta, terminal
-    node only), a per-path contraction Y[m, :N] @ a + dB[m] @ b against
-    weights built once per call, so no (M, N) DZ is formed.  The terminal
+    the grid and x0 are read off ``x``.  Each chunk draws its increments
+    straight into time-major, solves X once per eps and Y and Z once,
+    keeping only the observed nodes (and all of Y for the DZ pairing);
+    Y and Z run in lockstep.  Returns "X" and "Xt" = (X - x) / eps keyed
+    by eps then node, "Y" and "Z" by node, and "dzdy" (sum_i DZ[m, i]
+    D[i, T] delta, terminal node only), a per-path contraction
+    Y[m, :N] @ a + dB[m] @ b against weights built once per call, so no
+    (M, N) DZ is formed.  The terminal
     node is always observed.  Every number is independent of ``threads``:
     the chunk grid is fixed and each chunk fills its own rows.  All chunks run
     before a divergence is raised as the whole-batch calls meet it: first
     by stage (X at the first eps, Y, Z, DZ, X at each later eps), then
-    node, path.
+    node, path.  A chunk stage whose checked rows are not all finite is
+    solved again keeping every node, to find its first node and path.
     """
     grid = x.grid
     if D.grid != grid:
@@ -363,6 +418,7 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     if observe[0] < 1 or observe[-1] > grid.N:
         raise ValueError("observation nodes must lie in [1, N]")
     N = grid.N
+    every = c.kernel is not None
 
     def columns():
         return {j: np.empty(M) for j in observe}
@@ -379,42 +435,58 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     local = threading.local()
 
     def workspace(rows: int):
-        """This worker's time-major dBt (N, rows) and X/Z (N+1, rows)
-        buffers: contiguous views of flat arrays made on its first chunk."""
+        """This worker's time-major dBt (N, rows) and, for the DZ pairing,
+        Y (N+1, rows) buffers: views of flat arrays made on its first chunk."""
         flat = getattr(local, "flat", None)
         if flat is None:
-            flat = local.flat = (np.empty(N * width), np.empty((N + 1) * width))
+            flat = local.flat = (np.empty(N * width),
+                                 np.empty((N + 1) * width) if with_dzdy else None)
         return (flat[0][:N * rows].reshape(N, rows),
-                flat[1][:(N + 1) * rows].reshape(N + 1, rows))
+                None if flat[1] is None else flat[1][:(N + 1) * rows].reshape(N + 1, rows))
+
+    def kept(process: dict, m0: int, m1: int) -> Dict[int, np.ndarray]:
+        return {j: process[j][m0:m1] for j in observe}
 
     def run_chunk(rows: Tuple[int, int]):
         """Fill rows m0:m1; on divergence return (stage, node, path, name)."""
         m0, m1 = rows
-        dBt, XZw = workspace(m1 - m0)
-        # one time-major copy per chunk, shared by every engine and the dB
-        # gemv; Y, allocated after the draws are freed, reuses their block
-        _time_major(_increment_rows(seed, grid, m0, m1), dBt)
+        dBt, Yw = workspace(m1 - m0)
+        # one time-major copy per chunk, shared by every engine and the dB gemv
+        for r0, r1 in _row_blocks(N, m0, m1):
+            _time_major(_increment_rows(seed, grid, r0, r1), dBt[:, r0 - m0:r1 - m0])
         started = []  # stage names, in the order the whole-batch calls meet them
         try:
             for k, eps in enumerate(epsilons):
                 started.append("X")
-                Xv = _run("X", c, grid, x.x0, float(eps), dBt, out=XZw)
-                for j in observe:
-                    out["X"][eps][j][m0:m1] = Xv[:, j]
-                    out["Xt"][eps][j][m0:m1] = (Xv[:, j] - x.values[j]) / eps
+                Xk = kept(out["X"][eps], m0, m1)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    finite = _Kept(_x(c, grid, x.x0, float(eps), dBt), Xk, every).drain()
+                if not finite:
+                    _run("X", c, grid, x.x0, float(eps), dBt)
+                for j, Xj in Xk.items():
+                    Xt = out["Xt"][eps][j][m0:m1]
+                    np.subtract(Xj, x.values[j], out=Xt)
+                    Xt /= eps
                 if k == 0:
+                    # Z's step i reads Y_i as the Y engine yields it
+                    Yk = kept(out["Y"], m0, m1) if Yw is None else dict(enumerate(Yw))
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        Y = _Kept(_y(c, grid, x.values, dBt), Yk, every)
+                        z_finite = _Kept(_z(c, grid, x.values, Y, dBt),
+                                         kept(out["Z"], m0, m1), every).drain()
+                        y_finite = Y.drain()  # Y_N, which no Z step reads
                     started.append("Y")
-                    Yv = _run("Y", c, grid, x.values, dBt)
-                    # X's observed columns are out, so Z takes its buffer
+                    if not y_finite:
+                        _run("Y", c, grid, x.values, dBt)
                     started.append("Z")
-                    Zv = _run("Z", c, grid, x.values, Yv, dBt, out=XZw)
-                    for j in observe:
-                        out["Y"][j][m0:m1] = Yv[:, j]
-                        out["Z"][j][m0:m1] = Zv[:, j]
+                    if not z_finite:
+                        _run("Z", c, grid, x.values, _run("Y", c, grid, x.values, dBt).T, dBt)
                     if with_dzdy:
+                        for j in observe:
+                            out["Y"][j][m0:m1] = Yw[j]
                         started.append("DZ")
                         with np.errstate(over="ignore", invalid="ignore"):
-                            dzdy = (a @ Yv.T[:N] + b @ dBt) * grid.delta
+                            dzdy = (a @ Yw[:N] + b @ dBt) * grid.delta
                         bad = ~np.isfinite(dzdy)
                         if bad.any():
                             raise _diverged("DZ", N, int(np.argmax(bad)))

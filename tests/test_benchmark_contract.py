@@ -55,11 +55,12 @@ def test_probes_run_on_a_tiny_config(harness, tmp_path, doc):
 
 def test_tracer_runs_a_thm2_invocation(harness, tmp_path, monkeypatch):
     # what --trace 1 does: one CLI call under every wrapper, each chunk
-    # drawing its increments through the patched RNG entry point once
+    # drawing its increments through the patched RNG entry point, one call
+    # per row block (two per full chunk at N = 64)
     _, traced = harness
     from volfluct import cli, simulate
     monkeypatch.setenv("VF_THREADS", "1")
-    N, M = 16, 2 * simulate._CHUNK_ROWS + 37
+    N, M = 64, 2 * simulate._CHUNK_ROWS + 37
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"preset": "multiplicative", "N": N, "M": M,
                                "epsilons": [0.1], "test_functions": ["cos"],
@@ -72,7 +73,9 @@ def test_tracer_runs_a_thm2_invocation(harness, tmp_path, monkeypatch):
         restored = tracer.restore()
     assert rc == 0
     assert restored
-    assert tracer.summary()["spans"]["simulate.rng"]["calls"] == len(simulate._chunks(M))
+    blocks = sum(len(simulate._row_blocks(N, m0, m1)) for m0, m1 in simulate._chunks(M))
+    assert blocks == 5
+    assert tracer.summary()["spans"]["simulate.rng"]["calls"] == blocks
     assert tracer.counts["rng_draws"] == M * N
 
 

@@ -203,6 +203,29 @@ def test_booleans_and_non_finite_reals_exit_2(tmp_path, capsys, field, doc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,doc,message", [
+    ("rate-scan", {"epsilons": [0.4, 0.2]}, "epsilons: rate scan needs at least 3"),
+    ("rate-scan", {"observe_times": [0.33]},
+     "observe_times: time 0.33 does not lie on the N=16 grid"),
+    ("thm2", {"test_functions": []}, "test_functions: must be non-empty"),
+    ("kernel-check", {"params": {"sigmo0": 2.0}},
+     "params: kernel-check takes only sigma0, got sigmo0"),
+    ("kernel-check", {"cov_pairs": [[1.0, 0.33]]},
+     "cov_pairs: time 0.33 does not lie on the N=16 grid"),
+    ("limit", {"preset": "trig", "params": {"bogus": 1.0}},
+     "preset: unknown parameters for preset 'trig'"),
+])
+def test_command_checks_leave_no_out_dir(tmp_path, capsys, command, doc, message):
+    # checks a runner makes itself come before out_dir is created
+    cfg = _cfg(tmp_path, **dict({"N": 16, "M": 200}, **doc))
+    out = tmp_path / "o"
+    assert _run([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_integral_floats_are_counts(tmp_path):
     cfg = _cfg(tmp_path, N=16.0, M=1e5, seed=3.0)
     out = tmp_path / "o"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -543,9 +544,9 @@ def test_driver_divergent_field_raises_without_warnings():
 @pytest.mark.parametrize("name,params", [("multiplicative", {}),
                                          ("fbm-trig", {"H": 0.7, "kappa": 0.9})])
 def test_driver_workspace_reuse_matches_whole_batch(name, params, threads):
-    # each worker reuses its dBt and X/Z buffers across chunks: the short
-    # last chunk (37 rows) reshapes them, and the second eps writes X where
-    # Z was; every observed column must still equal the whole-batch engines.
+    # each worker reuses its dBt buffer across chunks: the short last chunk
+    # (37 rows) reshapes it; every observed column must still equal the
+    # whole-batch engines.
     # More workers than cores and a short switch interval make a workspace
     # shared between threads show.
     g = TimeGrid(T=1.0, N=16)
@@ -625,6 +626,91 @@ def test_coupled_driver_reports_divergence_like_whole_batch(sweep, threads):
                                      with_dzdy=True, threads=threads)
     assert (exc.value.node, exc.value.path) == (8, 2707)
     assert str(exc.value) == str(whole.value) == "X diverged at path 2707, node 8"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("with_dzdy", [False, True])
+def test_driver_names_y_before_z_in_one_chunk(with_dzdy, threads):
+    # b'' = inf makes Z non-finite from node 1 on, while b' = 1e200 overflows
+    # Y only at node 3; Y runs in lockstep with Z but is the earlier stage.
+    # x and D come from the unmodified preset, whose field stays finite.
+    g = TimeGrid(T=1.0, N=16)
+    base = make_preset("additive-unit")
+    x, D = _solved(base, g, 0.0)
+    c = dataclasses.replace(base, name="y-and-z",
+                            db=lambda t, s, x: np.full(np.shape(x), 1e200),
+                            d2b=lambda t, s, x: np.full(np.shape(x), np.inf))
+    M, seed = sim._CHUNK_ROWS + 37, 7
+    with pytest.raises(DivergenceError) as whole:
+        sim.simulate_Y_euler(c, g, x, sim.sample_brownian(M, g, seed))
+    with pytest.raises(DivergenceError) as exc:
+        sim.coupled_terminal_samples(c, x, D, (0.5,), M, seed, with_dzdy=with_dzdy,
+                                     threads=threads)
+    assert str(exc.value) == str(whole.value) == "Y diverged at path 0, node 3"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kernel_branch_divergence_across_chunks_matches_whole_batch(threads):
+    # the blow-up preset of the telescoping test above on the mat-vec branch:
+    # chunk 0 first fails at node 9 (path 1000), the whole batch at node 8
+    g = TimeGrid(T=1.0, N=16)
+    c = dataclasses.replace(make_preset("additive-unit"), name="blow-up",
+                            b=lambda t, s, x: x * np.abs(x) ** 30, kernel=_unit_kernel)
+    with pytest.raises(DivergenceError) as chunk0:
+        sim.simulate_X(c, g, 0.0, 0.5, sim.sample_brownian(sim._CHUNK_ROWS, g, 6))
+    with pytest.raises(DivergenceError) as whole:
+        sim.simulate_X(c, g, 0.0, 0.5, sim.sample_brownian(6000, g, 6))
+    with pytest.raises(DivergenceError) as exc:
+        sim.coupled_terminal_samples(c, *_solved(c, g, 0.0), (0.5,), 6000, 6,
+                                     with_dzdy=True, threads=threads)
+    assert (chunk0.value.node, chunk0.value.path) == (9, 1000)
+    assert (exc.value.node, exc.value.path) == (whole.value.node, whole.value.path) == (8, 2707)
+    assert str(exc.value) == str(whole.value) == "X diverged at path 2707, node 8"
+
+
+def _band_kernel(grid):
+    # K[i, i+1] = 1: node j sees only cell j - 1
+    return np.eye(grid.N, grid.N + 1, 1)
+
+
+def test_driver_checks_every_kernel_branch_node():
+    # with a kernel a non-finite node need not reach T: x0 + b delta
+    # overflows at every odd node, b vanishes at non-finite x and at t = T,
+    # and the band kernel forgets each cell after one node, so X_T is finite
+    g = TimeGrid(T=1.0, N=16)
+    base = make_preset("additive-unit")
+    x0 = 1.7e308
+    c = dataclasses.replace(base, name="overflow", kernel=_band_kernel,
+                            b=lambda t, s, x: np.where(np.isfinite(x) & (t < 1.0), 1.7e308, 0.0))
+    batch = sim.sample_brownian(300, g, 7)
+    dBt = np.ascontiguousarray(batch.increments.T)
+    with np.errstate(over="ignore"):
+        X = sim._paths(sim._x(c, g, x0, 0.5, dBt), dBt.shape)
+    assert np.isfinite(X[:, g.N]).all() and not np.isfinite(X[:, 1]).any()
+    with pytest.raises(DivergenceError) as whole:
+        sim.simulate_X(c, g, x0, 0.5, batch)
+    with pytest.raises(DivergenceError) as exc:
+        sim.coupled_terminal_samples(c, *_solved(base, g, x0), (0.5,), 300, 7)
+    assert str(exc.value) == str(whole.value) == "X diverged at path 0, node 1"
+
+
+@pytest.mark.parametrize("with_dzdy,blocks", [(False, 2), (True, 3)])
+def test_driver_peak_memory(with_dzdy, blocks):
+    # tracemalloc sees numpy's buffers.  Per chunk the driver keeps the
+    # time-major increments, one RNG row block while drawing them, the
+    # observed nodes and, for the DZ pairing, all of Y: about 1.8 and 2.8
+    # (N, chunk) blocks here, against 3.4 for a driver holding whole paths
+    g = TimeGrid(T=1.0, N=64)
+    c, x, D = _pipeline("trig", g, 1.0)
+    M = 2 * sim._CHUNK_ROWS + 37
+    tracemalloc.start()
+    try:
+        sim.coupled_terminal_samples(c, x, D, (0.2,), M, 5, observe=(32,),
+                                     with_dzdy=with_dzdy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= blocks * 8 * g.N * sim._CHUNK_ROWS
 
 
 def test_driver_evaluates_the_fbm_kernel_once_per_grid(monkeypatch):
