@@ -164,12 +164,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for h in cfg.H_list:
         _require(0.0 < h < 1.0, "H_list: values must be in (0,1), got %g" % h)
     _require(len(cfg.H_list) >= 1, "H_list: must be non-empty")
-    for t in cfg.t_list:
-        _require(0.0 < t <= cfg.T, "t_list: values must be in (0, T], got %g" % t)
-    for pair in cfg.cov_pairs:
-        for v in pair:
-            _require(0.0 < v <= cfg.T,
-                     "cov_pairs: times must be in (0, T], got %g" % v)
     if cfg.observe_times is not None:
         for t in cfg.observe_times:
             _require(0.0 < t <= cfg.T,
@@ -469,6 +463,13 @@ def run_kernel_check(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     rows: List[list] = []
     failures: List[str] = []
 
+    # t_list and cov_pairs are read by this command alone
+    for t in cfg.t_list:
+        _require(0.0 < t <= cfg.T, "t_list: values must be in (0, T], got %g" % t)
+    for pair in cfg.cov_pairs:
+        for v in pair:
+            _require(0.0 < v <= cfg.T,
+                     "cov_pairs: times must be in (0, T], got %g" % v)
     pair_nodes = [( _snap_node(t, grid, "cov_pairs"),
                     _snap_node(s, grid, "cov_pairs")) for t, s in cfg.cov_pairs]
     _make_out_dir(cfg)

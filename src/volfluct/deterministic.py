@@ -6,7 +6,10 @@ Var(Y_t) obtained as the squared L2 norm of a derivative row.
 
 x, D and the processes X, Y and Z of ``simulate`` all run on the one
 Volterra engine ``_volterra`` defined here: x as one noiseless path, D as
-the Y step on unit increments, one path per theta-cell.
+the Y step on unit increments, one path per theta-cell.  The engine's
+rows are read only through ``_Kept``, which copies the nodes its caller
+keeps and finds where a run blew up: the first non-finite node j >= 1,
+then the first path in it.
 
 All solvers share one discretization: explicit (left-point) rule in the
 state argument, kernel arguments evaluated at cell midpoints
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -145,32 +148,61 @@ def _volterra(K: Optional[np.ndarray], base: float, dBt: np.ndarray,
         yield V
 
 
-def _paths(rows: Iterator[np.ndarray], shape: Tuple[int, int]) -> np.ndarray:
-    """Every node of an engine run on (N, M) increments: the (M, N+1)
-    path-major view of a C-contiguous (N+1, M) array."""
+class _Kept:
+    """The one reader of an engine run's node rows: it keeps some of them
+    and checks them for non-finite values.
+
+    Row j is copied into ``sinks[j]``, when the run keeps it, before it is
+    passed on.  ``bad`` is (node, path) of the first non-finite entry of
+    the first non-finite checked row j >= 1, or None: the checked rows are
+    the kept ones, which include the terminal node, where a non-finite
+    value of the telescoping recursion always arrives, or every row when
+    ``every`` (the kernel branch, where it need not).
+    """
+
+    def __init__(self, rows: Iterator[np.ndarray], sinks: Dict[int, np.ndarray],
+                 every: bool):
+        self._rows = enumerate(rows)
+        self._sinks = sinks
+        self._every = every
+        self.bad: Optional[Tuple[int, int]] = None
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> np.ndarray:
+        j, V = next(self._rows)
+        dst = self._sinks.get(j)
+        if dst is not None:
+            dst[...] = V
+        if self.bad is None and j and (dst is not None or self._every):
+            ok = np.isfinite(V)
+            if not ok.all():
+                self.bad = j, int(np.argmin(ok))
+        return V
+
+    def drain(self) -> Optional[Tuple[int, int]]:
+        """Run to the last node and return ``bad``.  Overflow in the engine
+        is expected on a diverging run and reported through ``bad``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in self:
+                pass
+        return self.bad
+
+
+def _paths(rows: Iterator[np.ndarray], shape: Tuple[int, int]):
+    """Every node of an engine run on (N, M) increments, checking each:
+    the (M, N+1) path-major view of a C-contiguous (N+1, M) array, and the
+    first bad (node, path) or None."""
     N, M = shape
     V = np.empty((N + 1, M))
-    for j, Vj in enumerate(rows):
-        V[j] = Vj
-    return V.T
-
-
-def _first_nonfinite(V: np.ndarray) -> Optional[Tuple[int, int]]:
-    """(node, path) of the first non-finite entry of the (M, N+1) array V,
-    by node j >= 1 first; None when every entry is finite."""
-    ok = np.isfinite(V[:, 1:])
-    if ok.all():
-        return None
-    bad = np.logical_not(ok, out=ok)
-    j = int(np.argmax(bad.any(axis=0))) + 1
-    return j, int(np.argmax(bad[:, j - 1]))
+    bad = _Kept(rows, dict(enumerate(V)), True).drain()
+    return V.T, bad
 
 
 def _solve(what: str, grid: TimeGrid, K, base: float, dBt, step) -> np.ndarray:
     """One engine run; a non-finite value raises at its first node."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        V = _paths(_volterra(K, base, dBt, step), dBt.shape)
-    bad = _first_nonfinite(V)
+    V, bad = _paths(_volterra(K, base, dBt, step), dBt.shape)
     if bad:
         j = bad[0]
         raise DivergenceError("%s diverged at node %d (t=%.6g)" % (what, j, grid.nodes[j]),

@@ -13,14 +13,14 @@ the requested nodes only.  Each chunk's increments are drawn in row
 blocks of about 512 KiB, each with the offset, the normal quantile and
 the sqrt(delta) scale applied in place and copied straight into a
 time-major buffer shared by every engine.  The engine yields one row per
-node and the driver keeps only what it reads: X at each eps writes its
-observed nodes into the output columns, and Y feeds Z's step row by row
-in lockstep.  Each worker thread keeps one workspace across its chunks:
-the time-major increments and, for the DZ pairing, all of Y.  The
-pairing is one number per path, so the driver contracts the DZ closed
-form with D[:, N] into two weight vectors once per call and never forms
-the (M, N) DZ rows.  Chunks run in parallel without affecting any
-number.
+node and the driver keeps and checks only what it reads: X at each eps
+writes its observed nodes into the output columns, and Y feeds Z's step
+row by row in lockstep.  Each worker thread keeps one workspace across
+its chunks: the time-major increments and, for the DZ pairing, all of
+Y.  The pairing is one number per path, so the driver contracts the DZ
+closed form with D[:, N] into two weight vectors once per call and
+never forms the (M, N) DZ rows.  Chunks run in parallel without
+affecting any number.
 
 The whole-batch calls run the same engines on one increment batch:
 
@@ -38,8 +38,10 @@ preset's coefficients k(t, s) g(x).  State-only presets (k = 1) have no
 kernel matrix, and the same engine telescopes the sum into an O(N)
 recursion.  The engines read time-major (N, M) increments; each
 whole-batch call transposes its batch once and keeps every node.  DZ
-follows from a closed form.  Each finished array is scanned once for
-non-finite values.
+follows from a closed form.  Every engine run is read through
+``deterministic._Kept``, which checks each row as it copies it, so a
+divergence is named by its first non-finite node, then its first path,
+in one place.
 """
 
 from __future__ import annotations
@@ -56,16 +58,14 @@ from scipy import special
 # the solve_* names are not called here; perfbench/traced.py patches them
 # on this module, so they stay importable until that tracer is re-pointed
 from .deterministic import (DerivativeField, DivergenceError, LimitPath,  # noqa: F401
-                            TimeGrid, _first_nonfinite, _on_path, _paths,
-                            _volterra,
+                            TimeGrid, _Kept, _on_path, _paths, _volterra,
                             solve_derivative_field, solve_deterministic_limit)
 from .kernels import CoefficientSet
 
 _CHUNK_ROWS = 2048
 # the driver draws each chunk in row blocks of about 512 KiB (256 rows at
-# N = 256) and copies each to time-major in 64-row (128 KiB) sub-blocks
+# N = 256) and copies each straight to time-major
 _RNG_BLOCK_BYTES = 2 ** 19
-_TRANSPOSE_ROWS = 64
 _U64 = 2 ** 64
 # uniforms are u = k 2^-53; the half-ulp shift makes them symmetric in (0, 1),
 # so the normal quantile never sees 0 and the population mean is exactly 0
@@ -117,13 +117,6 @@ def _increment_rows(seed: int, grid: TimeGrid, m0: int, m1: int) -> np.ndarray:
     special.ndtri(z, out=z)
     z *= math.sqrt(grid.delta)
     return z.reshape(m1 - m0, N)
-
-
-def _time_major(rows: np.ndarray, out: np.ndarray) -> None:
-    """Copy the (M, N) path-major ``rows`` into the (N, M) ``out``, a block
-    of _TRANSPOSE_ROWS rows at a time so each block stays in cache."""
-    for r in range(0, rows.shape[0], _TRANSPOSE_ROWS):
-        out[:, r:r + _TRANSPOSE_ROWS] = rows[r:r + _TRANSPOSE_ROWS].T
 
 
 def _chunks(M: int) -> List[Tuple[int, int]]:
@@ -259,16 +252,11 @@ def _dzdy_weights(c, grid, xv, Dmat):
     return 2.0 * sp * lead * v + 2.0 * grid.delta * bpp * wu, 2.0 * sp * wu
 
 
-_ENGINES = {"X": _x, "Y": _y, "Z": _z}
-
-
-def _run(what: str, c: CoefficientSet, *args) -> np.ndarray:
-    """Run the engine of process ``what`` (its last argument the time-major
-    increments) keeping every node; a non-finite value in the (M, N+1)
-    result raises at its first node, then its first path."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        V = _paths(_ENGINES[what](c, *args), args[-1].shape)
-    bad = _first_nonfinite(V)
+def _every_node(what: str, rows: Iterator[np.ndarray], dBt: np.ndarray) -> np.ndarray:
+    """The (M, N+1) paths of process ``what`` from its engine ``rows`` on
+    the increments ``dBt``; a non-finite value raises at its first node,
+    then its first path."""
+    V, bad = _paths(rows, dBt.shape)
     if bad:
         raise _diverged(what, *bad)
     return V
@@ -284,8 +272,8 @@ def simulate_X(c: CoefficientSet, grid: TimeGrid, x0: float, eps: float,
         raise ValueError("eps must lie in (0, 1)")
     if batch.grid != grid:
         raise ValueError("batch grid mismatch")
-    values = _run("X", c, grid, float(x0), float(eps),
-                  np.ascontiguousarray(batch.increments.T))
+    dBt = np.ascontiguousarray(batch.increments.T)
+    values = _every_node("X", _x(c, grid, float(x0), float(eps), dBt), dBt)
     return PathEnsemble(values=values, grid=grid, seed=batch.seed)
 
 
@@ -297,7 +285,8 @@ def simulate_Y_euler(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
     """
     if batch.grid != grid or x.grid != grid:
         raise ValueError("grid mismatch")
-    values = _run("Y", c, grid, x.values, np.ascontiguousarray(batch.increments.T))
+    dBt = np.ascontiguousarray(batch.increments.T)
+    values = _every_node("Y", _y(c, grid, x.values, dBt), dBt)
     return PathEnsemble(values=values, grid=grid, seed=batch.seed)
 
 
@@ -318,8 +307,9 @@ def simulate_Z(c: CoefficientSet, grid: TimeGrid, x: LimitPath, Y: PathEnsemble,
     if x.grid != grid:
         raise ValueError("grid mismatch")
     _require_coupled(Y, batch)
-    values = _run("Z", c, grid, x.values, np.ascontiguousarray(Y.values.T),
-                  np.ascontiguousarray(batch.increments.T))
+    dBt = np.ascontiguousarray(batch.increments.T)
+    values = _every_node("Z", _z(c, grid, x.values, np.ascontiguousarray(Y.values.T), dBt),
+                         dBt)
     return PathEnsemble(values=values, grid=grid, seed=batch.seed)
 
 
@@ -346,42 +336,6 @@ def simulate_DZ_terminal(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
 # ---------------------------------------------------------------------------
 
 
-class _Kept:
-    """One pass over an engine's node rows that keeps some of them.
-
-    Row j is copied into ``sinks[j]``, when the run keeps it, before it is
-    passed on.  ``finite`` turns False at the first non-finite checked row:
-    the kept ones, which include the terminal node, where a non-finite value
-    of the telescoping recursion always arrives, or every row when
-    ``every`` (the kernel branch, where it need not).
-    """
-
-    def __init__(self, rows: Iterator[np.ndarray], sinks: Dict[int, np.ndarray],
-                 every: bool):
-        self._rows = enumerate(rows)
-        self._sinks = sinks
-        self._every = every
-        self.finite = True
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> np.ndarray:
-        j, V = next(self._rows)
-        dst = self._sinks.get(j)
-        if dst is not None:
-            dst[...] = V
-        if self.finite and (dst is not None or self._every):
-            self.finite = bool(np.isfinite(V).all())
-        return V
-
-    def drain(self) -> bool:
-        """Run to the last node; True when every checked row was finite."""
-        for _ in self:
-            pass
-        return self.finite
-
-
 def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField,
                              epsilons: Sequence[float], M: int, seed: int,
                              observe: Sequence[int] = (),
@@ -403,7 +357,9 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     before a divergence is raised as the whole-batch calls meet it: first
     by stage (X at the first eps, Y, Z, DZ, X at each later eps), then
     node, path.  A chunk stage whose checked rows are not all finite is
-    solved again keeping every node, to find its first node and path.
+    run again from its increments, keeping no row and checking every one,
+    to find its first node and path; Z's run is fed by a fresh Y in
+    lockstep, so locating a divergence forms no whole-path array.
     """
     grid = x.grid
     if D.grid != grid:
@@ -448,51 +404,54 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
         return {j: process[j][m0:m1] for j in observe}
 
     def run_chunk(rows: Tuple[int, int]):
-        """Fill rows m0:m1; on divergence return (stage, node, path, name)."""
+        """Fill rows m0:m1; return the chunk's first divergence as
+        (stage, node, path, name), or None."""
         m0, m1 = rows
         dBt, Yw = workspace(m1 - m0)
         # one time-major copy per chunk, shared by every engine and the dB gemv
         for r0, r1 in _row_blocks(N, m0, m1):
-            _time_major(_increment_rows(seed, grid, r0, r1), dBt[:, r0 - m0:r1 - m0])
-        started = []  # stage names, in the order the whole-batch calls meet them
-        try:
-            for k, eps in enumerate(epsilons):
-                started.append("X")
-                Xk = kept(out["X"][eps], m0, m1)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    finite = _Kept(_x(c, grid, x.x0, float(eps), dBt), Xk, every).drain()
-                if not finite:
-                    _run("X", c, grid, x.x0, float(eps), dBt)
-                for j, Xj in Xk.items():
-                    Xt = out["Xt"][eps][j][m0:m1]
-                    np.subtract(Xj, x.values[j], out=Xt)
-                    Xt /= eps
-                if k == 0:
-                    # Z's step i reads Y_i as the Y engine yields it
-                    Yk = kept(out["Y"], m0, m1) if Yw is None else dict(enumerate(Yw))
+            dBt[:, r0 - m0:r1 - m0] = _increment_rows(seed, grid, r0, r1).T
+
+        def located(stage: int, name: str, engine: Iterator[np.ndarray]):
+            # a failed stage's first bad row, from a fresh run of its engine
+            # that keeps no row and checks every one
+            j, m = _Kept(engine, {}, True).drain()
+            return stage, j, m0 + m, name
+
+        stage = 0  # stages count in the order the whole-batch calls meet them
+        for k, eps in enumerate(epsilons):
+            stage += 1
+            Xk = kept(out["X"][eps], m0, m1)
+            if _Kept(_x(c, grid, x.x0, float(eps), dBt), Xk, every).drain():
+                return located(stage, "X", _x(c, grid, x.x0, float(eps), dBt))
+            for j, Xj in Xk.items():
+                Xt = out["Xt"][eps][j][m0:m1]
+                np.subtract(Xj, x.values[j], out=Xt)
+                Xt /= eps
+            if k == 0:
+                # Z's step i reads Y_i as the Y engine yields it
+                Yk = kept(out["Y"], m0, m1) if Yw is None else dict(enumerate(Yw))
+                Y = _Kept(_y(c, grid, x.values, dBt), Yk, every)
+                z_bad = _Kept(_z(c, grid, x.values, Y, dBt), kept(out["Z"], m0, m1),
+                              every).drain()
+                stage += 1
+                if Y.drain():  # Y_N, which no Z step reads
+                    return located(stage, "Y", _y(c, grid, x.values, dBt))
+                stage += 1
+                if z_bad:
+                    return located(stage, "Z",
+                                   _z(c, grid, x.values, _y(c, grid, x.values, dBt), dBt))
+                if with_dzdy:
+                    stage += 1
+                    for j in observe:
+                        out["Y"][j][m0:m1] = Yw[j]
                     with np.errstate(over="ignore", invalid="ignore"):
-                        Y = _Kept(_y(c, grid, x.values, dBt), Yk, every)
-                        z_finite = _Kept(_z(c, grid, x.values, Y, dBt),
-                                         kept(out["Z"], m0, m1), every).drain()
-                        y_finite = Y.drain()  # Y_N, which no Z step reads
-                    started.append("Y")
-                    if not y_finite:
-                        _run("Y", c, grid, x.values, dBt)
-                    started.append("Z")
-                    if not z_finite:
-                        _run("Z", c, grid, x.values, _run("Y", c, grid, x.values, dBt).T, dBt)
-                    if with_dzdy:
-                        for j in observe:
-                            out["Y"][j][m0:m1] = Yw[j]
-                        started.append("DZ")
-                        with np.errstate(over="ignore", invalid="ignore"):
-                            dzdy = (a @ Yw[:N] + b @ dBt) * grid.delta
-                        bad = ~np.isfinite(dzdy)
-                        if bad.any():
-                            raise _diverged("DZ", N, int(np.argmax(bad)))
-                        out["dzdy"][N][m0:m1] = dzdy
-        except DivergenceError as exc:
-            return len(started), exc.node, m0 + exc.path, started[-1]
+                        dzdy = (a @ Yw[:N] + b @ dBt) * grid.delta
+                    bad = ~np.isfinite(dzdy)
+                    if bad.any():
+                        return stage, N, m0 + int(np.argmax(bad)), "DZ"
+                    out["dzdy"][N][m0:m1] = dzdy
+        return None
 
     if threads == 1:
         failures = [run_chunk(rows) for rows in _chunks(M)]

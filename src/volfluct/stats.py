@@ -235,7 +235,7 @@ def distance_report(epsilon: float, a, b, seed: int = 0) -> DistanceReport:
         n_b=sb.size,
         kolmogorov_se=bootstrap_se(ca, cb, kolmogorov_distance, seed=seed),
         tv_se=bootstrap_se(ca, cb, lambda u, v: tv_histogram(u, v, bins),
-                           seed=seed + 1),
+                           seed=(seed + 1) % 2 ** 64),
     )
 
 

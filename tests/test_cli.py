@@ -214,6 +214,8 @@ def test_booleans_and_non_finite_reals_exit_2(tmp_path, capsys, field, doc):
      "cov_pairs: time 0.33 does not lie on the N=16 grid"),
     ("limit", {"preset": "trig", "params": {"bogus": 1.0}},
      "preset: unknown parameters for preset 'trig'"),
+    # the default t_list reaches t = 1, past T
+    ("kernel-check", {"T": 0.5}, "t_list: values must be in (0, T], got 1"),
 ])
 def test_command_checks_leave_no_out_dir(tmp_path, capsys, command, doc, message):
     # checks a runner makes itself come before out_dir is created
@@ -224,6 +226,15 @@ def test_command_checks_leave_no_out_dir(tmp_path, capsys, command, doc, message
     assert err.startswith("config error: " + message)
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["limit", "rate-scan", "thm2"])
+def test_short_horizon_runs(tmp_path, command):
+    # t_list and cov_pairs belong to kernel-check; their defaults reach
+    # t = 1 and must not refuse a simulation with T < 1
+    cfg = _cfg(tmp_path, preset="trig", T=0.5, N=16, M=200,
+               epsilons=[0.4, 0.2, 0.1])
+    assert _run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_integral_floats_are_counts(tmp_path):
@@ -409,6 +420,16 @@ def test_thm2_assert_without_halving_pair_gates_last_eps(tmp_path,
     err = capsys.readouterr().err
     assert "phi=cos eps=0.2: |lhs-rhs|=10 exceeds 3*SE" in err
     assert "eps=0.3" not in err
+
+
+def test_largest_bootstrap_seed_wraps(tmp_path):
+    # this seed gives node 8's Kolmogorov bootstrap the sub-seed 2**64 - 1,
+    # so the TV bootstrap's seed + 1 wraps to 0
+    cfg = _cfg(tmp_path, preset="trig", N=16, M=200, epsilons=[0.4, 0.2, 0.1])
+    out = tmp_path / "o"
+    assert _run(["rate-scan", "--config", cfg, "--out", str(out),
+                 "--seed", "18446744073708480341"]) == 0
+    assert _read_csv(out / "distances.csv")
 
 
 def test_seed_override_changes_samples_and_manifest(tmp_path):

@@ -3,16 +3,67 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from volfluct.kernels import (fbm_kernel_matrix, fbm_kernel_params,
                               make_preset, variance_lower_bound_const)
-from volfluct.deterministic import (DivergenceError, TimeGrid,
+from volfluct.deterministic import (DivergenceError, TimeGrid, _Kept, _paths,
                                     solve_deterministic_limit,
                                     solve_derivative_field, variance_of_Y)
 
 
 def _const_b(value):
     return lambda t, s, x: np.full(np.shape(x), value)
+
+
+def _first_nonfinite(V):
+    """Reference rule: (node, path) of the first non-finite entry of the
+    (M, N+1) array V, by node j >= 1 first; None when every entry is finite."""
+    ok = np.isfinite(V[:, 1:])
+    if ok.all():
+        return None
+    bad = np.logical_not(ok, out=ok)
+    j = int(np.argmax(bad.any(axis=0))) + 1
+    return j, int(np.argmax(bad[:, j - 1]))
+
+
+@st.composite
+def _marked_runs(draw):
+    """Time-major (N+1, M) node rows with NaN and +-inf at random cells, a
+    random set of kept nodes and the ``every`` flag."""
+    N = draw(st.integers(1, 8))
+    M = draw(st.integers(1, 6))
+    V = np.arange((N + 1) * M, dtype=float).reshape(N + 1, M)
+    cells = st.tuples(st.integers(0, N), st.integers(0, M - 1),
+                      st.sampled_from([np.nan, np.inf, -np.inf]))
+    for j, m, v in draw(st.lists(cells, max_size=6)):
+        V[j, m] = v
+    return V, draw(st.sets(st.integers(0, N))), draw(st.booleans())
+
+
+@given(_marked_runs())
+def test_kept_finds_the_first_bad_checked_row(run):
+    V, kept, every = run
+    N, M = V.shape[0] - 1, V.shape[1]
+
+    def rows():
+        # like the engine, one buffer overwritten at every node
+        buf = np.empty(M)
+        for Vj in V:
+            buf[...] = Vj
+            yield buf
+
+    sinks = {j: np.empty(M) for j in kept}
+    bad = _Kept(rows(), sinks, every).drain()
+    checked = V.copy()
+    if not every:
+        checked[[j for j in range(N + 1) if j not in kept]] = 0.0
+    assert bad == _first_nonfinite(checked.T)
+    for j in kept:
+        np.testing.assert_array_equal(sinks[j], V[j])
+    paths, bad = _paths(rows(), (N, M))
+    np.testing.assert_array_equal(paths, V.T)
+    assert bad == _first_nonfinite(V.T)
 
 
 def test_time_grid_validation():

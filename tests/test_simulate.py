@@ -685,13 +685,47 @@ def test_driver_checks_every_kernel_branch_node():
     batch = sim.sample_brownian(300, g, 7)
     dBt = np.ascontiguousarray(batch.increments.T)
     with np.errstate(over="ignore"):
-        X = sim._paths(sim._x(c, g, x0, 0.5, dBt), dBt.shape)
+        X, _ = sim._paths(sim._x(c, g, x0, 0.5, dBt), dBt.shape)
     assert np.isfinite(X[:, g.N]).all() and not np.isfinite(X[:, 1]).any()
     with pytest.raises(DivergenceError) as whole:
         sim.simulate_X(c, g, x0, 0.5, batch)
     with pytest.raises(DivergenceError) as exc:
         sim.coupled_terminal_samples(c, *_solved(base, g, x0), (0.5,), 300, 7)
     assert str(exc.value) == str(whole.value) == "X diverged at path 0, node 1"
+
+
+@pytest.mark.parametrize("case,what,path,node", [
+    # the divergence tests above, each with the whole-batch figures they check
+    ("telescoping", "X", 2707, 8),
+    ("kernel", "X", 2707, 8),
+    ("y-before-z", "Y", 0, 3),
+    ("z-only", "Z", 0, 2),
+])
+def test_driver_locates_divergence_without_whole_paths(monkeypatch, case, what, path, node):
+    g = TimeGrid(T=1.0, N=16)
+    base = make_preset("additive-unit")
+    if case == "y-before-z":
+        x, D = _solved(base, g, 0.0)
+        c = dataclasses.replace(base, db=lambda t, s, x: np.full(np.shape(x), 1e200),
+                                d2b=lambda t, s, x: np.full(np.shape(x), np.inf))
+        M, seed = sim._CHUNK_ROWS + 37, 7
+    elif case == "z-only":
+        c, x, D = _pipeline("multiplicative", g, 1e160)
+        M, seed = 300, 6
+    else:
+        c = dataclasses.replace(base, b=lambda t, s, x: x * np.abs(x) ** 30,
+                                kernel=_unit_kernel if case == "kernel" else None)
+        x, D = _solved(c, g, 0.0)
+        M, seed = 6000, 6
+
+    def refuse(*args):
+        raise AssertionError("locating a divergence formed whole paths")
+
+    monkeypatch.setattr(sim, "_paths", refuse)
+    with pytest.raises(DivergenceError) as exc:
+        sim.coupled_terminal_samples(c, x, D, (0.5,), M, seed, with_dzdy=True)
+    assert str(exc.value) == "%s diverged at path %d, node %d" % (what, path, node)
+    assert (exc.value.node, exc.value.path) == (node, path)
 
 
 @pytest.mark.parametrize("with_dzdy,blocks", [(False, 2), (True, 3)])
