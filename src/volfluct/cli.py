@@ -29,12 +29,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .deterministic import (DivergenceError, TimeGrid,
+from .deterministic import (_MAX_STEPS, DivergenceError, TimeGrid,
                             solve_deterministic_limit,
                             solve_derivative_field, variance_of_Y)
-from .kernels import (ConvergenceError, check_assumptions,
-                      fbm_covariance, fbm_kernel_matrix, fbm_kernel_params,
-                      kernel_l2_mass, make_preset, variance_lower_bound_const)
+from .kernels import (ConvergenceError, fbm_covariance, fbm_kernel_matrix,
+                      fbm_kernel_params, kernel_l2_mass, make_preset,
+                      variance_lower_bound_const)
 from .simulate import coupled_terminal_samples, increment_chunks
 from .stats import (GATE_SE, distance_report, parse_test_function,
                     rate_fit, rms_with_se, thm2_report, thm2_richardson)
@@ -143,16 +143,11 @@ def load_config(path: str, out_override: Optional[str] = None,
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    _require(2 <= cfg.N <= 4096, "N: must be in [2, 4096], got %d" % cfg.N)
+    # the fields every command reads; each runner checks its own before out_dir
+    _require(2 <= cfg.N <= _MAX_STEPS, "N: must be in [2, %d], got %d" % (_MAX_STEPS, cfg.N))
     _require(cfg.M >= 100, "M: must be at least 100, got %d" % cfg.M)
     _require(cfg.T > 0.0, "T: must be positive, got %g" % cfg.T)
     _require(0 <= cfg.seed < 2 ** 64, "seed: must fit in uint64")
-    _require(len(cfg.epsilons) >= 1, "epsilons: must be non-empty")
-    for e in cfg.epsilons:
-        _require(0.0 < e < 1.0, "epsilons: values must be in (0,1), got %g" % e)
-    for a, b in zip(cfg.epsilons, cfg.epsilons[1:]):
-        _require(b < a, "epsilons: must be strictly decreasing")
-
     _require("H" not in cfg.params, "params: give H as the top-level key, not in params")
     if cfg.preset.startswith("fbm"):
         _require(cfg.H is not None, "H: required for preset %r" % cfg.preset)
@@ -161,22 +156,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _require(cfg.H is None,
                  "H: only meaningful for fbm presets, not %r" % cfg.preset)
 
-    for h in cfg.H_list:
-        _require(0.0 < h < 1.0, "H_list: values must be in (0,1), got %g" % h)
-    _require(len(cfg.H_list) >= 1, "H_list: must be non-empty")
-    if cfg.observe_times is not None:
-        for t in cfg.observe_times:
-            _require(0.0 < t <= cfg.T,
-                     "observe_times: values must be in (0, T], got %g" % t)
-    seen = set()
-    for phi in cfg.test_functions:
-        try:
-            key = parse_test_function(phi)
-        except ValueError as exc:
-            raise ConfigError("test_functions: %s" % exc) from exc
-        _require(key not in seen,
-                 "test_functions: %r repeats an earlier entry" % (phi,))
-        seen.add(key)
+
+def _check_epsilons(cfg: ExperimentConfig) -> None:
+    """The eps sweep, which rate-scan and thm2 read."""
+    _require(len(cfg.epsilons) >= 1, "epsilons: must be non-empty")
+    for e in cfg.epsilons:
+        _require(0.0 < e < 1.0, "epsilons: values must be in (0,1), got %g" % e)
+    for a, b in zip(cfg.epsilons, cfg.epsilons[1:]):
+        _require(b < a, "epsilons: must be strictly decreasing")
 
 
 def _snap_node(t: float, grid: TimeGrid, what: str) -> int:
@@ -279,21 +266,16 @@ def run_limit(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     _write_csv(cfg.out_dir, "variance.csv", ("t", "var_y"),
                list(zip(grid.nodes, var.values)))
     _write_manifest(cfg, "limit")
-
-    failures: List[str] = []
-    lo = min(float(x.values.min()), cfg.x0) - 1.0
-    hi = max(float(x.values.max()), cfg.x0) + 1.0
-    probe = np.linspace(lo, hi, 33)
-    report = check_assumptions(coeff, grid, probe)
-    failures.extend("assumption check: %s bound violated at t=%.6g, s=%.6g, x=%.6g"
-                    % v for v in report.violations)
-    if not np.all(np.isfinite(var.values)):
-        failures.append("variance path contains non-finite values")
-    return failures
+    return []  # no gate: a non-finite path has already exited 3
 
 
 def run_rate_scan(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     """strong and distributional convergence rates over the epsilon sweep"""
+    _check_epsilons(cfg)
+    if cfg.observe_times is not None:
+        for t in cfg.observe_times:
+            _require(0.0 < t <= cfg.T,
+                     "observe_times: values must be in (0, T], got %g" % t)
     _require(len(cfg.epsilons) >= 3, "epsilons: rate scan needs at least 3")
     coeff, grid, x, D, var = _prepare(cfg)
     obs = _observe_nodes(cfg, grid)
@@ -392,7 +374,17 @@ def run_rate_scan(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
 
 def run_thm2(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     """two-sided weak-expansion check at each (epsilon, test function)"""
+    _check_epsilons(cfg)
     _require(len(cfg.test_functions) >= 1, "test_functions: must be non-empty")
+    seen = set()
+    for phi in cfg.test_functions:
+        try:
+            key = parse_test_function(phi)
+        except ValueError as exc:
+            raise ConfigError("test_functions: %s" % exc) from exc
+        _require(key not in seen,
+                 "test_functions: %r repeats an earlier entry" % (phi,))
+        seen.add(key)
     coeff, grid, x, D, var = _prepare(cfg)
     _make_out_dir(cfg)
     N = grid.N
@@ -455,6 +447,10 @@ def run_thm2(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
 
 def run_kernel_check(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     """fBm kernel mass identity, synthesized covariance, variance bound"""
+    # H_list, t_list and cov_pairs are read by this command alone
+    for h in cfg.H_list:
+        _require(0.0 < h < 1.0, "H_list: values must be in (0,1), got %g" % h)
+    _require(len(cfg.H_list) >= 1, "H_list: must be non-empty")
     unknown = sorted(set(cfg.params) - {"sigma0"})
     _require(not unknown, "params: kernel-check takes only sigma0, got %s"
              % ", ".join(unknown))
@@ -463,7 +459,6 @@ def run_kernel_check(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     rows: List[list] = []
     failures: List[str] = []
 
-    # t_list and cov_pairs are read by this command alone
     for t in cfg.t_list:
         _require(0.0 < t <= cfg.T, "t_list: values must be in (0, T], got %g" % t)
     for pair in cfg.cov_pairs:

@@ -7,16 +7,14 @@ Volterra kernel k times state functions g.  This module supplies
 * ``FbmKernelParams`` / ``eval_fbm_kernel``: the kernel K_H mapping a
   standard Brownian motion to fractional Brownian motion with Hurst
   index H, through ``scipy.special.hyp2f1`` (re-exported here as
-  ``hyp2f1``), plus two quadrature helpers built on it, which import
-  ``scipy.integrate`` (and with it ``scipy.optimize``, ``scipy.sparse``
-  and ``scipy.linalg``) on first use, so ``limit``, ``rate-scan`` and
-  ``thm2`` never load it,
+  ``hyp2f1``), plus the quadrature ``kernel_l2_mass`` built on it, which
+  imports ``scipy.integrate`` (and with it ``scipy.optimize``,
+  ``scipy.sparse`` and ``scipy.linalg``) on first use, so ``limit``,
+  ``rate-scan`` and ``thm2`` never load it, and
 * ``CoefficientSet`` presets spanning trivial, closed-form and fractional
-  test equations, each declared once: g, its x-derivatives and envelope
-  scales, plus for the fractional ones k = K_H, evaluated once per grid
-  into a memoized kernel matrix, and
-* ``check_assumptions``: advisory spot checks of the linear-growth and
-  derivative bounds required by the limit theory.
+  test equations, each declared once: g and its x-derivatives, plus for
+  the fractional ones k = K_H, evaluated once per grid into a memoized
+  kernel matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import special
@@ -109,46 +107,16 @@ def eval_fbm_kernel(p: FbmKernelParams, t, s):
     return out
 
 
-def eval_fbm_kernel_integral(p: FbmKernelParams, t: float, s: float) -> float:
-    """Dual route for H > 1/2: K_H(t, s) = c_H s^(1/2-H) int_s^t (u-s)^(H-3/2) u^(H-1/2) du.
-
-    Used as an oracle against the hypergeometric route.  The endpoint
-    singularity (u - s)^(H - 3/2) is removed exactly by the substitution
-    u = s + v^(1/(H - 1/2)), which turns the integrand into
-    u(v)^(H - 1/2) / (H - 1/2), smooth on [0, (t - s)^(H - 1/2)].
-    """
-    from scipy import integrate
-
-    H = p.H
-    if not H > 0.5 + _H_BROWNIAN_TOL:
-        raise ValueError("integral representation requires H > 1/2")
-    if not 0.0 < s < t:
-        raise ValueError("kernel requires 0 < s < t")
-    q = H - 0.5
-
-    def integrand(v):
-        return (s + v ** (1.0 / q)) ** (H - 0.5) / q
-
-    v_hi = (t - s) ** q
-    res = integrate.quad(integrand, 0.0, v_hi, limit=200, epsabs=1e-14, epsrel=1e-12,
-                         full_output=1)
-    val, err = res[0], res[1]
-    if not np.isfinite(val) or err > 1e-8 * max(abs(val), 1e-12):
-        raise ConvergenceError("kernel integral route failed at H=%g t=%g s=%g" % (H, t, s))
-    return p.cH * s ** (0.5 - H) * val
-
-
 def kernel_l2_mass(p: FbmKernelParams, t: float) -> float:
     """int_0^t K_H(t, s)^2 ds by singularity-aware quadrature (equals t^(2H)).
 
     Near s = 0 the integrand behaves like s^(a0 - 1) with
     a0 = 1 - |2H - 1|, near s = t like (t - s)^(2H - 1); power
-    substitutions flatten both endpoints before quadrature.
+    substitutions flatten both endpoints before quadrature.  A missed
+    accuracy target, as for H near 1, raises ``ConvergenceError``.
     """
     from scipy import integrate
 
-    if not t > 0.0:
-        raise ValueError("t must be positive")
     if p.brownian:
         return float(t)
     H = p.H
@@ -159,12 +127,22 @@ def kernel_l2_mass(p: FbmKernelParams, t: float) -> float:
     a0 = 1.0 - abs(2.0 * H - 1.0)
     at = 2.0 * H
     half = 0.5 * t
+    failed = "kernel L2 quadrature failed at H=%g, t=%g" % (H, t)
+    # the right integrand is 2F1(.; -w/s)^2 / (Gamma(H + 1/2)^2 V_H at) with
+    # w = t - s, so it tends to this value as w -> 0
+    edge = 1.0 / (math.gamma(H + 0.5) ** 2 * p.VH * at)
 
     def left(u):  # s = u^(1/a0) on (0, t/2)
-        return ksq(u ** (1.0 / a0)) * u ** (1.0 / a0 - 1.0) / a0
+        s = u ** (1.0 / a0)
+        if s == 0.0:  # u^(1/a0) underflows when H is near 1
+            raise ConvergenceError(failed)
+        return ksq(s) * u ** (1.0 / a0 - 1.0) / a0
 
-    def right(v):  # t - s = v^(1/at) on (t/2, t)
-        return ksq(t - v ** (1.0 / at)) * v ** (1.0 / at - 1.0) / at
+    def right(v):  # t - s = w = v^(1/at) on (t/2, t)
+        w = v ** (1.0 / at)
+        if w <= 1e-9 * t:  # t - (t - w) keeps too few of w's digits
+            return edge
+        return ksq(t - w) * v ** (1.0 / at - 1.0) / at
 
     total = 0.0
     for f, hi in ((left, half ** a0), (right, half ** at)):
@@ -172,15 +150,13 @@ def kernel_l2_mass(p: FbmKernelParams, t: float) -> float:
                              full_output=1)
         val, err = res[0], res[1]
         if not np.isfinite(val) or err > 1e-6 * max(abs(val), 1e-12):
-            raise ConvergenceError("kernel L2 quadrature failed at H=%g, t=%g" % (H, t))
+            raise ConvergenceError(failed)
         total += val
     return float(total)
 
 
 def fbm_covariance(H: float, t: float, s: float) -> float:
     """R_H(t, s) = (t^(2H) + s^(2H) - |t - s|^(2H)) / 2."""
-    if t < 0.0 or s < 0.0:
-        raise ValueError("times must be non-negative")
     e = 2.0 * H
     return 0.5 * (t ** e + s ** e - abs(t - s) ** e)
 
@@ -216,8 +192,6 @@ def _fbm_matrix(H: float, grid) -> np.ndarray:
 # Coefficient sets
 # ---------------------------------------------------------------------------
 
-_COEFF_FIELDS = ("b", "sigma", "db", "dsigma", "d2b", "d2sigma")
-
 
 @dataclass(frozen=True)
 class CoefficientSet:
@@ -225,11 +199,8 @@ class CoefficientSet:
 
     The six callables are the state functions g and their x-derivatives;
     they broadcast over numpy x and take (t, s, x) but ignore t and s.
-    ``bounds = (k1, k2, k3)`` are the envelope scales of g:
-    |g_b| + |g_sigma| <= k1 (1 + |x|), |g_b'| + |g_sigma'| <= k2 and
-    |g_b''| + |g_sigma''| <= k3.  ``kernel`` maps a grid to the matrix
-    K[i, j] = k(t_j, theta_i*) (zero for i >= j); ``None`` means k = 1,
-    and the engines then telescope.
+    ``kernel`` maps a grid to the matrix K[i, j] = k(t_j, theta_i*) (zero
+    for i >= j); ``None`` means k = 1, and the engines then telescope.
     """
 
     name: str
@@ -239,7 +210,6 @@ class CoefficientSet:
     dsigma: Callable
     d2b: Callable
     d2sigma: Callable
-    bounds: Tuple[float, float, float]
     kernel: Optional[Callable] = None
 
     def on_grid(self, grid) -> Optional[np.ndarray]:
@@ -275,7 +245,7 @@ def make_preset(name: str, **params) -> CoefficientSet:
 
     if name == "additive-unit":
         cs = CoefficientSet(name, _zero_coeff, _unit_coeff, _zero_coeff,
-                            _zero_coeff, _zero_coeff, _zero_coeff, bounds=(1.0, 0.0, 0.0))
+                            _zero_coeff, _zero_coeff, _zero_coeff)
     elif name == "multiplicative":
         cs = CoefficientSet(
             name,
@@ -285,7 +255,6 @@ def make_preset(name: str, **params) -> CoefficientSet:
             dsigma=_unit_coeff,
             d2b=_zero_coeff,
             d2sigma=_zero_coeff,
-            bounds=(1.0, 1.0, 0.0),
         )
     elif name == "linear-growth":
         a = take("a", 1.0)
@@ -297,11 +266,9 @@ def make_preset(name: str, **params) -> CoefficientSet:
             dsigma=_zero_coeff,
             d2b=_zero_coeff,
             d2sigma=_zero_coeff,
-            bounds=(max(abs(a), 1.0), abs(a), 0.0),
         )
     elif name == "trig":
         kappa = take("kappa", 1.0)
-        k = math.sqrt(2.0) * abs(kappa)
         cs = CoefficientSet(
             name,
             b=lambda t, s, x: kappa * np.sin(x),
@@ -310,7 +277,6 @@ def make_preset(name: str, **params) -> CoefficientSet:
             dsigma=lambda t, s, x: -kappa * np.sin(x),
             d2b=lambda t, s, x: -kappa * np.sin(x),
             d2sigma=lambda t, s, x: -kappa * np.cos(x),
-            bounds=(k, k, k),
         )
     else:  # fbm-additive, fbm-trig: K_H(t, s) times a state preset g
         if "H" not in params:
@@ -321,71 +287,10 @@ def make_preset(name: str, **params) -> CoefficientSet:
             sigma0 = take("sigma0", 1.0)
             g = CoefficientSet(name, _zero_coeff,
                                lambda t, s, x: np.full(np.shape(x), sigma0),
-                               _zero_coeff, _zero_coeff, _zero_coeff, _zero_coeff,
-                               bounds=(abs(sigma0), 0.0, 0.0))
+                               _zero_coeff, _zero_coeff, _zero_coeff, _zero_coeff)
         else:
             g = make_preset("trig", kappa=take("kappa", 1.0))
         cs = dataclasses.replace(g, name=name, kernel=functools.partial(_fbm_matrix, H))
     if params:
         raise ValueError("unknown parameters for preset %r: %s" % (name, sorted(params)))
     return cs
-
-
-# ---------------------------------------------------------------------------
-# The advisory assumption checker
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AssumptionReport:
-    """Advisory outcome of sampled growth/derivative bound checks."""
-
-    checked: int
-    violations: List[Tuple[str, float, float, float]]
-    growth_margin: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_assumptions(c: CoefficientSet, grid, probe_xs: Sequence[float]) -> AssumptionReport:
-    """Spot-check the coefficients k g against the envelopes k1 W (1 + |x|),
-    k2 W and k3 W of ``c.bounds``, with W = K on the grid (1 without a
-    kernel), on sampled (t, s, x) triples.  Purely advisory.
-    """
-    probe_xs = list(probe_xs)
-    if not probe_xs:
-        raise ValueError("probe_xs must be non-empty")
-    nodes = grid.nodes
-    mids = grid.midpoints
-    t_stride = max(1, grid.N // 16)
-    slack = 1e-9
-    K = c.on_grid(grid)
-    k1, k2, k3 = c.bounds
-
-    checked = 0
-    violations: List[Tuple[str, float, float, float]] = []
-    growth_margin = math.inf
-    for j in range(1, grid.N + 1, t_stride):
-        t = nodes[j]
-        rows = np.arange(j)[:: max(1, j // 16)]
-        ss = mids[rows]
-        w = 1.0 if K is None else K[rows, j]
-        for x in probe_xs:
-            xv = np.full(ss.shape, float(x))
-            v = {f: np.abs(w * np.asarray(getattr(c, f)(t, ss, xv), dtype=float))
-                 for f in _COEFF_FIELDS}
-            growth = v["b"] + v["sigma"]
-            cap1 = k1 * w * (1.0 + abs(x))
-            checked += 3 * ss.size
-            for kind, val, cap in (("growth", growth, cap1),
-                                   ("first-derivative", v["db"] + v["dsigma"], k2 * w),
-                                   ("second-derivative", v["d2b"] + v["d2sigma"], k3 * w)):
-                bad = val > cap * (1.0 + slack) + 1e-12
-                if np.any(bad):
-                    i = int(np.argmax(bad))
-                    violations.append((kind, float(t), float(ss[i]), float(x)))
-            growth_margin = min(growth_margin, float(np.min(cap1 - growth)))
-    return AssumptionReport(checked=checked, violations=violations,
-                            growth_margin=growth_margin)

@@ -255,19 +255,6 @@ def rate_fit(points: Sequence[Tuple[float, float]]) -> RateFit:
                    residual=residual, n_points=len(points))
 
 
-def skorokhod_term(Y_T, Z_T, DZ_rows, D_row, grid) -> np.ndarray:
-    """Per-path delta(Z DY) = Z_T Y_T - sum_i DZ[m, i] D[i, T] delta."""
-    Y_T = np.asarray(Y_T, dtype=float)
-    Z_T = np.asarray(Z_T, dtype=float)
-    DZ_rows = np.asarray(DZ_rows, dtype=float)
-    D_row = np.asarray(D_row, dtype=float)
-    if DZ_rows.shape != (Y_T.size, D_row.size) or Z_T.shape != Y_T.shape:
-        raise ValueError("coupled inputs have mismatched shapes")
-    if D_row.size != grid.N:
-        raise ValueError("terminal derivative column must have N entries")
-    return Z_T * Y_T - (DZ_rows @ D_row) * grid.delta
-
-
 # ---------------------------------------------------------------------------
 # Bounded test functions and the two-sided weak-expansion estimator
 # ---------------------------------------------------------------------------

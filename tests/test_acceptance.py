@@ -321,8 +321,9 @@ def test_criterion_8_exactness(record_criterion):
     Z = sim.simulate_Z(c, grid, x, Y, batch)
     checks.append(bool(np.all(Z.values == 0.0)))
     DZ = sim.simulate_DZ_terminal(c, grid, x, Y, D, batch)
-    delta = st.skorokhod_term(Y.values[:, -1], Z.values[:, -1], DZ,
-                              D.D[:, grid.N], grid)
+    # the Skorokhod term delta(Z DY) per path
+    delta = (Z.values[:, -1] * Y.values[:, -1]
+             - (DZ @ D.D[:, grid.N]) * grid.delta)
     varY = float((D.D[:, grid.N] ** 2).sum() * grid.delta)
     rhs, _ = st.thm2_rhs("cos", Y.values[:, -1], delta, varY)
     checks.append(rhs == 0.0)

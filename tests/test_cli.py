@@ -15,9 +15,12 @@ import scipy
 import volfluct
 from volfluct import cli
 from volfluct.cli import main
-from volfluct.kernels import AssumptionReport
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
+COMMANDS = ("limit", "rate-scan", "thm2", "kernel-check")
+# the commands that read and check a field which not every command reads
+READERS = {"epsilons": ("rate-scan", "thm2"), "observe_times": ("rate-scan",),
+           "test_functions": ("thm2",), "H_list": ("kernel-check",)}
 
 
 def _cfg(tmp_path, name="cfg.json", **kw):
@@ -66,23 +69,8 @@ def test_limit_fbm_variance(tmp_path):
     assert abs(float(var[-1]["var_y"]) - 1.0) < 2e-2
 
 
-def test_limit_assumption_violation_fails_assert(tmp_path, capsys,
-                                                 monkeypatch):
-    report = AssumptionReport(checked=1, violations=[("growth", 0.5, 0.25, 1.0)],
-                              growth_margin=0.0)
-    monkeypatch.setattr(cli, "check_assumptions", lambda *args: report)
-    cfg = _cfg(tmp_path, preset="trig", N=16)
-    out = str(tmp_path / "o")
-    assert _run(["limit", "--config", cfg, "--out", out]) == 0
-    assert _run(["limit", "--config", cfg, "--out", out, "--assert"]) == 4
-    err = capsys.readouterr().err
-    assert ("assert failed: assumption check: growth bound violated at "
-            "t=0.5, s=0.25, x=1\n") in err
-    assert "Traceback" not in err
-
-
 def test_limit_negative_sigma0_passes_assert(tmp_path, capsys):
-    # the envelope scale is |sigma0|: a negative sign is no violation
+    # limit has no gate, so --assert adds nothing to a run that succeeds
     cfg = _cfg(tmp_path, preset="fbm-additive", H=0.1, N=64, params={"sigma0": -2.0})
     assert _run(["limit", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--assert"]) == 0
@@ -140,9 +128,11 @@ def test_manifest_contents(tmp_path):
     {"test_functions": ["tanh", "tanh"]},
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, doc):
+    # the first key is the bad field; a command that reads it rejects it
     cfg = _cfg(tmp_path, **doc)
-    assert _run(["limit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "config error" in capsys.readouterr().err
+    for command in READERS.get(next(iter(doc)), ("limit",)):
+        assert _run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -158,7 +148,8 @@ def test_bad_configs_exit_2(tmp_path, capsys, doc):
 def test_malformed_list_entries_name_their_field(tmp_path, capsys, doc, message):
     cfg = _cfg(tmp_path, **dict({"N": 16, "M": 200}, **doc))
     out = tmp_path / "o"
-    assert _run(["limit", "--config", cfg, "--out", str(out)]) == 2
+    command = READERS.get(next(iter(doc)), ("limit",))[0]
+    assert _run([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: " + message)
     assert "Traceback" not in err
@@ -226,6 +217,29 @@ def test_command_checks_leave_no_out_dir(tmp_path, capsys, command, doc, message
     assert err.startswith("config error: " + message)
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("H_list", [1.5], "H_list: values must be in (0,1), got 1.5"),
+    ("observe_times", [1.5], "observe_times: values must be in (0, T], got 1.5"),
+    ("test_functions", ["gauss"], "test_functions: unknown test function 'gauss'"),
+    ("epsilons", [1.5], "epsilons: values must be in (0,1), got 1.5"),
+])
+def test_field_is_checked_by_the_command_that_reads_it(tmp_path, capsys, field,
+                                                       value, message):
+    cfg = _cfg(tmp_path, **{"preset": "trig", "N": 16, "M": 200,
+                            "epsilons": [0.4, 0.2, 0.1], "H_list": [0.7],
+                            "t_list": [1.0], "cov_pairs": [[1.0, 0.5]],
+                            field: value})
+    for command in COMMANDS:
+        out = tmp_path / command
+        code = _run([command, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        if command in READERS[field]:
+            assert code == 2 and err.startswith("config error: " + message), command
+            assert not out.exists()
+        else:
+            assert code == 0 and err == "", command
 
 
 @pytest.mark.parametrize("command", ["limit", "rate-scan", "thm2"])
@@ -484,6 +498,26 @@ def test_kernel_check_rough_and_smooth(tmp_path):
     margins = [r for r in rows if r["kind"] == "varmargin"]
     assert [float(r["H"]) for r in margins] == [0.7]
     assert float(margins[0]["value"]) >= 0.0
+
+
+@pytest.mark.parametrize("H", [0.05, 0.1, 0.999])
+def test_kernel_check_extreme_hurst_index_exits_cleanly(tmp_path, capsys, H):
+    # s = t - w rounds to t near the right end of the mass quadrature when H
+    # is small, and u^(1/a0) underflows at its left end when H is near 1
+    cfg = _cfg(tmp_path, N=8, M=100, H_list=[H], t_list=[1.0],
+               cov_pairs=[[1.0, 0.5]])
+    out = tmp_path / "o"
+    code = _run(["kernel-check", "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if H < 0.5:
+        assert code == 0 and err == ""
+        mass = [r for r in _read_csv(out / "kernel.csv") if r["kind"] == "l2mass"]
+        assert abs(float(mass[0]["err"])) <= 1e-3 * float(mass[0]["target"])
+    else:
+        assert code == 3
+        assert err == ("numerical divergence: kernel L2 quadrature failed at "
+                       "H=0.999, t=1\n")
 
 
 def test_kernel_check_rejects_params_other_than_sigma0(tmp_path, capsys):

