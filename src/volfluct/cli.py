@@ -35,7 +35,7 @@ from .deterministic import (_MAX_STEPS, DivergenceError, TimeGrid,
 from .kernels import (ConvergenceError, fbm_covariance, fbm_kernel_matrix,
                       fbm_kernel_params, kernel_l2_mass, make_preset,
                       variance_lower_bound_const)
-from .simulate import coupled_terminal_samples, increment_chunks
+from .simulate import _CHUNK_ROWS, _chunks, _draw, coupled_terminal_samples
 from .stats import (GATE_SE, distance_report, parse_test_function,
                     rate_fit, rms_with_se, thm2_report, thm2_richardson)
 
@@ -145,16 +145,14 @@ def load_config(path: str, out_override: Optional[str] = None,
 def validate_config(cfg: ExperimentConfig) -> None:
     # the fields every command reads; each runner checks its own before out_dir
     _require(2 <= cfg.N <= _MAX_STEPS, "N: must be in [2, %d], got %d" % (_MAX_STEPS, cfg.N))
-    _require(cfg.M >= 100, "M: must be at least 100, got %d" % cfg.M)
     _require(cfg.T > 0.0, "T: must be positive, got %g" % cfg.T)
-    _require(0 <= cfg.seed < 2 ** 64, "seed: must fit in uint64")
     _require("H" not in cfg.params, "params: give H as the top-level key, not in params")
-    if cfg.preset.startswith("fbm"):
-        _require(cfg.H is not None, "H: required for preset %r" % cfg.preset)
-        _require(0.0 < cfg.H < 1.0, "H: must be in (0,1), got %g" % cfg.H)
-    else:
-        _require(cfg.H is None,
-                 "H: only meaningful for fbm presets, not %r" % cfg.preset)
+
+
+def _check_draw(cfg: ExperimentConfig) -> None:
+    """M and seed, which rate-scan, thm2 and kernel-check read."""
+    _require(cfg.M >= 100, "M: must be at least 100, got %d" % cfg.M)
+    _require(0 <= cfg.seed < 2 ** 64, "seed: must fit in uint64")
 
 
 def _check_epsilons(cfg: ExperimentConfig) -> None:
@@ -184,6 +182,12 @@ def _observe_nodes(cfg: ExperimentConfig, grid: TimeGrid) -> List[int]:
 
 
 def _coefficients(cfg: ExperimentConfig):
+    if cfg.preset.startswith("fbm"):
+        _require(cfg.H is not None, "H: required for preset %r" % cfg.preset)
+        _require(0.0 < cfg.H < 1.0, "H: must be in (0,1), got %g" % cfg.H)
+    else:
+        _require(cfg.H is None,
+                 "H: only meaningful for fbm presets, not %r" % cfg.preset)
     params = dict(cfg.params)
     if cfg.H is not None:
         params["H"] = cfg.H
@@ -271,6 +275,7 @@ def run_limit(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
 
 def run_rate_scan(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     """strong and distributional convergence rates over the epsilon sweep"""
+    _check_draw(cfg)
     _check_epsilons(cfg)
     if cfg.observe_times is not None:
         for t in cfg.observe_times:
@@ -374,6 +379,7 @@ def run_rate_scan(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
 
 def run_thm2(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     """two-sided weak-expansion check at each (epsilon, test function)"""
+    _check_draw(cfg)
     _check_epsilons(cfg)
     _require(len(cfg.test_functions) >= 1, "test_functions: must be non-empty")
     seen = set()
@@ -447,6 +453,7 @@ def run_thm2(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
 
 def run_kernel_check(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     """fBm kernel mass identity, synthesized covariance, variance bound"""
+    _check_draw(cfg)
     # H_list, t_list and cov_pairs are read by this command alone
     for h in cfg.H_list:
         _require(0.0 < h < 1.0, "H_list: values must be in (0,1), got %g" % h)
@@ -456,8 +463,6 @@ def run_kernel_check(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
              % ", ".join(unknown))
     grid = TimeGrid(T=cfg.T, N=cfg.N)
     sigma0 = float(cfg.params.get("sigma0", 1.0))
-    rows: List[list] = []
-    failures: List[str] = []
 
     for t in cfg.t_list:
         _require(0.0 < t <= cfg.T, "t_list: values must be in (0, T], got %g" % t)
@@ -467,62 +472,73 @@ def run_kernel_check(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
                      "cov_pairs: times must be in (0, T], got %g" % v)
     pair_nodes = [( _snap_node(t, grid, "cov_pairs"),
                     _snap_node(s, grid, "cov_pairs")) for t, s in cfg.cov_pairs]
+    needed = sorted({j for pair in pair_nodes for j in pair})
     _make_out_dir(cfg)
 
+    # the deterministic rows of each H first, in the order that meets a
+    # divergence where a per-H loop would; then one draw serves every H
+    parts = []
     for H in cfg.H_list:
         p = fbm_kernel_params(H)
+        mass = []
         for t in cfg.t_list:
-            mass = kernel_l2_mass(p, t)
+            value = kernel_l2_mass(p, t)
             target = t ** (2.0 * H)
-            err = mass - target
-            rows.append(["l2mass", H, t, "", mass, target, err, 0.0, 0.0])
-            if abs(err) / target > 1e-3:
-                failures.append("l2mass H=%g t=%g: relative error %.3g > 1e-3"
-                                % (H, t, abs(err) / target))
-
+            mass.append(["l2mass", H, t, "", value, target, value - target, 0.0, 0.0])
         Kmat = fbm_kernel_matrix(p, grid)
+        # quadrature variance against the stated lower bound, H > 1/2 only
+        margin = []
+        if H > 0.5 + 1e-6:
+            cstar = variance_lower_bound_const(p, sigma0)
+            var_path = (grid.delta * (sigma0 * Kmat) ** 2).sum(axis=0)
+            margins = var_path[1:] - 0.5 * cstar * grid.nodes[1:] ** (2.0 * H)
+            worst = int(np.argmin(margins))
+            value = float(margins[worst])
+            margin.append(["varmargin", H, grid.nodes[worst + 1], "",
+                           value, 0.0, value, 0.0, 0.0])
+        parts.append((mass, Kmat[:, needed], margin))
 
-        # synthesized fBm covariance at the requested node pairs
-        needed = sorted({j for pair in pair_nodes for j in pair})
-        cols = Kmat[:, needed]
-        sums = np.zeros(len(pair_nodes))
-        sqs = np.zeros(len(pair_nodes))
-        for dB in increment_chunks(cfg.seed, grid, cfg.M):
+    # synthesized fBm covariance at the requested node pairs: each chunk is
+    # drawn once, and each H's sums run in chunk order
+    sums = np.zeros((len(parts), len(pair_nodes)))
+    sqs = np.zeros_like(sums)
+    dBt = np.empty((grid.N, min(cfg.M, _CHUNK_ROWS)))
+    for m0, m1 in _chunks(cfg.M):
+        dB = _draw(cfg.seed, grid, m0, m1, dBt[:, :m1 - m0]).T
+        for h, (_, cols, _) in enumerate(parts):
             bh = dB @ cols
             for k, (ja, jb) in enumerate(pair_nodes):
                 prod = bh[:, needed.index(ja)] * bh[:, needed.index(jb)]
-                sums[k] += prod.sum()
-                sqs[k] += (prod * prod).sum()
+                sums[h, k] += prod.sum()
+                sqs[h, k] += (prod * prod).sum()
+
+    rows: List[list] = []
+    for H, (mass, _, margin), total, sq in zip(cfg.H_list, parts, sums, sqs):
+        rows += mass
         for k, ((t, s), (ja, jb)) in enumerate(zip(cfg.cov_pairs, pair_nodes)):
-            mean = sums[k] / cfg.M
-            svar = (sqs[k] - cfg.M * mean * mean) / (cfg.M - 1)
+            mean = total[k] / cfg.M
+            svar = (sq[k] - cfg.M * mean * mean) / (cfg.M - 1)
             se = math.sqrt(max(svar, 0.0) / cfg.M)
             target = fbm_covariance(H, grid.nodes[ja], grid.nodes[jb])
             err = mean - target
             z = err / se if se > 0.0 else 0.0
             rows.append(["covariance", H, t, s, mean, target, err, se, z])
-            if abs(z) > 3.0:
-                failures.append("covariance H=%g (t=%g, s=%g): |z|=%.2f > 3"
-                                % (H, t, s, abs(z)))
+        rows += margin
 
-        # quadrature variance against the stated lower bound, H > 1/2 only
-        if H > 0.5 + 1e-6:
-            cstar = variance_lower_bound_const(p, sigma0)
-            var_path = grid.delta * (sigma0 * Kmat) ** 2
-            var_path = var_path.sum(axis=0)
-            margins = (var_path[1:]
-                       - 0.5 * cstar * grid.nodes[1:] ** (2.0 * H))
-            worst = int(np.argmin(margins))
-            margin = float(margins[worst])
-            rows.append(["varmargin", H, grid.nodes[worst + 1], "",
-                         margin, 0.0, margin, 0.0, 0.0])
-            if margin < 0.0:
-                failures.append("varmargin H=%g: minimum margin %.3g < 0"
-                                % (H, margin))
+    failures: List[str] = []
+    for kind, H, t, s, value, target, err, _, z in rows:
+        if kind == "l2mass" and abs(err) / target > 1e-3:
+            failures.append("l2mass H=%g t=%g: relative error %.3g > 1e-3"
+                            % (H, t, abs(err) / target))
+        elif kind == "covariance" and abs(z) > 3.0:
+            failures.append("covariance H=%g (t=%g, s=%g): |z|=%.2f > 3"
+                            % (H, t, s, abs(z)))
+        elif kind == "varmargin" and value < 0.0:
+            failures.append("varmargin H=%g: minimum margin %.3g < 0"
+                            % (H, value))
 
     _write_csv(cfg.out_dir, "kernel.csv",
-               ("kind", "H", "t", "s", "value", "target", "err", "se", "z"),
-               rows)
+               ("kind", "H", "t", "s", "value", "target", "err", "se", "z"), rows)
     _write_manifest(cfg, "kernel-check")
     return failures
 

@@ -3,45 +3,42 @@
 Brownian increments come from a counter-based generator (Philox): the
 increment of path m at step i is a pure function of (seed, m, i), so
 growing the batch or re-chunking the work never changes existing paths.
+``_draw`` alone turns the generator into increments, for the driver,
+kernel-check and ``sample_brownian`` alike: it draws row blocks of about
+512 KiB, applies the offset, the normal quantile and the sqrt(delta)
+scale in place, and copies each block straight into a time-major array.
 
 ``coupled_terminal_samples`` is the simulation driver.  It takes the
 run's deterministic limit x and derivative field D, streams M paths in
 fixed 2048-row chunks over the whole eps sweep, and returns X, the
 fluctuation X-tilde = (X_eps - x) / eps, the Gaussian limit Y, the
 second-order correction Z and the terminal Malliavin pairing of DZ, at
-the requested nodes only.  Each chunk's increments are drawn in row
-blocks of about 512 KiB, each with the offset, the normal quantile and
-the sqrt(delta) scale applied in place and copied straight into a
-time-major buffer shared by every engine.  The engine yields one row per
-node and the driver keeps and checks only what it reads: X at each eps
-writes its observed nodes into the output columns, and Y feeds Z's step
-row by row in lockstep.  Each worker thread keeps one workspace across
-its chunks: the time-major increments and, for the DZ pairing, all of
-Y.  The pairing is one number per path, so the driver contracts the DZ
-closed form with D[:, N] into two weight vectors once per call and
-never forms the (M, N) DZ rows.  Chunks run in parallel without
-affecting any number.
+the requested nodes only.  Each chunk is drawn once, into a buffer that
+every engine reads.  The engine yields one row per node and the driver
+keeps and checks only what it reads: X at each eps writes its observed
+nodes into the output columns, and Y feeds Z's step row by row in
+lockstep.  Each worker thread keeps one workspace across its chunks:
+the increments and, for the DZ pairing, all of Y.  The pairing is one
+number per path, so the driver contracts the DZ closed form with
+D[:, N] into two weight vectors once per call and never forms the
+(M, N) DZ rows.  Chunks run in parallel without affecting any number.
 
 The whole-batch calls run the same engines on one increment batch:
+``sample_brownian`` (the M x N increment table, the transpose of one
+time-major draw), ``simulate_X`` (X_eps by an explicit Euler rule),
+``simulate_Y_euler`` (Y by the linearized Euler rule), ``simulate_Z``
+(the second-order correction) and ``simulate_DZ_terminal`` (the terminal
+Malliavin rows D_theta Z_T, from a closed form); each keeps every node.
 
-* ``sample_brownian``: the M x N increment table,
-* ``simulate_X``: the noisy path X_eps by an explicit Euler rule,
-* ``simulate_Y_euler``: Y by the linearized Euler rule,
-* ``simulate_Z``: the second-order correction process,
-* ``simulate_DZ_terminal``: the terminal Malliavin rows D_theta Z_T.
-
-Every entry point runs X, Y and Z on the time-major Volterra engine of
-``deterministic``, which also solves x and D: g is evaluated once per
-path and step, and the Volterra convolution is resummed as one mat-vec
-against a column of the kernel matrix K[i, j] = k(t_j, s_i*) of the
-preset's coefficients k(t, s) g(x).  State-only presets (k = 1) have no
-kernel matrix, and the same engine telescopes the sum into an O(N)
-recursion.  The engines read time-major (N, M) increments; each
-whole-batch call transposes its batch once and keeps every node.  DZ
-follows from a closed form.  Every engine run is read through
-``deterministic._Kept``, which checks each row as it copies it, so a
-divergence is named by its first non-finite node, then its first path,
-in one place.
+X, Y and Z run on the time-major Volterra engine of ``deterministic``,
+which also solves x and D: g is evaluated once per path and step, and
+the Volterra convolution is resummed as one mat-vec against a column of
+the kernel matrix K[i, j] = k(t_j, s_i*) of the preset's coefficients
+k(t, s) g(x).  State-only presets (k = 1) have no kernel matrix, and
+the same engine telescopes the sum into an O(N) recursion.  Every engine
+run is read through ``deterministic._Kept``, which checks each row as it
+copies it, so a divergence is named by its first non-finite node, then
+its first path, in one place.
 """
 
 from __future__ import annotations
@@ -92,27 +89,18 @@ class PathEnsemble:
     seed: int
 
 
-def _uniform_block(seed: int, g0: int, count: int) -> np.ndarray:
-    """Uniforms for global draw indices [g0, g0 + count), g0 divisible by 4.
+def _increment_rows(seed: int, grid: TimeGrid, m0: int, m1: int) -> np.ndarray:
+    """Rows m0:m1 of the increment table; (m, i) <- draw number m*N + i.
 
     Philox emits 4 uint64 words per counter block and Generator.random
-    consumes exactly one word per double, so starting the counter at
-    g0 // 4 addresses draw g0 directly.
+    consumes exactly one word per double, so a counter started at block
+    m0*N // 4 addresses draw m0*N after at most 3 skipped words.
     """
-    if g0 % 4:
-        raise ValueError("draw index %d is not a multiple of 4" % g0)
-    bitgen = np.random.Philox(key=np.uint64(seed), counter=[g0 // 4, 0, 0, 0])
-    return np.random.Generator(bitgen).random(count)
-
-
-def _increment_rows(seed: int, grid: TimeGrid, m0: int, m1: int) -> np.ndarray:
-    """Rows m0:m1 of the increment table; (m, i) <- draw number m*N + i."""
     N = grid.N
     g0 = m0 * N
-    g1 = m1 * N
-    lo = (g0 // 4) * 4
+    bitgen = np.random.Philox(key=np.uint64(seed), counter=[g0 // 4, 0, 0, 0])
     # offset, normal quantile and scale in place: one allocation per call
-    z = _uniform_block(seed, lo, g1 - lo)[g0 - lo:]
+    z = np.random.Generator(bitgen).random(m1 * N - g0 // 4 * 4)[g0 % 4:]
     z += _UNIFORM_OFFSET
     special.ndtri(z, out=z)
     z *= math.sqrt(grid.delta)
@@ -130,10 +118,13 @@ def _row_blocks(N: int, m0: int, m1: int) -> List[Tuple[int, int]]:
     return [(r, min(r + rows, m1)) for r in range(m0, m1, rows)]
 
 
-def increment_chunks(seed: int, grid: TimeGrid, M: int) -> Iterator[np.ndarray]:
-    """The rows of the M-path increment table, one chunk at a time."""
-    for m0, m1 in _chunks(M):
-        yield _increment_rows(seed, grid, m0, m1)
+def _draw(seed: int, grid: TimeGrid, m0: int, m1: int, out: np.ndarray) -> np.ndarray:
+    """Increment rows m0:m1, time-major, into the (N, m1 - m0) array ``out``:
+    one ``_increment_rows`` call per row block, each copied straight in.
+    Every Monte Carlo consumer draws through here."""
+    for r0, r1 in _row_blocks(grid.N, m0, m1):
+        out[:, r0 - m0:r1 - m0] = _increment_rows(seed, grid, r0, r1).T
+    return out
 
 
 def sample_brownian(M: int, grid: TimeGrid, seed: int) -> BrownianBatch:
@@ -143,7 +134,7 @@ def sample_brownian(M: int, grid: TimeGrid, seed: int) -> BrownianBatch:
     if not 0 <= seed < _U64:
         raise ValueError("seed must fit in 64 bits")
     return BrownianBatch(M=M, grid=grid, seed=seed,
-                         increments=_increment_rows(seed, grid, 0, M))
+                         increments=_draw(seed, grid, 0, M, np.empty((grid.N, M))).T)
 
 
 def _x(c, grid, x0, eps, dBt):
@@ -390,16 +381,6 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     width = min(M, _CHUNK_ROWS)
     local = threading.local()
 
-    def workspace(rows: int):
-        """This worker's time-major dBt (N, rows) and, for the DZ pairing,
-        Y (N+1, rows) buffers: views of flat arrays made on its first chunk."""
-        flat = getattr(local, "flat", None)
-        if flat is None:
-            flat = local.flat = (np.empty(N * width),
-                                 np.empty((N + 1) * width) if with_dzdy else None)
-        return (flat[0][:N * rows].reshape(N, rows),
-                None if flat[1] is None else flat[1][:(N + 1) * rows].reshape(N + 1, rows))
-
     def kept(process: dict, m0: int, m1: int) -> Dict[int, np.ndarray]:
         return {j: process[j][m0:m1] for j in observe}
 
@@ -407,10 +388,12 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
         """Fill rows m0:m1; return the chunk's first divergence as
         (stage, node, path, name), or None."""
         m0, m1 = rows
-        dBt, Yw = workspace(m1 - m0)
-        # one time-major copy per chunk, shared by every engine and the dB gemv
-        for r0, r1 in _row_blocks(N, m0, m1):
-            dBt[:, r0 - m0:r1 - m0] = _increment_rows(seed, grid, r0, r1).T
+        if not hasattr(local, "dBt"):  # this worker's workspace, kept across chunks
+            local.dBt = np.empty((N, width))
+            local.Y = np.empty((N + 1, width)) if with_dzdy else None
+        # one time-major draw per chunk, shared by every engine and the dB gemv
+        dBt = _draw(seed, grid, m0, m1, local.dBt[:, :m1 - m0])
+        Yw = None if local.Y is None else local.Y[:, :m1 - m0]
 
         def located(stage: int, name: str, engine: Iterator[np.ndarray]):
             # a failed stage's first bad row, from a fresh run of its engine

@@ -110,6 +110,16 @@ def thm2_m1e6():
     return outs
 
 
+@pytest.fixture(scope="module")
+def kernel_check_c2(workdir):
+    """kernel-check at the battery shape for H 0.3 and 0.7: criterion 2."""
+    cfg = _write_cfg(workdir / "c2.json", N=512, M=100000,
+                     H_list=[0.3, 0.7], t_list=[1.0], seed=SEED)
+    out = workdir / "c2"
+    assert _run_cli(["kernel-check", "--config", cfg, "--out", str(out)]) == 0
+    return out
+
+
 def test_criterion_1_kernel_mass_identity(workdir, record_criterion):
     cfg = _write_cfg(workdir / "c1.json", N=64, M=500,
                      H_list=[0.3, 0.5, 0.7, 0.9], t_list=[0.25, 0.5, 1.0],
@@ -125,12 +135,8 @@ def test_criterion_1_kernel_mass_identity(workdir, record_criterion):
                      "12 (H, t) pairs, max rel err %.2e" % max(rels))
 
 
-def test_criterion_2_fbm_covariance(workdir, record_criterion):
-    cfg = _write_cfg(workdir / "c2.json", N=512, M=100000,
-                     H_list=[0.3, 0.7], t_list=[1.0], seed=SEED)
-    out = workdir / "c2"
-    assert _run_cli(["kernel-check", "--config", cfg, "--out", str(out)]) == 0
-    zs = [abs(float(r["z"])) for r in _read_csv(out / "kernel.csv")
+def test_criterion_2_fbm_covariance(kernel_check_c2, record_criterion):
+    zs = [abs(float(r["z"])) for r in _read_csv(kernel_check_c2 / "kernel.csv")
           if r["kind"] == "covariance"]
     record_criterion(2, len(zs) == 12 and max(zs) <= 3.0,
                      "6 pairs x 2 H values, max |z| = %.2f" % max(zs))
@@ -275,6 +281,30 @@ def test_golden_thm2_rows_match_committed_out(thm2_m1e6):
                 [rep.lhs, rep.lhs_se, rep.rhs, rep.rhs_se],
                 [float(r[k]) for k in ("lhs", "lhs_se", "rhs", "rhs_se")],
                 rtol=1e-9, atol=1e-12, err_msg="%s %s" % (preset, r["phi"]))
+
+
+def test_golden_kernel_check_rows_match_committed_out(kernel_check_c2):
+    """The criterion-2 run is the committed kernel-check config at H 0.3 and
+    0.7, so its covariance rows are compared with those rows of ``out/`` at
+    the golden tolerance without a new simulation."""
+    cfg = json.loads((REPO / "scripts" / "configs" / "kernel_check.json").read_text())
+    assert (cfg["N"], cfg["M"], cfg["seed"], cfg.get("T", 1.0)) == (512, 100000, SEED, 1.0)
+    assert "cov_pairs" not in cfg
+
+    def covariance(path):
+        return [r for r in _read_csv(path)
+                if r["kind"] == "covariance" and float(r["H"]) in (0.3, 0.7)]
+
+    got = covariance(kernel_check_c2 / "kernel.csv")
+    want = covariance(REPO / "out" / "kernel-check" / "kernel.csv")
+    keys = ("H", "t", "s")
+    assert len(got) == 12
+    assert [[r[k] for k in keys] for r in got] == [[r[k] for k in keys] for r in want]
+    values = ("value", "target", "err", "se", "z")
+    for g, w in zip(got, want):
+        np.testing.assert_allclose([float(g[k]) for k in values],
+                                   [float(w[k]) for k in values],
+                                   rtol=1e-9, atol=1e-12, err_msg=str(w))
 
 
 def test_criterion_7_variance_margin(workdir, record_criterion):

@@ -20,7 +20,10 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 COMMANDS = ("limit", "rate-scan", "thm2", "kernel-check")
 # the commands that read and check a field which not every command reads
 READERS = {"epsilons": ("rate-scan", "thm2"), "observe_times": ("rate-scan",),
-           "test_functions": ("thm2",), "H_list": ("kernel-check",)}
+           "test_functions": ("thm2",), "H_list": ("kernel-check",),
+           "M": ("rate-scan", "thm2", "kernel-check"),
+           "seed": ("rate-scan", "thm2", "kernel-check"),
+           "preset": ("limit", "rate-scan", "thm2"), "H": ("limit", "rate-scan", "thm2")}
 
 
 def _cfg(tmp_path, name="cfg.json", **kw):
@@ -224,6 +227,10 @@ def test_command_checks_leave_no_out_dir(tmp_path, capsys, command, doc, message
     ("observe_times", [1.5], "observe_times: values must be in (0, T], got 1.5"),
     ("test_functions", ["gauss"], "test_functions: unknown test function 'gauss'"),
     ("epsilons", [1.5], "epsilons: values must be in (0,1), got 1.5"),
+    ("M", 5, "M: must be at least 100, got 5"),
+    ("seed", -3, "seed: must fit in uint64"),
+    ("preset", "fbm-trig", "H: required for preset 'fbm-trig'"),
+    ("H", 0.7, "H: only meaningful for fbm presets, not 'trig'"),
 ])
 def test_field_is_checked_by_the_command_that_reads_it(tmp_path, capsys, field,
                                                        value, message):
@@ -518,6 +525,27 @@ def test_kernel_check_extreme_hurst_index_exits_cleanly(tmp_path, capsys, H):
         assert code == 3
         assert err == ("numerical divergence: kernel L2 quadrature failed at "
                        "H=0.999, t=1\n")
+
+
+def test_kernel_check_draws_each_increment_once(tmp_path, monkeypatch):
+    # one draw of each chunk serves every H: three H values over two chunks
+    # read the M x N increment table once, not once per H
+    from volfluct import simulate
+    rows = simulate._increment_rows
+    drawn = []
+
+    def counted(*args):
+        block = rows(*args)
+        drawn.append(block.size)
+        return block
+
+    monkeypatch.setattr(simulate, "_increment_rows", counted)
+    N, M = 16, simulate._CHUNK_ROWS + 37
+    assert len(simulate._chunks(M)) == 2
+    cfg = _cfg(tmp_path, N=N, M=M, H_list=[0.3, 0.5, 0.7], t_list=[1.0],
+               cov_pairs=[[1.0, 0.5]])
+    assert _run(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert sum(drawn) == M * N
 
 
 def test_kernel_check_rejects_params_other_than_sigma0(tmp_path, capsys):

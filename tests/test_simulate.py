@@ -69,6 +69,18 @@ def test_brownian_chunk_addressing():
     np.testing.assert_array_equal(part, whole[4:7])
 
 
+def test_shared_draw_spans_row_blocks():
+    # at N = 13 the row blocks hold 5041 rows, so M = 12000 takes three RNG
+    # calls whose edges (draws 65533 and 131066) fall inside 4-word counter
+    # blocks; the time-major draw must equal one call over all the rows
+    g = TimeGrid(T=1.0, N=13)
+    M = 12000
+    assert len(sim._row_blocks(13, 0, M)) == 3
+    assert all(r0 * 13 % 4 for r0, _ in sim._row_blocks(13, 0, M)[1:])
+    got = sim.sample_brownian(M, g, 5).increments
+    np.testing.assert_array_equal(got, sim._increment_rows(5, g, 0, M))
+
+
 @pytest.mark.parametrize("N,rows", [(13, [(0, 9), (4, 7), (5, 6), (3, 11)]),
                                      (256, [(0, 3), (1, 4), (2, 2050)])])
 def test_increment_rows_follow_the_stated_rng_scheme(N, rows):
@@ -435,11 +447,6 @@ def test_divergence_names_first_node_then_first_path():
                 run()
             assert (exc.value.node, exc.value.path) == (11, 3)
             assert str(exc.value) == "%s diverged at path 3, node 11" % what
-
-
-def test_uniform_block_rejects_unaligned_draw_index():
-    with pytest.raises(ValueError):
-        sim._uniform_block(1, 3, 8)
 
 
 def test_coupling_is_enforced():
