@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from . import __version__
 from .deterministic import (_MAX_STEPS, DivergenceError, TimeGrid,
@@ -35,7 +36,8 @@ from .deterministic import (_MAX_STEPS, DivergenceError, TimeGrid,
 from .kernels import (ConvergenceError, fbm_covariance, fbm_kernel_matrix,
                       fbm_kernel_params, kernel_l2_mass, make_preset,
                       variance_lower_bound_const)
-from .simulate import _CHUNK_ROWS, _chunks, _draw, coupled_terminal_samples
+from .simulate import (_CHUNK_ROWS, _RNG_SCHEME, _chunks, _draw,
+                       coupled_terminal_samples)
 from .stats import (GATE_SE, distance_report, parse_test_function,
                     rate_fit, rms_with_se, thm2_report, thm2_richardson)
 
@@ -224,10 +226,20 @@ def _write_csv(out_dir: str, name: str, header: Sequence[str],
         raise ConfigError("out_dir: %s" % exc) from exc
 
 
+def _numerics() -> dict:
+    """The numerical environment the outputs depend on: the numpy and
+    scipy versions, numpy's BLAS, the CPU kernels numpy dispatches to, the
+    Monte Carlo chunk size and the RNG scheme.  None depends on threads."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": "%s %s" % (blas.get("name", "?"), blas.get("version", "?")),
+            "numpy_cpu_dispatch": [f for f in __cpu_dispatch__ if __cpu_features__.get(f)],
+            "chunk_rows": _CHUNK_ROWS, "rng": _RNG_SCHEME}
+
+
 def _write_manifest(cfg: ExperimentConfig, command: str) -> None:
     doc = {"version": __version__, "command": command,
-           "config": dataclasses.asdict(cfg),
-           "numerics": {"numpy": np.__version__, "scipy": scipy.__version__}}
+           "config": dataclasses.asdict(cfg), "numerics": _numerics()}
     try:
         with open(os.path.join(cfg.out_dir, "manifest.json"), "w",
                   newline="") as fh:

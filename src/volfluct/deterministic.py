@@ -153,7 +153,8 @@ class _Kept:
     and checks them for non-finite values.
 
     Row j is copied into ``sinks[j]``, when the run keeps it, before it is
-    passed on.  ``bad`` is (node, path) of the first non-finite entry of
+    passed on; a row that is neither kept nor checked passes straight on.
+    ``bad`` is (node, path) of the first non-finite entry of
     the first non-finite checked row j >= 1, or None: the checked rows are
     the kept ones, which include the terminal node, where a non-finite
     value of the telescoping recursion always arrives, or every row when
@@ -175,7 +176,9 @@ class _Kept:
         dst = self._sinks.get(j)
         if dst is not None:
             dst[...] = V
-        if self.bad is None and j and (dst is not None or self._every):
+        elif not self._every:
+            return V  # neither kept nor checked
+        if self.bad is None and j:
             ok = np.isfinite(V)
             if not ok.all():
                 self.bad = j, int(np.argmin(ok))

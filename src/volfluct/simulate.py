@@ -17,11 +17,14 @@ the requested nodes only.  Each chunk is drawn once, into a buffer that
 every engine reads.  The engine yields one row per node and the driver
 keeps and checks only what it reads: X at each eps writes its observed
 nodes into the output columns, and Y feeds Z's step row by row in
-lockstep.  Each worker thread keeps one workspace across its chunks:
-the increments and, for the DZ pairing, all of Y.  The pairing is one
-number per path, so the driver contracts the DZ closed form with
-D[:, N] into two weight vectors once per call and never forms the
-(M, N) DZ rows.  Chunks run in parallel without affecting any number.
+lockstep.  The pairing is one number per path, so the driver contracts
+the DZ closed form with D[:, N] into two weight vectors (a, b) once per
+call and never forms the (M, N) DZ rows: as Z's step reads Y_i it adds
+a_i Y_i into one per-chunk accumulator, so no Y row outlives its step.
+Each worker thread keeps one workspace across its chunks, the (N, rows)
+increment block, with or without the pairing; on the kernel branch the
+Y and Z engines add one (N, rows) cell history each.  Chunks run in
+parallel without affecting any number.
 
 The whole-batch calls run the same engines on one increment batch:
 ``sample_brownian`` (the M x N increment table, the transpose of one
@@ -67,6 +70,9 @@ _U64 = 2 ** 64
 # uniforms are u = k 2^-53; the half-ulp shift makes them symmetric in (0, 1),
 # so the normal quantile never sees 0 and the population mean is exactly 0
 _UNIFORM_OFFSET = 2.0 ** -54
+# the scheme of _increment_rows, as manifest.json records it
+_RNG_SCHEME = ("Philox keyed by the seed; increment (m, i) is ndtri(u + 2^-54) "
+              "* sqrt(delta), u = k 2^-53 from draw m*N + i")
 
 
 @dataclass(frozen=True)
@@ -153,8 +159,10 @@ def _y(c, grid, xv, dBt):
 
 
 def _z(c, grid, xv, Y, dBt):
-    """Z's rows; ``Y`` gives Y's time-major rows Y_0, Y_1, ... (an (N+1, M)
-    array, or a running Y engine that Z's step i advances to Y_i)."""
+    """Z's rows; ``Y`` gives Y's time-major rows Y_0, Y_1, ...: an (N+1, M)
+    array, or a running Y engine that Z's step i advances to Y_i (in the
+    driver through ``_paired``, which adds the DZ pairing's a_i Y_i as the
+    step reads it)."""
     K = c.on_grid(grid)
     d = grid.delta
     bp = _on_path(c.db, grid, xv)
@@ -235,12 +243,22 @@ def _dzdy_weights(c, grid, xv, Dmat):
     The closed form of ``_dz_terminal`` contracted with v = D[:, N] before
     any path enters: with u = triu(D[:, :N])^T v,
     a = 2 sigma' lead v + 2 delta b'' w u and b = 2 sigma' w u, so the
-    pairing costs two O(M N) gemvs and no (M, N) DZ is formed.
+    pairing costs O(M N) and no (M, N) DZ is formed: the driver adds the
+    Y term row by row as Y is solved, and the dB term is one gemv.
     """
     sp, bpp, lead, w, upper = _dz_operator(c, grid, xv, Dmat)
     v = Dmat[:, grid.N]
     wu = w * (v @ upper)
     return 2.0 * sp * lead * v + 2.0 * grid.delta * bpp * wu, 2.0 * sp * wu
+
+
+def _paired(Y: Iterator[np.ndarray], a: np.ndarray,
+            acc: np.ndarray) -> Iterator[np.ndarray]:
+    """Y's rows Y_0, ..., Y_{N-1} as Z's steps read them, each first added
+    into the pairing's accumulator as ``acc += a[i] Y_i``."""
+    for ai, Yi in zip(a, Y):
+        acc += ai * Yi
+        yield Yi
 
 
 def _every_node(what: str, rows: Iterator[np.ndarray], dBt: np.ndarray) -> np.ndarray:
@@ -337,20 +355,24 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     ``x`` and ``D`` are the run's limit path and derivative field of ``c``;
     the grid and x0 are read off ``x``.  Each chunk draws its increments
     straight into time-major, solves X once per eps and Y and Z once,
-    keeping only the observed nodes (and all of Y for the DZ pairing);
-    Y and Z run in lockstep.  Returns "X" and "Xt" = (X - x) / eps keyed
-    by eps then node, "Y" and "Z" by node, and "dzdy" (sum_i DZ[m, i]
-    D[i, T] delta, terminal node only), a per-path contraction
-    Y[m, :N] @ a + dB[m] @ b against weights built once per call, so no
-    (M, N) DZ is formed.  The terminal
-    node is always observed.  Every number is independent of ``threads``:
-    the chunk grid is fixed and each chunk fills its own rows.  All chunks run
-    before a divergence is raised as the whole-batch calls meet it: first
-    by stage (X at the first eps, Y, Z, DZ, X at each later eps), then
-    node, path.  A chunk stage whose checked rows are not all finite is
-    run again from its increments, keeping no row and checking every one,
-    to find its first node and path; Z's run is fed by a fresh Y in
-    lockstep, so locating a divergence forms no whole-path array.
+    keeping only the observed nodes; Y and Z run in lockstep.  Returns
+    "X" and "Xt" = (X - x) / eps keyed by eps then node, "Y" and "Z" by
+    node, and "dzdy" (sum_i DZ[m, i] D[i, T] delta, terminal node only),
+    the per-path contraction Y[m, :N] @ a + dB[m] @ b against weights
+    built once per call: Z's step i adds a_i Y_i into a (rows,)
+    accumulator as it reads Y_i, and the dB term is one gemv after Z, so
+    neither the (M, N) DZ nor a chunk's Y rows are ever formed.  Each
+    worker's workspace is its (N, rows) increment block, plus one
+    (N, rows) cell history each for Y and Z on the kernel branch.  The
+    terminal node is always observed.  Every number is independent of
+    ``threads``: the chunk grid is fixed and each chunk fills its own
+    rows.  All chunks run before a divergence is raised as the
+    whole-batch calls meet it: first by stage (X at the first eps, Y, Z,
+    DZ, X at each later eps), then node, path.  A chunk stage whose
+    checked rows are not all finite is run again from its increments,
+    keeping no row and checking every one, to find its first node and
+    path; Z's run is fed by a fresh Y in lockstep, so locating a
+    divergence forms no whole-path array.
     """
     grid = x.grid
     if D.grid != grid:
@@ -390,10 +412,8 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
         m0, m1 = rows
         if not hasattr(local, "dBt"):  # this worker's workspace, kept across chunks
             local.dBt = np.empty((N, width))
-            local.Y = np.empty((N + 1, width)) if with_dzdy else None
-        # one time-major draw per chunk, shared by every engine and the dB gemv
+        # one time-major draw per chunk, shared by every engine and the pairing
         dBt = _draw(seed, grid, m0, m1, local.dBt[:, :m1 - m0])
-        Yw = None if local.Y is None else local.Y[:, :m1 - m0]
 
         def located(stage: int, name: str, engine: Iterator[np.ndarray]):
             # a failed stage's first bad row, from a fresh run of its engine
@@ -412,10 +432,12 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
                 np.subtract(Xj, x.values[j], out=Xt)
                 Xt /= eps
             if k == 0:
-                # Z's step i reads Y_i as the Y engine yields it
-                Yk = kept(out["Y"], m0, m1) if Yw is None else dict(enumerate(Yw))
-                Y = _Kept(_y(c, grid, x.values, dBt), Yk, every)
-                z_bad = _Kept(_z(c, grid, x.values, Y, dBt), kept(out["Z"], m0, m1),
+                # Z's step i reads Y_i as the Y engine yields it, and adds
+                # a_i Y_i into the pairing's accumulator
+                Y = _Kept(_y(c, grid, x.values, dBt), kept(out["Y"], m0, m1), every)
+                acc = np.zeros(m1 - m0) if with_dzdy else None
+                Yrows = Y if acc is None else _paired(Y, a, acc)
+                z_bad = _Kept(_z(c, grid, x.values, Yrows, dBt), kept(out["Z"], m0, m1),
                               every).drain()
                 stage += 1
                 if Y.drain():  # Y_N, which no Z step reads
@@ -426,10 +448,8 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
                                    _z(c, grid, x.values, _y(c, grid, x.values, dBt), dBt))
                 if with_dzdy:
                     stage += 1
-                    for j in observe:
-                        out["Y"][j][m0:m1] = Yw[j]
                     with np.errstate(over="ignore", invalid="ignore"):
-                        dzdy = (a @ Yw[:N] + b @ dBt) * grid.delta
+                        dzdy = (acc + b @ dBt) * grid.delta
                     bad = ~np.isfinite(dzdy)
                     if bad.any():
                         return stage, N, m0 + int(np.argmax(bad)), "DZ"

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 import scipy
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import volfluct
 from volfluct import cli
@@ -100,8 +101,14 @@ def test_manifest_contents(tmp_path):
     assert doc["config"]["preset"] == "additive-unit"
     assert doc["config"]["N"] == 4
     assert doc["config"]["out_dir"] == str(out)
-    assert doc["numerics"] == {"numpy": np.__version__,
-                               "scipy": scipy.__version__}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert doc["numerics"] == {
+        "numpy": np.__version__, "scipy": scipy.__version__,
+        "blas": "%s %s" % (blas["name"], blas["version"]),
+        "numpy_cpu_dispatch": [f for f in __cpu_dispatch__ if __cpu_features__[f]],
+        "chunk_rows": 2048,
+        "rng": "Philox keyed by the seed; increment (m, i) is ndtri(u + 2^-54) "
+               "* sqrt(delta), u = k 2^-53 from draw m*N + i"}
 
 
 # ---------------------------------------------------------------------------

@@ -735,14 +735,11 @@ def test_driver_locates_divergence_without_whole_paths(monkeypatch, case, what, 
     assert (exc.value.node, exc.value.path) == (node, path)
 
 
-@pytest.mark.parametrize("with_dzdy,blocks", [(False, 2), (True, 3)])
-def test_driver_peak_memory(with_dzdy, blocks):
-    # tracemalloc sees numpy's buffers.  Per chunk the driver keeps the
-    # time-major increments, one RNG row block while drawing them, the
-    # observed nodes and, for the DZ pairing, all of Y: about 1.8 and 2.8
-    # (N, chunk) blocks here, against 3.4 for a driver holding whole paths
+def _driver_peak_blocks(name, with_dzdy, **params):
+    """tracemalloc peak of one driver call (N = 64, M = 2 chunks + 37
+    rows), in (N, chunk) float64 blocks; tracemalloc sees numpy's buffers."""
     g = TimeGrid(T=1.0, N=64)
-    c, x, D = _pipeline("trig", g, 1.0)
+    c, x, D = _pipeline(name, g, 1.0, **params)
     M = 2 * sim._CHUNK_ROWS + 37
     tracemalloc.start()
     try:
@@ -751,7 +748,22 @@ def test_driver_peak_memory(with_dzdy, blocks):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= blocks * 8 * g.N * sim._CHUNK_ROWS
+    return peak / (8 * g.N * sim._CHUNK_ROWS)
+
+
+@pytest.mark.parametrize("with_dzdy,blocks", [(False, 2), (True, 2)])
+def test_driver_peak_memory(with_dzdy, blocks):
+    # per chunk the driver keeps the time-major increments, one RNG row
+    # block while drawing them and the observed nodes, with or without the
+    # streamed DZ pairing: about 1.8 blocks, against 3.4 for a driver
+    # holding whole paths
+    assert _driver_peak_blocks("trig", with_dzdy) <= blocks
+
+
+def test_driver_peak_memory_on_the_kernel_branch():
+    # the kernel branch adds Y's and Z's (N, chunk) cell histories: about
+    # 3.5 blocks with the pairing
+    assert _driver_peak_blocks("fbm-trig", True, H=0.7) <= 4
 
 
 def test_driver_evaluates_the_fbm_kernel_once_per_grid(monkeypatch):
