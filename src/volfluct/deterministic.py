@@ -267,11 +267,8 @@ def variance_of_Y(D: DerivativeField, grid: TimeGrid) -> VariancePath:
     """
     if D.grid != grid:
         raise ValueError("derivative field lives on a different grid")
-    N = grid.N
-    mask = np.triu(np.ones((N, N + 1), dtype=bool), 1)
     with np.errstate(over="ignore"):
-        sq = np.where(mask, D.D, 0.0) ** 2
-        values = grid.delta * sq.sum(axis=0)
+        values = grid.delta * (np.triu(D.D, 1) ** 2).sum(axis=0)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         j = int(bad[0])

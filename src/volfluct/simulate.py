@@ -17,14 +17,15 @@ the requested nodes only.  Each chunk is drawn once, into a buffer that
 every engine reads.  The engine yields one row per node and the driver
 keeps and checks only what it reads: X at each eps writes its observed
 nodes into the output columns, and Y feeds Z's step row by row in
-lockstep.  The pairing is one number per path, so the driver contracts
-the DZ closed form with D[:, N] into two weight vectors (a, b) once per
-call and never forms the (M, N) DZ rows: as Z's step reads Y_i it adds
-a_i Y_i into one per-chunk accumulator, so no Y row outlives its step.
-Each worker thread keeps one workspace across its chunks, the (N, rows)
-increment block, with or without the pairing; on the kernel branch the
-Y and Z engines add one (N, rows) cell history each.  Chunks run in
-parallel without affecting any number.
+lockstep, so no Y row outlives its step.  The pairing is one number per
+path and linear in its increments: DZ_T is linear in (Y, dB) and Euler Y
+is linear in dB, so the driver builds one vector l once per call (the DZ
+closed form at D[:, N], its Y term pulled through the Euler tangent) and
+each chunk's pairing is one gemv, l @ dB; the (M, N) DZ rows are never
+formed.  Each worker thread keeps one workspace across its chunks, the
+(N, rows) increment block, with or without the pairing; on the kernel
+branch the Y and Z engines add one (N, rows) cell history each.  Chunks
+run in parallel without affecting any number.
 
 The whole-batch calls run the same engines on one increment batch:
 ``sample_brownian`` (the M x N increment table, the transpose of one
@@ -160,9 +161,7 @@ def _y(c, grid, xv, dBt):
 
 def _z(c, grid, xv, Y, dBt):
     """Z's rows; ``Y`` gives Y's time-major rows Y_0, Y_1, ...: an (N+1, M)
-    array, or a running Y engine that Z's step i advances to Y_i (in the
-    driver through ``_paired``, which adds the DZ pairing's a_i Y_i as the
-    step reads it)."""
+    array, or a running Y engine that Z's step i advances to Y_i."""
     K = c.on_grid(grid)
     d = grid.delta
     bp = _on_path(c.db, grid, xv)
@@ -182,83 +181,66 @@ def _diverged(what: str, node: int, path: int) -> DivergenceError:
                            node=node, path=path)
 
 
-def _dz_operator(c, grid, xv, Dmat):
-    """The path-free part of the DZ closed form (see ``_dz_terminal``):
-    sigma'_k, b''_k, the S-weight ``lead``, the resolvent weight w and the
-    upper triangle of D[:, :N] (diagonal seed included)."""
-    N, d = grid.N, grid.delta
-    K = c.on_grid(grid)
-    bp = _on_path(c.db, grid, xv)
-    if K is None:
-        G = np.empty(N + 1)
-        G[N] = 1.0
-        for k in range(N - 1, -1, -1):
-            G[k] = G[k + 1] * (1.0 + d * bp[k])
-        lead, w = G[:N], G[1:]
-    else:
-        r = np.empty(N + 1)
-        r[N] = 1.0
-        w = np.empty(N)
-        for k in range(N - 1, -1, -1):
-            w[k] = K[k, k + 1:] @ r[k + 1:]
-            r[k] = d * bp[k] * w[k]
-        lead = r[:N] * np.diagonal(K, 1) + w
-    return (_on_path(c.dsigma, grid, xv), _on_path(c.d2b, grid, xv), lead, w,
-            np.triu(Dmat[:, :N]))
+def _dz_weights(c, grid, xv, Dmat, V):
+    """Weights (a, b) of the DZ closed form paired with the direction V:
+    sum_i V[i] DZ[m, i] = Y[m, :N] @ a + dB[m] @ b, for V of shape (N,) or
+    a stack (P, N) of directions, giving (P, N) weights.
 
-
-def _dz_terminal(c, grid, xv, Yv, Dmat, dBt):
-    """Closed form of the terminal Malliavin row D_{theta_i} Z_T.
-
-    Row i solves the linear Volterra equation
+    Row i of DZ solves the linear Volterra equation
       DZ[i, j] = K[i, j] S_i + sum_{i<=k<j} K[k, j] (delta b'_k DZ[i, k]
                  + D[i, k] (2 b''_k Y_k delta + 2 sigma'_k dB_k)),
     seeded DZ[i, i] = K[i, i+1] S_i with S_i = 2 sigma'_i Y_i (primes are
-    the state functions g at x_k).  Its b' operator is deterministic: with
-    the last resolvent row r_N = 1, r_k = delta b'_k w_k and
-    w_k = sum_{m>k} K[k, m] r_m,
-      DZ[i, N] = S_i (r_i K[i, i+1] + w_i)
+    the state functions g at x_k; K = 1 without a kernel).  Its b' operator
+    is deterministic: with the last resolvent row r_N = 1,
+    r_k = delta b'_k w_k and w_k = sum_{m>k} K[k, m] r_m,
+      DZ[i, N] = S_i lead_i
                  + sum_{k>=i} D[i, k] (2 b''_k Y_k delta + 2 sigma'_k dB_k) w_k,
-    the k-sum being one matmul against the upper triangle of D (diagonal
-    seed included).  Without a kernel w_k = G_{k+1} and the S-weight is
-    G_k, with G_k = prod_{l=k}^{N-1} (1 + delta b'_l).  ``dBt`` is the
-    time-major (N, M) increment block.
+    lead_i = r_i K[i, i+1] + w_i.  Without a kernel w_k = G_{k+1} and
+    lead_k = G_k, with G_k = prod_{l=k}^{N-1} (1 + delta b'_l).  With
+    u = V triu(D[:, :N]) (diagonal seed included),
+    a = 2 sigma' lead V + 2 delta b'' w u and b = 2 sigma' w u.
     """
-    d = grid.delta
-    sp, bpp, lead, w, upper = _dz_operator(c, grid, xv, Dmat)
-    # time-major, as the engines return Y; mixing layouts costs a strided pass
-    Yt = Yv.T[:grid.N]
-    S = 2.0 * sp[:, None] * Yt
-    C = (2.0 * d * bpp[:, None] * Yt + 2.0 * sp[:, None] * dBt) * w[:, None]
-    DZ = C.T @ upper.T
-    DZ += S.T * lead
+    N, d = grid.N, grid.delta
+    K = c.on_grid(grid)
+    bp = _on_path(c.db, grid, xv)
+    r = np.empty(N + 1)
+    r[N] = 1.0
+    w = np.empty(N)
+    for k in range(N - 1, -1, -1):
+        w[k] = r[k + 1:].sum() if K is None else K[k, k + 1:] @ r[k + 1:]
+        r[k] = d * bp[k] * w[k]
+    lead = r[:N] * (1.0 if K is None else np.diagonal(K, 1)) + w
+    sp = _on_path(c.dsigma, grid, xv)
+    wu = w * (V @ np.triu(Dmat[:, :N]))
+    return 2.0 * sp * lead * V + 2.0 * d * _on_path(c.d2b, grid, xv) * wu, 2.0 * sp * wu
+
+
+def _dz_terminal(c, grid, xv, Yv, Dmat, dBt):
+    """The terminal Malliavin rows D_{theta_i} Z_T, (M, N): the closed form
+    of ``_dz_weights`` at V = I.  ``dBt`` is the time-major (N, M)
+    increment block."""
+    a, b = _dz_weights(c, grid, xv, Dmat, np.eye(grid.N))
+    DZ = Yv[:, :grid.N] @ a.T
+    DZ += dBt.T @ b.T
     if not np.all(np.isfinite(DZ)):
         raise _diverged("DZ", grid.N, int(np.argmax((~np.isfinite(DZ)).any(axis=1))))
     return DZ
 
 
-def _dzdy_weights(c, grid, xv, Dmat):
-    """Weights (a, b) with sum_i DZ[m, i] D[i, N] = Y[m, :N] @ a + dB[m] @ b.
-
-    The closed form of ``_dz_terminal`` contracted with v = D[:, N] before
-    any path enters: with u = triu(D[:, :N])^T v,
-    a = 2 sigma' lead v + 2 delta b'' w u and b = 2 sigma' w u, so the
-    pairing costs O(M N) and no (M, N) DZ is formed: the driver adds the
-    Y term row by row as Y is solved, and the dB term is one gemv.
-    """
-    sp, bpp, lead, w, upper = _dz_operator(c, grid, xv, Dmat)
-    v = Dmat[:, grid.N]
-    wu = w * (v @ upper)
-    return 2.0 * sp * lead * v + 2.0 * grid.delta * bpp * wu, 2.0 * sp * wu
+def _tangent(c, grid, xv):
+    """The Euler tangent C[j, i] = dY_j / dB_i, (N+1, N): the Y engine on
+    unit increments, one path per cell.  Euler Y is linear in the
+    increments, so Y_j = C[j] @ dB."""
+    C = np.empty((grid.N + 1, grid.N))
+    _Kept(_y(c, grid, xv, np.eye(grid.N)), dict(enumerate(C)), True).drain()
+    return C
 
 
-def _paired(Y: Iterator[np.ndarray], a: np.ndarray,
-            acc: np.ndarray) -> Iterator[np.ndarray]:
-    """Y's rows Y_0, ..., Y_{N-1} as Z's steps read them, each first added
-    into the pairing's accumulator as ``acc += a[i] Y_i``."""
-    for ai, Yi in zip(a, Y):
-        acc += ai * Yi
-        yield Yi
+def _pairing(c, grid, xv, Dmat):
+    """The vector l with sum_i DZ[m, i] D[i, N] = l @ dB[m]: the DZ
+    weights (a, b) at D[:, N], with a's Y term pulled through the tangent."""
+    a, b = _dz_weights(c, grid, xv, Dmat, Dmat[:, grid.N])
+    return a @ _tangent(c, grid, xv)[:grid.N] + b
 
 
 def _every_node(what: str, rows: Iterator[np.ndarray], dBt: np.ndarray) -> np.ndarray:
@@ -358,11 +340,10 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     keeping only the observed nodes; Y and Z run in lockstep.  Returns
     "X" and "Xt" = (X - x) / eps keyed by eps then node, "Y" and "Z" by
     node, and "dzdy" (sum_i DZ[m, i] D[i, T] delta, terminal node only),
-    the per-path contraction Y[m, :N] @ a + dB[m] @ b against weights
-    built once per call: Z's step i adds a_i Y_i into a (rows,)
-    accumulator as it reads Y_i, and the dB term is one gemv after Z, so
-    neither the (M, N) DZ nor a chunk's Y rows are ever formed.  Each
-    worker's workspace is its (N, rows) increment block, plus one
+    the per-path product l @ dB[m] with the pairing vector l of
+    ``_pairing``, built once per call: one gemv per chunk, so neither the
+    (M, N) DZ nor a chunk's Y rows are ever formed.  Each worker's
+    workspace is its (N, rows) increment block, plus one
     (N, rows) cell history each for Y and Z on the kernel branch.  The
     terminal node is always observed.  Every number is independent of
     ``threads``: the chunk grid is fixed and each chunk fills its own
@@ -398,7 +379,7 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     if with_dzdy:
         out["dzdy"] = {N: np.empty(M)}
         with np.errstate(over="ignore", invalid="ignore"):
-            a, b = _dzdy_weights(c, grid, x.values, D.D)
+            ell = _pairing(c, grid, x.values, D.D)
 
     width = min(M, _CHUNK_ROWS)
     local = threading.local()
@@ -432,12 +413,9 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
                 np.subtract(Xj, x.values[j], out=Xt)
                 Xt /= eps
             if k == 0:
-                # Z's step i reads Y_i as the Y engine yields it, and adds
-                # a_i Y_i into the pairing's accumulator
+                # Z's step i reads Y_i as the Y engine yields it
                 Y = _Kept(_y(c, grid, x.values, dBt), kept(out["Y"], m0, m1), every)
-                acc = np.zeros(m1 - m0) if with_dzdy else None
-                Yrows = Y if acc is None else _paired(Y, a, acc)
-                z_bad = _Kept(_z(c, grid, x.values, Yrows, dBt), kept(out["Z"], m0, m1),
+                z_bad = _Kept(_z(c, grid, x.values, Y, dBt), kept(out["Z"], m0, m1),
                               every).drain()
                 stage += 1
                 if Y.drain():  # Y_N, which no Z step reads
@@ -449,7 +427,7 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
                 if with_dzdy:
                     stage += 1
                     with np.errstate(over="ignore", invalid="ignore"):
-                        dzdy = (acc + b @ dBt) * grid.delta
+                        dzdy = (ell @ dBt) * grid.delta
                     bad = ~np.isfinite(dzdy)
                     if bad.any():
                         return stage, N, m0 + int(np.argmax(bad)), "DZ"

@@ -405,13 +405,19 @@ def _volterra_oracle(c, H, g, x0, eps, dB):
     ("fbm-trig", {"H": 0.7, "kappa": 0.8}),
     ("fbm-trig", {"H": 0.3}),
     ("fbm-additive", {"H": 0.7, "sigma0": 1.5}),
+    # state-only presets against the oracle at H = 1/2, where K_H = 1: an
+    # independent check of the telescoped engines and DZ weights
+    ("trig", {"kappa": 0.8}),
+    ("multiplicative", {}),
 ])
 def test_kernel_engines_match_pointwise_oracle(name, params):
     g = TimeGrid(T=1.0, N=8)
     x0, eps, M, seed = 1.0, 0.2, 5, 91
     c, x, D = _pipeline(name, g, x0, **params)
+    H = params.get("H", 0.5)
+    assert (c.kernel is None) == kernels.fbm_kernel_params(H).brownian
     batch = sim.sample_brownian(M, g, seed)
-    ox, oD, oX, oY, oZ, oDZ = _volterra_oracle(c, params["H"], g, x0, eps, batch.increments)
+    ox, oD, oX, oY, oZ, oDZ = _volterra_oracle(c, H, g, x0, eps, batch.increments)
     tol = dict(rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(x.values, ox, **tol)
     np.testing.assert_allclose(D.D, oD, **tol)
@@ -506,6 +512,20 @@ def test_coupled_driver_matches_direct_pipeline():
     # so chunked and whole-batch runs differ in the last bit
     np.testing.assert_allclose(out["dzdy"][32], (DZ @ D.D[:, 32]) * g.delta,
                                rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("name,params", [("trig", {"kappa": 0.8}), ("multiplicative", {}),
+                                         ("fbm-trig", {"H": 0.7, "kappa": 0.8})])
+def test_euler_y_is_the_tangent_applied_to_the_increments(name, params):
+    # Euler Y is linear in the increments, Y_j = sum_i C[j, i] dB_i: the
+    # identity that turns the DZ pairing into one vector of the increments
+    g = TimeGrid(T=1.0, N=8)
+    c, x, _ = _pipeline(name, g, 1.0, **params)
+    batch = sim.sample_brownian(5, g, 91)
+    Y = sim.simulate_Y_euler(c, g, x, batch)
+    C = sim._tangent(c, g, x.values)
+    assert C.shape == (g.N + 1, g.N)
+    np.testing.assert_allclose(Y.values, batch.increments @ C.T, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("name,params", [("multiplicative", {}),
