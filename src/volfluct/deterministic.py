@@ -1,15 +1,18 @@
 """Deterministic Volterra solvers and the Volterra engine.
 
 Computes the zero-noise limit path x_t, the derivative field
-D_theta Y_t of the Gaussian fluctuation limit, and the variance profile
-Var(Y_t) obtained as the squared L2 norm of a derivative row.
+D_theta Y_t of the Gaussian fluctuation limit with the resolvent R it is
+read off, and the variance profile Var(Y_t) obtained as the squared L2
+norm of a derivative row.
 
-x, D and the processes X, Y and Z of ``simulate`` all run on the one
-Volterra engine ``_volterra`` defined here: x as one noiseless path, D as
-the Y step on unit increments, one path per theta-cell.  The engine's
-rows are read only through ``_Kept``, which copies the nodes its caller
-keeps and finds where a run blew up: the first non-finite node j >= 1,
-then the first path in it.
+x, R and the processes X, Y and Z of ``simulate`` all run on the one
+Volterra engine ``_volterra`` defined here: x as one noiseless path, R as
+the Y step with unit noise on unit increments, one path per theta-cell.
+R alone gives D (each row scaled by its cell's forcing), the Euler
+tangent of Y and the DZ weight that ``simulate`` pairs with.  The first
+non-finite node j >= 1, then the first path in it, names where a run
+blew up; ``_Kept`` is the one place that finds it, reading the engine's
+rows (or D's columns) as it copies the nodes its caller keeps.
 
 All solvers share one discretization: explicit (left-point) rule in the
 state argument, kernel arguments evaluated at cell midpoints
@@ -57,7 +60,8 @@ class TimeGrid:
         if self.N < 2:
             raise ValueError("N must be at least 2")
         if self.N > _MAX_STEPS:
-            # the dense derivative field is O(N^2) memory
+            # the resolvent and the derivative field are two dense
+            # (N+1) x N arrays
             raise ValueError("N is capped at %d" % _MAX_STEPS)
 
     @property
@@ -87,15 +91,20 @@ class LimitPath:
 
 @dataclass(frozen=True)
 class DerivativeField:
-    """D[i, j] ~ D_{theta_i*} Y_{t_j} on grid pairs theta_i* < t_j.
+    """D[i, j] ~ D_{theta_i*} Y_{t_j} on grid pairs theta_i* < t_j, and the
+    resolvent R it is read off.
 
-    Rows i = 0..N-1 are the theta-cells (evaluated at midpoints), columns
-    j = 0..N the grid nodes; entries with i > j are zero.  The diagonal
-    D[i, i] holds the recursion seed sigma(t_{i+1}, theta_i*, x_i).
+    Rows i = 0..N-1 of D are the theta-cells (evaluated at midpoints),
+    columns j = 0..N the grid nodes; entries with i > j are zero.  The
+    diagonal D[i, i] holds the recursion seed sigma(t_{i+1}, theta_i*, x_i).
+    R[j, i], an (N+1, N) array, is the response of the b'-linearized
+    engine at node j to a unit forcing in cell i: the Euler tangent of Y
+    is C = R diag(sigma), and R[N] is the DZ weight w.
     """
 
     D: np.ndarray
     grid: TimeGrid
+    R: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -203,14 +212,11 @@ def _paths(rows: Iterator[np.ndarray], shape: Tuple[int, int]):
     return V.T, bad
 
 
-def _solve(what: str, grid: TimeGrid, K, base: float, dBt, step) -> np.ndarray:
-    """One engine run; a non-finite value raises at its first node."""
-    V, bad = _paths(_volterra(K, base, dBt, step), dBt.shape)
-    if bad:
-        j = bad[0]
-        raise DivergenceError("%s diverged at node %d (t=%.6g)" % (what, j, grid.nodes[j]),
-                              node=j)
-    return V
+def _node_diverged(what: str, grid: TimeGrid, bad: Tuple[int, int]) -> DivergenceError:
+    """A deterministic solve's divergence, named by its first bad node."""
+    j = bad[0]
+    return DivergenceError("%s diverged at node %d (t=%.6g)" % (what, j, grid.nodes[j]),
+                           node=j)
 
 
 def solve_deterministic_limit(c: CoefficientSet, grid: TimeGrid, x0: float) -> LimitPath:
@@ -220,43 +226,50 @@ def solve_deterministic_limit(c: CoefficientSet, grid: TimeGrid, x0: float) -> L
 
     as one noiseless path of the engine that runs X.  Without a kernel the
     sum telescopes with X's update order, so a zero-diffusion simulation
-    reproduces this path bit for bit.
+    reproduces this path bit for bit.  A non-finite value raises at its
+    first node.
     """
     K = c.on_grid(grid)
     t, s, d = grid.nodes, grid.midpoints, grid.delta
-    V = _solve("limit path", grid, K, float(x0), np.zeros((grid.N, 1)),
-               lambda i, xi, _: (c.b(t[i + 1], s[i], xi) * d, 0.0))
+    V, bad = _paths(_volterra(K, float(x0), np.zeros((grid.N, 1)),
+                              lambda i, xi, _: (c.b(t[i + 1], s[i], xi) * d, 0.0)),
+                    (grid.N, 1))
+    if bad:
+        raise _node_diverged("limit path", grid, bad)
     return LimitPath(values=V[0], grid=grid)
 
 
 def solve_derivative_field(c: CoefficientSet, grid: TimeGrid, x: LimitPath) -> DerivativeField:
     """Solve
     D[i, j] = sigma(t_j, theta_i*, x_i) + sum_{i<=k<j} b'(t_j, s_k*, x_k) D[i, k] delta
-    as the Euler Y engine on unit increments, one path per theta-cell: path
-    i has dB = 1 at cell i only, and the k = i term, absent from Y, adds
-    b'_i delta D[i, i] to it there.  The diagonal seed
-    D[i, i] = sigma(t_{i+1}, theta_i*, x_i) is written after the solve; for
+    through the resolvent R: one run of the Y engine with unit noise on
+    unit increments, step (b'_k V_k delta, dB_k), one path per cell, so
+    R[j, i] is the response at node j to a unit forcing in cell i.  D's
+    row i is linear in its cell-i forcing sigma_i (1 + delta b'_i K[i, i+1])
+    (the k = i term; K = 1 without a kernel), so D[i, j] = R[j, i] times
+    that forcing for j > i.  The diagonal seed
+    D[i, i] = sigma(t_{i+1}, theta_i*, x_i) is written after the check; for
     time-independent sigma it equals the defining sigma(t_i, theta_i*, x_i),
-    and it keeps fractional kernel arguments inside their s < t domain.
+    and it keeps fractional kernel arguments inside their s < t domain.  A
+    non-finite D[i, j] raises at its first node j.
     """
     if x.grid != grid:
         raise ValueError("limit path was solved on a different grid")
-    d = grid.delta
+    N, d = grid.N, grid.delta
     K = c.on_grid(grid)
+    R = np.empty((N + 1, N))
     with np.errstate(over="ignore", invalid="ignore"):
         bp = _on_path(c.db, grid, x.values)
         sg = _on_path(c.sigma, grid, x.values)
         seed = sg if K is None else np.diagonal(K, 1) * sg
-        kick = d * (seed * bp)
-
-    def step(i, Vi, dBi):
-        drift = bp[i] * Vi * d
-        drift[i] += kick[i]
-        return drift, sg[i] * dBi
-
-    D = np.ascontiguousarray(_solve("derivative field", grid, K, 0.0, np.eye(grid.N), step))
+        for j, V in enumerate(_volterra(K, 0.0, np.eye(N),
+                                        lambda i, Vi, dBi: (bp[i] * Vi * d, dBi))):
+            R[j] = V
+        D = np.ascontiguousarray(np.triu(R.T * (sg + d * (seed * bp))[:, None], 1))
+    if not np.isfinite(D).all():
+        raise _node_diverged("derivative field", grid, _Kept(iter(D.T), {}, True).drain())
     np.fill_diagonal(D, seed)
-    return DerivativeField(D=D, grid=grid)
+    return DerivativeField(D=D, grid=grid, R=R)
 
 
 def variance_of_Y(D: DerivativeField, grid: TimeGrid) -> VariancePath:

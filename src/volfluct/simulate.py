@@ -9,23 +9,24 @@ kernel-check and ``sample_brownian`` alike: it draws row blocks of about
 scale in place, and copies each block straight into a time-major array.
 
 ``coupled_terminal_samples`` is the simulation driver.  It takes the
-run's deterministic limit x and derivative field D, streams M paths in
-fixed 2048-row chunks over the whole eps sweep, and returns X, the
-fluctuation X-tilde = (X_eps - x) / eps, the Gaussian limit Y, the
-second-order correction Z and the terminal Malliavin pairing of DZ, at
-the requested nodes only.  Each chunk is drawn once, into a buffer that
-every engine reads.  The engine yields one row per node and the driver
-keeps and checks only what it reads: X at each eps writes its observed
-nodes into the output columns, and Y feeds Z's step row by row in
-lockstep, so no Y row outlives its step.  The pairing is one number per
-path and linear in its increments: DZ_T is linear in (Y, dB) and Euler Y
-is linear in dB, so the driver builds one vector l once per call (the DZ
-closed form at D[:, N], its Y term pulled through the Euler tangent) and
-each chunk's pairing is one gemv, l @ dB; the (M, N) DZ rows are never
-formed.  Each worker thread keeps one workspace across its chunks, the
-(N, rows) increment block, with or without the pairing; on the kernel
-branch the Y and Z engines add one (N, rows) cell history each.  Chunks
-run in parallel without affecting any number.
+run's deterministic limit x and derivative field D (with its resolvent
+R), streams M paths in fixed 2048-row chunks over the whole eps sweep,
+and returns X, the fluctuation X-tilde = (X_eps - x) / eps, the Gaussian
+limit Y, the second-order correction Z and the terminal Malliavin
+pairing of DZ, at the requested nodes only.  Each chunk is drawn once,
+into a buffer that every engine reads.  The engine yields one row per
+node and the driver keeps and checks only what it reads: X at each eps
+writes its observed nodes into the output columns, and Y feeds Z's step
+row by row in lockstep, so no Y row outlives its step.  The pairing is
+one number per path and linear in its increments: DZ_T is linear in
+(Y, dB) and Euler Y is linear in dB, so the driver reads one vector l
+off R once per call (the DZ closed form at D[:, N], its Y term pulled
+through the Euler tangent C = R diag(sigma)) and each chunk's pairing is
+one gemv, l @ dB; the driver runs no engine outside its chunks, and the
+(M, N) DZ rows are never formed.  Each worker thread keeps one workspace
+across its chunks, the (N, rows) increment block, with or without the
+pairing; on the kernel branch the Y and Z engines add one (N, rows) cell
+history each.  Chunks run in parallel without affecting any number.
 
 The whole-batch calls run the same engines on one increment batch:
 ``sample_brownian`` (the M x N increment table, the transpose of one
@@ -35,7 +36,7 @@ time-major draw), ``simulate_X`` (X_eps by an explicit Euler rule),
 Malliavin rows D_theta Z_T, from a closed form); each keeps every node.
 
 X, Y and Z run on the time-major Volterra engine of ``deterministic``,
-which also solves x and D: g is evaluated once per path and step, and
+which also solves x and R: g is evaluated once per path and step, and
 the Volterra convolution is resummed as one mat-vec against a column of
 the kernel matrix K[i, j] = k(t_j, s_i*) of the preset's coefficients
 k(t, s) g(x).  State-only presets (k = 1) have no kernel matrix, and
@@ -181,18 +182,19 @@ def _diverged(what: str, node: int, path: int) -> DivergenceError:
                            node=node, path=path)
 
 
-def _dz_weights(c, grid, xv, Dmat, V):
+def _dz_weights(c, grid, xv, D, V):
     """Weights (a, b) of the DZ closed form paired with the direction V:
     sum_i V[i] DZ[m, i] = Y[m, :N] @ a + dB[m] @ b, for V of shape (N,) or
-    a stack (P, N) of directions, giving (P, N) weights.
+    a stack (P, N) of directions, giving (P, N) weights.  ``D`` is the
+    run's derivative field, read for D and its resolvent R.
 
     Row i of DZ solves the linear Volterra equation
       DZ[i, j] = K[i, j] S_i + sum_{i<=k<j} K[k, j] (delta b'_k DZ[i, k]
                  + D[i, k] (2 b''_k Y_k delta + 2 sigma'_k dB_k)),
     seeded DZ[i, i] = K[i, i+1] S_i with S_i = 2 sigma'_i Y_i (primes are
     the state functions g at x_k; K = 1 without a kernel).  Its b' operator
-    is deterministic: with the last resolvent row r_N = 1,
-    r_k = delta b'_k w_k and w_k = sum_{m>k} K[k, m] r_m,
+    is the resolvent's: with w = R[N], the response of node N to a unit
+    forcing in cell k, and r_k = delta b'_k w_k,
       DZ[i, N] = S_i lead_i
                  + sum_{k>=i} D[i, k] (2 b''_k Y_k delta + 2 sigma'_k dB_k) w_k,
     lead_i = r_i K[i, i+1] + w_i.  Without a kernel w_k = G_{k+1} and
@@ -202,45 +204,21 @@ def _dz_weights(c, grid, xv, Dmat, V):
     """
     N, d = grid.N, grid.delta
     K = c.on_grid(grid)
-    bp = _on_path(c.db, grid, xv)
-    r = np.empty(N + 1)
-    r[N] = 1.0
-    w = np.empty(N)
-    for k in range(N - 1, -1, -1):
-        w[k] = r[k + 1:].sum() if K is None else K[k, k + 1:] @ r[k + 1:]
-        r[k] = d * bp[k] * w[k]
-    lead = r[:N] * (1.0 if K is None else np.diagonal(K, 1)) + w
+    w = D.R[N]
+    r = d * _on_path(c.db, grid, xv) * w
+    lead = r * (1.0 if K is None else np.diagonal(K, 1)) + w
     sp = _on_path(c.dsigma, grid, xv)
-    wu = w * (V @ np.triu(Dmat[:, :N]))
+    wu = w * (V @ np.triu(D.D[:, :N]))
     return 2.0 * sp * lead * V + 2.0 * d * _on_path(c.d2b, grid, xv) * wu, 2.0 * sp * wu
 
 
-def _dz_terminal(c, grid, xv, Yv, Dmat, dBt):
-    """The terminal Malliavin rows D_{theta_i} Z_T, (M, N): the closed form
-    of ``_dz_weights`` at V = I.  ``dBt`` is the time-major (N, M)
-    increment block."""
-    a, b = _dz_weights(c, grid, xv, Dmat, np.eye(grid.N))
-    DZ = Yv[:, :grid.N] @ a.T
-    DZ += dBt.T @ b.T
-    if not np.all(np.isfinite(DZ)):
-        raise _diverged("DZ", grid.N, int(np.argmax((~np.isfinite(DZ)).any(axis=1))))
-    return DZ
-
-
-def _tangent(c, grid, xv):
-    """The Euler tangent C[j, i] = dY_j / dB_i, (N+1, N): the Y engine on
-    unit increments, one path per cell.  Euler Y is linear in the
-    increments, so Y_j = C[j] @ dB."""
-    C = np.empty((grid.N + 1, grid.N))
-    _Kept(_y(c, grid, xv, np.eye(grid.N)), dict(enumerate(C)), True).drain()
-    return C
-
-
-def _pairing(c, grid, xv, Dmat):
+def _pairing(c, grid, xv, D):
     """The vector l with sum_i DZ[m, i] D[i, N] = l @ dB[m]: the DZ
-    weights (a, b) at D[:, N], with a's Y term pulled through the tangent."""
-    a, b = _dz_weights(c, grid, xv, Dmat, Dmat[:, grid.N])
-    return a @ _tangent(c, grid, xv)[:grid.N] + b
+    weights (a, b) at D[:, N], with a's Y term pulled through the Euler
+    tangent C = R diag(sigma), since Euler Y is linear in the increments,
+    Y_j = C[j] @ dB."""
+    a, b = _dz_weights(c, grid, xv, D, D.D[:, grid.N])
+    return (a @ D.R[:grid.N]) * _on_path(c.sigma, grid, xv) + b
 
 
 def _every_node(what: str, rows: Iterator[np.ndarray], dBt: np.ndarray) -> np.ndarray:
@@ -318,8 +296,12 @@ def simulate_DZ_terminal(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
     if x.grid != grid or D.grid != grid:
         raise ValueError("grid mismatch")
     _require_coupled(Y, batch)
-    return _dz_terminal(c, grid, x.values, Y.values, D.D,
-                        np.ascontiguousarray(batch.increments.T))
+    a, b = _dz_weights(c, grid, x.values, D, np.eye(grid.N))  # the closed form at V = I
+    DZ = Y.values[:, :grid.N] @ a.T
+    DZ += batch.increments @ b.T
+    if not np.all(np.isfinite(DZ)):
+        raise _diverged("DZ", grid.N, int(np.argmax((~np.isfinite(DZ)).any(axis=1))))
+    return DZ
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +323,9 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     "X" and "Xt" = (X - x) / eps keyed by eps then node, "Y" and "Z" by
     node, and "dzdy" (sum_i DZ[m, i] D[i, T] delta, terminal node only),
     the per-path product l @ dB[m] with the pairing vector l of
-    ``_pairing``, built once per call: one gemv per chunk, so neither the
-    (M, N) DZ nor a chunk's Y rows are ever formed.  Each worker's
+    ``_pairing``, read off D's resolvent once per call: one gemv per
+    chunk, so the driver runs no derivative solve and forms neither the
+    (M, N) DZ nor a chunk's Y rows.  Each worker's
     workspace is its (N, rows) increment block, plus one
     (N, rows) cell history each for Y and Z on the kernel branch.  The
     terminal node is always observed.  Every number is independent of
@@ -379,7 +362,7 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     if with_dzdy:
         out["dzdy"] = {N: np.empty(M)}
         with np.errstate(over="ignore", invalid="ignore"):
-            ell = _pairing(c, grid, x.values, D.D)
+            ell = _pairing(c, grid, x.values, D)
 
     width = min(M, _CHUNK_ROWS)
     local = threading.local()

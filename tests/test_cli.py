@@ -580,13 +580,15 @@ def test_divergent_limit_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("preset,params,message", [
     ("linear-growth", {"a": 1e300}, "limit path diverged at node 2 (t=0.125)"),
     ("trig", {"kappa": 1e300}, "derivative field diverged at node 1 (t=0.0625)"),
+    ("fbm-trig", {"kappa": 1e300}, "derivative field diverged at node 1 (t=0.0625)"),
 ])
 def test_divergent_solver_prints_one_line(tmp_path, capfd, preset, params,
                                           message):
     # an overflow in a deterministic solver must reach stderr as the message
     # alone, with no numpy RuntimeWarning ahead of it (the filter makes one
-    # an error)
-    cfg = _cfg(tmp_path, preset=preset, params=params, N=16, M=200)
+    # an error); the fbm preset runs the kernel branch at H = 0.7
+    H = {"H": 0.7} if preset.startswith("fbm-") else {}
+    cfg = _cfg(tmp_path, preset=preset, params=params, N=16, M=200, **H)
     assert _run(["limit", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert capfd.readouterr().err.splitlines() == ["numerical divergence: " + message]
 

@@ -514,18 +514,39 @@ def test_coupled_driver_matches_direct_pipeline():
                                rtol=1e-12, atol=1e-15)
 
 
+def _dz_weight_recursion(c, grid, xv):
+    """The DZ weight w by the backward recursion r_N = 1,
+    w_k = sum_{m>k} K[k, m] r_m, r_k = delta b'_k w_k (K = 1 without a
+    kernel): the reference for the resolvent's last row."""
+    N, d = grid.N, grid.delta
+    K = c.on_grid(grid)
+    bp = sim._on_path(c.db, grid, xv)
+    r = np.empty(N + 1)
+    r[N] = 1.0
+    w = np.empty(N)
+    for k in range(N - 1, -1, -1):
+        w[k] = r[k + 1:].sum() if K is None else K[k, k + 1:] @ r[k + 1:]
+        r[k] = d * bp[k] * w[k]
+    return w
+
+
 @pytest.mark.parametrize("name,params", [("trig", {"kappa": 0.8}), ("multiplicative", {}),
-                                         ("fbm-trig", {"H": 0.7, "kappa": 0.8})])
+                                         ("fbm-trig", {"H": 0.7, "kappa": 0.8}),
+                                         ("linear-growth", {}), ("fbm-trig", {"H": 0.3})])
 def test_euler_y_is_the_tangent_applied_to_the_increments(name, params):
-    # Euler Y is linear in the increments, Y_j = sum_i C[j, i] dB_i: the
-    # identity that turns the DZ pairing into one vector of the increments
+    # Euler Y is linear in the increments, Y_j = sum_i C[j, i] dB_i, with
+    # the tangent C = R diag(sigma) read off the field's resolvent: the
+    # identity that turns the DZ pairing into one vector of the increments.
+    # R's last row is the DZ weight w of the backward recursion.
     g = TimeGrid(T=1.0, N=8)
-    c, x, _ = _pipeline(name, g, 1.0, **params)
+    c, x, D = _pipeline(name, g, 1.0, **params)
     batch = sim.sample_brownian(5, g, 91)
     Y = sim.simulate_Y_euler(c, g, x, batch)
-    C = sim._tangent(c, g, x.values)
-    assert C.shape == (g.N + 1, g.N)
+    assert D.R.shape == (g.N + 1, g.N)
+    C = D.R * sim._on_path(c.sigma, g, x.values)
     np.testing.assert_allclose(Y.values, batch.increments @ C.T, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(D.R[g.N], _dz_weight_recursion(c, g, x.values),
+                               rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("name,params", [("multiplicative", {}),
@@ -550,10 +571,29 @@ def test_driver_never_forms_the_dz_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("the driver formed the (M, N) DZ rows")
 
-    monkeypatch.setattr(sim, "_dz_terminal", refuse)
+    monkeypatch.setattr(sim, "simulate_DZ_terminal", refuse)
     g = TimeGrid(T=1.0, N=16)
     c, x, D = _pipeline("trig", g, 1.0)
     out = sim.coupled_terminal_samples(c, x, D, (0.2,), 300, 5, with_dzdy=True)
+    assert np.all(np.isfinite(out["dzdy"][16]))
+
+
+@pytest.mark.parametrize("name,params", [("trig", {}), ("fbm-trig", {"H": 0.7})])
+def test_driver_runs_no_derivative_solve(monkeypatch, name, params):
+    # the pairing vector is read off the field's resolvent, so the one Y
+    # engine run of a with-dzdy call is the chunk's own
+    g = TimeGrid(T=1.0, N=16)
+    c, x, D = _pipeline(name, g, 1.0, **params)
+    shapes = []
+    engine = sim._y
+
+    def counted(c, grid, xv, dBt):
+        shapes.append(dBt.shape)
+        return engine(c, grid, xv, dBt)
+
+    monkeypatch.setattr(sim, "_y", counted)
+    out = sim.coupled_terminal_samples(c, x, D, (0.2,), 300, 5, with_dzdy=True)
+    assert shapes == [(16, 300)]
     assert np.all(np.isfinite(out["dzdy"][16]))
 
 
