@@ -8,9 +8,9 @@ synthesized covariance, variance lower bound).
 Config is a single JSON document; unknown keys are rejected so that a
 misspelled sweep cannot silently invalidate a rate fit.  Outputs are CSV
 with 17 significant digits plus a manifest echoing the resolved config.
-Exit codes: 0 success, 2 config error, 3 numerical divergence, 4 gate
-failure under --assert.  VF_THREADS caps simulation workers and must not
-change any output byte.
+Exit codes: 0 success, 2 config error (also a run whose arrays cannot be
+allocated), 3 numerical divergence, 4 gate failure under --assert.
+VF_THREADS caps simulation workers and must not change any output byte.
 """
 
 from __future__ import annotations
@@ -69,15 +69,23 @@ class ExperimentConfig:
 
 
 def _real(v) -> float:
-    # float() would take true as 1.0 and "inf" or "nan" as numbers
-    x = float(v)
-    if isinstance(v, bool) or not math.isfinite(x):
+    # JSON numbers only: float() would take true as 1.0, "1.5" as 1.5 and
+    # "inf" or "nan" as numbers, and overflow on a 400-digit integer
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not abs(v) <= sys.float_info.max):
         raise ValueError("must be a finite real number, got %r" % (v,))
-    return x
+    return float(v)
+
+
+def _list(v) -> list:
+    # iterating a string would read "0.4" as the entries '0', '.' and '4'
+    if not isinstance(v, list):
+        raise ValueError("must be a list, got %r" % (v,))
+    return v
 
 
 def _floats(v) -> Tuple[float, ...]:
-    return tuple(_real(e) for e in v)
+    return tuple(_real(e) for e in _list(v))
 
 
 def _pair(v) -> Tuple[float, float]:
@@ -88,8 +96,10 @@ def _pair(v) -> Tuple[float, float]:
 
 
 def _integer(v) -> int:
-    # int() would truncate 16.9 to 16; integral floats such as 1e5 pass
-    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+    # JSON numbers only: int() would truncate 16.9 to 16 and take "16" as
+    # 16; integral floats such as 1e5 pass
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or (isinstance(v, float) and not v.is_integer())):
         raise ValueError("must be an integer, got %r" % (v,))
     return int(v)
 
@@ -101,9 +111,9 @@ _CONVERTERS = dict(
     x0=_real, T=_real, N=_integer, M=_integer, seed=_integer, epsilons=_floats,
     H=lambda v: None if v is None else _real(v),
     observe_times=lambda v: None if v is None else _floats(v),
-    test_functions=lambda v: tuple(str(p) for p in v), out_dir=str,
+    test_functions=lambda v: tuple(str(p) for p in _list(v)), out_dir=str,
     H_list=_floats, t_list=_floats,
-    cov_pairs=lambda v: tuple(_pair(p) for p in v))
+    cov_pairs=lambda v: tuple(_pair(p) for p in _list(v)))
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -140,15 +150,11 @@ def load_config(path: str, out_override: Optional[str] = None,
             except (TypeError, ValueError) as exc:
                 raise ConfigError("%s: %s" % (name, exc)) from exc
     cfg = ExperimentConfig(**values)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
     # the fields every command reads; each runner checks its own before out_dir
     _require(2 <= cfg.N <= _MAX_STEPS, "N: must be in [2, %d], got %d" % (_MAX_STEPS, cfg.N))
     _require(cfg.T > 0.0, "T: must be positive, got %g" % cfg.T)
     _require("H" not in cfg.params, "params: give H as the top-level key, not in params")
+    return cfg
 
 
 def _check_draw(cfg: ExperimentConfig) -> None:
@@ -285,6 +291,28 @@ def run_limit(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     return []  # no gate: a non-finite path has already exited 3
 
 
+_STRONG = ("rms_x_gap", "rms_xt_y", "rms_second")
+
+
+def _fit_rows(T: float, times: Sequence[float], dist_rows: List[list],
+              strong_rows: List[list]) -> List[list]:
+    """The ratefit.csv rows: the log-log fit over the eps sweep of each
+    strong metric at T, then of Kolmogorov and TV at each observed time."""
+    series = [(m, T, [(r[0], r[1 + 2 * k]) for r in strong_rows])
+              for k, m in enumerate(_STRONG)]
+    series += [(m, t, [(r[1], r[k]) for r in dist_rows if r[0] == t])
+               for t in times for m, k in (("kolmogorov", 2), ("tv_histogram", 4))]
+    rows = []
+    nan = float("nan")
+    for metric, t, pts in series:
+        try:
+            f = rate_fit(pts)
+            rows.append([metric, t, f.slope, f.intercept, f.residual, f.n_points, "ok"])
+        except ValueError:
+            rows.append([metric, t, nan, nan, nan, len(pts), "below resolution"])
+    return rows
+
+
 def run_rate_scan(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     """strong and distributional convergence rates over the epsilon sweep"""
     _check_draw(cfg)
@@ -298,17 +326,13 @@ def run_rate_scan(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     obs = _observe_nodes(cfg, grid)
     _make_out_dir(cfg)
     N = grid.N
-
-    dist_rows: List[list] = []
-    strong_rows: List[list] = []
-    # (metric, node) -> list of (eps, distance)
-    dist_series: Dict[Tuple[str, int], List[Tuple[float, float]]] = {}
-    second_track: List[Tuple[float, float, float]] = []
-    failures_dist: List[str] = []
+    T = grid.nodes[N]
 
     samples = coupled_terminal_samples(coeff, x, D, cfg.epsilons, cfg.M,
                                        cfg.seed, observe=obs, threads=threads)
     Y, Z = samples["Y"], samples["Z"]
+    dist_rows: List[list] = []
+    strong_rows: List[list] = []
     for i, eps in enumerate(cfg.epsilons):
         X, Xt = samples["X"][eps], samples["Xt"][eps]
         for j in obs:
@@ -317,71 +341,39 @@ def run_rate_scan(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
             dist_rows.append([grid.nodes[j], eps, rep.kolmogorov,
                               rep.kolmogorov_se, rep.tv_histogram, rep.tv_se,
                               rep.bins, rep.n_a])
-            # the true laws satisfy kolmogorov <= tv; the estimators get
-            # bootstrap slack
-            slack = 4.0 * math.hypot(rep.kolmogorov_se, rep.tv_se)
-            if rep.kolmogorov > rep.tv_histogram + slack:
-                failures_dist.append(
-                    "distance ordering t=%g eps=%g: kolmogorov %.3g > "
-                    "tv %.3g + %.3g" % (grid.nodes[j], eps, rep.kolmogorov,
-                                        rep.tv_histogram, slack))
-            dist_series.setdefault(("kolmogorov", j), []).append(
-                (eps, rep.kolmogorov))
-            dist_series.setdefault(("tv_histogram", j), []).append(
-                (eps, rep.tv_histogram))
-
-        x_gap, x_gap_se = rms_with_se(X[N] - x.values[N])
-        xt_y, xt_y_se = rms_with_se(Xt[N] - Y[N])
-        second, second_se = rms_with_se((Xt[N] - Y[N]) / eps - 0.5 * Z[N])
-        strong_rows.append([eps, x_gap, x_gap_se, xt_y, xt_y_se,
-                            second, second_se])
-        second_track.append((eps, second, second_se))
-
-    fit_rows: List[list] = []
-    fits: Dict[Tuple[str, int], Optional[object]] = {}
-
-    def _fit_row(metric: str, node: int, pts: List[Tuple[float, float]]) -> None:
-        try:
-            f = rate_fit(pts)
-            fit_rows.append([metric, grid.nodes[node], f.slope, f.intercept,
-                             f.residual, f.n_points, "ok"])
-            fits[(metric, node)] = f
-        except ValueError:
-            nan = float("nan")
-            fit_rows.append([metric, grid.nodes[node], nan, nan, nan,
-                             len(pts), "below resolution"])
-            fits[(metric, node)] = None
-
-    # strong.csv rows: epsilon, then value and SE per metric
-    for k, metric in enumerate(("rms_x_gap", "rms_xt_y", "rms_second")):
-        _fit_row(metric, N, [(row[0], row[1 + 2 * k]) for row in strong_rows])
-    for j in obs:
-        _fit_row("kolmogorov", j, dist_series[("kolmogorov", j)])
-        _fit_row("tv_histogram", j, dist_series[("tv_histogram", j)])
+        # value and SE of each strong metric at T
+        strong_rows.append([eps, *rms_with_se(X[N] - x.values[N]),
+                            *rms_with_se(Xt[N] - Y[N]),
+                            *rms_with_se((Xt[N] - Y[N]) / eps - 0.5 * Z[N])])
+    fit_rows = _fit_rows(T, grid.nodes[obs], dist_rows, strong_rows)
 
     _write_csv(cfg.out_dir, "distances.csv",
                ("t", "epsilon", "kolmogorov", "kolmogorov_se",
                 "tv_histogram", "tv_se", "bins", "n"), dist_rows)
     _write_csv(cfg.out_dir, "strong.csv",
-               ("epsilon", "rms_x_gap", "rms_x_gap_se", "rms_xt_y",
-                "rms_xt_y_se", "rms_second", "rms_second_se"), strong_rows)
+               ("epsilon",) + tuple(h for m in _STRONG for h in (m, m + "_se")),
+               strong_rows)
     _write_csv(cfg.out_dir, "ratefit.csv",
                ("metric", "t", "slope", "intercept", "residual",
                 "n_points", "status"), fit_rows)
     _write_manifest(cfg, "rate-scan")
 
-    failures: List[str] = list(failures_dist)
-    for metric in ("rms_x_gap", "rms_xt_y"):
-        f = fits[(metric, N)]
-        if f is None:
-            continue  # exact pathwise equality; nothing to gate
-        if not 0.85 <= f.slope <= 1.15:
-            failures.append("%s slope %.3f outside [0.85, 1.15]"
-                            % (metric, f.slope))
-    fk = fits[("kolmogorov", N)]
-    if fk is not None and fk.slope < 0.75:
-        failures.append("kolmogorov slope %.3f below 0.75" % fk.slope)
-    for (e1, v1, s1), (e2, v2, s2) in zip(second_track, second_track[1:]):
+    failures: List[str] = []
+    for t, eps, kol, kol_se, tv, tv_se, _, _ in dist_rows:
+        # the true laws satisfy kolmogorov <= tv; the estimators get
+        # bootstrap slack
+        slack = 4.0 * math.hypot(kol_se, tv_se)
+        if kol > tv + slack:
+            failures.append("distance ordering t=%g eps=%g: kolmogorov %.3g > "
+                            "tv %.3g + %.3g" % (t, eps, kol, tv, slack))
+    for metric, t, slope, _, _, _, status in fit_rows:
+        if status != "ok" or t != T:
+            continue  # a fit below resolution has nothing to gate
+        if metric in ("rms_x_gap", "rms_xt_y") and not 0.85 <= slope <= 1.15:
+            failures.append("%s slope %.3f outside [0.85, 1.15]" % (metric, slope))
+        elif metric == "kolmogorov" and slope < 0.75:
+            failures.append("kolmogorov slope %.3f below 0.75" % slope)
+    for (e1, *_, v1, s1), (e2, *_, v2, s2) in zip(strong_rows, strong_rows[1:]):
         if v2 > v1 + 2.0 * math.hypot(s1, s2):
             failures.append(
                 "rms_second not decreasing: %.3g (eps=%g) -> %.3g (eps=%g)"
@@ -591,8 +583,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                           seed_override=args.seed)
         threads = _threads_from_env()
         failures = _RUNNERS[args.command](cfg, threads=threads)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:
+        # a MemoryError: the config asks for arrays this machine cannot hold
+        print("config error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 2
     except (DivergenceError, ConvergenceError) as exc:
         print("numerical divergence: %s" % exc, file=sys.stderr)

@@ -1,18 +1,19 @@
 """Deterministic Volterra solvers and the Volterra engine.
 
 Computes the zero-noise limit path x_t, the derivative field
-D_theta Y_t of the Gaussian fluctuation limit with the resolvent R it is
-read off, and the variance profile Var(Y_t) obtained as the squared L2
-norm of a derivative row.
+D_theta Y_t of the Gaussian fluctuation limit as its resolvent R and
+per-cell vectors, and the variance profile Var(Y_t) obtained as the
+squared L2 norm of a derivative row.
 
 x, R and the processes X, Y and Z of ``simulate`` all run on the one
 Volterra engine ``_volterra`` defined here: x as one noiseless path, R as
 the Y step with unit noise on unit increments, one path per theta-cell.
-R alone gives D (each row scaled by its cell's forcing), the Euler
-tangent of Y and the DZ weight that ``simulate`` pairs with.  The first
-non-finite node j >= 1, then the first path in it, names where a run
-blew up; ``_Kept`` is the one place that finds it, reading the engine's
-rows (or D's columns) as it copies the nodes its caller keeps.
+R gives D (cell i scaled by its forcing sigma_i kick_i, the seed on the
+diagonal), the Euler tangent of Y and the DZ weight that ``simulate``
+pairs with, so no dense D is formed.  The first non-finite node j >= 1,
+then the first path in it, names where a run blew up; ``_Kept`` is the
+one place that finds it, reading the engine's rows (or D's node rows) as
+it copies the nodes its caller keeps.
 
 All solvers share one discretization: explicit (left-point) rule in the
 state argument, kernel arguments evaluated at cell midpoints
@@ -60,8 +61,7 @@ class TimeGrid:
         if self.N < 2:
             raise ValueError("N must be at least 2")
         if self.N > _MAX_STEPS:
-            # the resolvent and the derivative field are two dense
-            # (N+1) x N arrays
+            # the derivative field keeps one dense (N+1) x N array, R
             raise ValueError("N is capped at %d" % _MAX_STEPS)
 
     @property
@@ -91,20 +91,22 @@ class LimitPath:
 
 @dataclass(frozen=True)
 class DerivativeField:
-    """D[i, j] ~ D_{theta_i*} Y_{t_j} on grid pairs theta_i* < t_j, and the
-    resolvent R it is read off.
+    """D[i, j] ~ D_{theta_i*} Y_{t_j}, held as the resolvent R and three
+    per-cell vectors; no dense D is stored.
 
-    Rows i = 0..N-1 of D are the theta-cells (evaluated at midpoints),
-    columns j = 0..N the grid nodes; entries with i > j are zero.  The
-    diagonal D[i, i] holds the recursion seed sigma(t_{i+1}, theta_i*, x_i).
     R[j, i], an (N+1, N) array, is the response of the b'-linearized
-    engine at node j to a unit forcing in cell i: the Euler tangent of Y
-    is C = R diag(sigma), and R[N] is the DZ weight w.
+    engine at node j to a unit forcing in cell i (zero for j <= i).  Above
+    the diagonal D[i, j] = R[j, i] sigma_i kick_i, with sigma on the limit
+    path and the k = i term kick = 1 + delta b' K[i, i+1] (K = 1 without a
+    kernel); D[i, i] is the seed sigma K[i, i+1], and D is zero below it.
+    The Euler tangent of Y is C = R diag(sigma); R[N] is the DZ weight w.
     """
 
-    D: np.ndarray
     grid: TimeGrid
     R: np.ndarray
+    sigma: np.ndarray
+    kick: np.ndarray
+    seed: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -245,35 +247,36 @@ def solve_derivative_field(c: CoefficientSet, grid: TimeGrid, x: LimitPath) -> D
     through the resolvent R: one run of the Y engine with unit noise on
     unit increments, step (b'_k V_k delta, dB_k), one path per cell, so
     R[j, i] is the response at node j to a unit forcing in cell i.  D's
-    row i is linear in its cell-i forcing sigma_i (1 + delta b'_i K[i, i+1])
-    (the k = i term; K = 1 without a kernel), so D[i, j] = R[j, i] times
-    that forcing for j > i.  The diagonal seed
-    D[i, i] = sigma(t_{i+1}, theta_i*, x_i) is written after the check; for
-    time-independent sigma it equals the defining sigma(t_i, theta_i*, x_i),
-    and it keeps fractional kernel arguments inside their s < t domain.  A
-    non-finite D[i, j] raises at its first node j.
+    row i is linear in its cell-i forcing sigma_i kick_i, with the k = i
+    term kick_i = 1 + delta b'_i K[i, i+1] (K = 1 without a kernel), so
+    D[i, j] = R[j, i] sigma_i kick_i for j > i; the diagonal is the seed
+    sigma(t_{i+1}, theta_i*, x_i) K[i, i+1], which for time-independent
+    sigma is the defining sigma(t_i, theta_i*, x_i) and keeps fractional
+    kernel arguments inside their s < t domain.  Only here are kick and
+    seed set.  A non-finite D[i, j], j > i, raises at its first node j.
     """
     if x.grid != grid:
         raise ValueError("limit path was solved on a different grid")
     N, d = grid.N, grid.delta
     K = c.on_grid(grid)
+    K1 = 1.0 if K is None else np.diagonal(K, 1)
     R = np.empty((N + 1, N))
     with np.errstate(over="ignore", invalid="ignore"):
         bp = _on_path(c.db, grid, x.values)
         sg = _on_path(c.sigma, grid, x.values)
-        seed = sg if K is None else np.diagonal(K, 1) * sg
         for j, V in enumerate(_volterra(K, 0.0, np.eye(N),
                                         lambda i, Vi, dBi: (bp[i] * Vi * d, dBi))):
             R[j] = V
-        D = np.ascontiguousarray(np.triu(R.T * (sg + d * (seed * bp))[:, None], 1))
-    if not np.isfinite(D).all():
-        raise _node_diverged("derivative field", grid, _Kept(iter(D.T), {}, True).drain())
-    np.fill_diagonal(D, seed)
-    return DerivativeField(D=D, grid=grid, R=R)
+        kick, seed = 1.0 + d * bp * K1, sg * K1
+        f = sg * kick
+    bad = _Kept((R[j, :j] * f[:j] for j in range(N + 1)), {}, True).drain()
+    if bad:
+        raise _node_diverged("derivative field", grid, bad)
+    return DerivativeField(grid=grid, R=R, sigma=sg, kick=kick, seed=seed)
 
 
 def variance_of_Y(D: DerivativeField, grid: TimeGrid) -> VariancePath:
-    """Var(Y_{t_j}) = sum_{i<j} D[i, j]^2 delta.
+    """Var(Y_{t_j}) = sum_{i<j} D[i, j]^2 delta, D[i, j] = R[j, i] sigma_i kick_i.
 
     Strictly sub-diagonal rows only, matching the Ito sum
     Y_j = sum_{i<j} D[i, j] dB_i; the diagonal seed is excluded.
@@ -281,7 +284,8 @@ def variance_of_Y(D: DerivativeField, grid: TimeGrid) -> VariancePath:
     if D.grid != grid:
         raise ValueError("derivative field lives on a different grid")
     with np.errstate(over="ignore"):
-        values = grid.delta * (np.triu(D.D, 1) ** 2).sum(axis=0)
+        DT = D.R * (D.sigma * D.kick)  # DT[j, i] = D[i, j] off the diagonal
+        values = grid.delta * np.square(DT, out=DT).sum(axis=1)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         j = int(bad[0])

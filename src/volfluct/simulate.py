@@ -9,21 +9,22 @@ kernel-check and ``sample_brownian`` alike: it draws row blocks of about
 scale in place, and copies each block straight into a time-major array.
 
 ``coupled_terminal_samples`` is the simulation driver.  It takes the
-run's deterministic limit x and derivative field D (with its resolvent
-R), streams M paths in fixed 2048-row chunks over the whole eps sweep,
-and returns X, the fluctuation X-tilde = (X_eps - x) / eps, the Gaussian
-limit Y, the second-order correction Z and the terminal Malliavin
-pairing of DZ, at the requested nodes only.  Each chunk is drawn once,
-into a buffer that every engine reads.  The engine yields one row per
-node and the driver keeps and checks only what it reads: X at each eps
-writes its observed nodes into the output columns, and Y feeds Z's step
-row by row in lockstep, so no Y row outlives its step.  The pairing is
-one number per path and linear in its increments: DZ_T is linear in
-(Y, dB) and Euler Y is linear in dB, so the driver reads one vector l
-off R once per call (the DZ closed form at D[:, N], its Y term pulled
-through the Euler tangent C = R diag(sigma)) and each chunk's pairing is
-one gemv, l @ dB; the driver runs no engine outside its chunks, and the
-(M, N) DZ rows are never formed.  Each worker thread keeps one workspace
+run's deterministic limit x and derivative field (the resolvent R and
+per-cell sigma, kick and seed), streams M paths in fixed 2048-row
+chunks over the whole eps sweep, and returns X, the fluctuation
+X-tilde = (X_eps - x) / eps, the Gaussian limit Y, the second-order
+correction Z and the terminal Malliavin pairing of DZ, at the requested
+nodes only.  Each chunk is drawn once, into a buffer that every engine
+reads.  The engine yields one row per node and the driver keeps and
+checks only what it reads: X at each eps writes its observed nodes into
+the output columns, and Y feeds Z's step row by row in lockstep, so no Y
+row outlives its step.  The pairing is one number per path and linear
+in its increments: DZ_T is linear in (Y, dB) and Euler Y is linear in
+dB, so the driver reads one vector l off the field once per call (the
+DZ closed form along D[:, N] = R[N] sigma kick, its Y term pulled
+through the Euler tangent C = R diag(sigma)) and each chunk's pairing
+is one gemv, l @ dB; the driver runs no engine outside its chunks, and
+the (M, N) DZ rows are never formed.  Each worker thread keeps one workspace
 across its chunks, the (N, rows) increment block, with or without the
 pairing; on the kernel branch the Y and Z engines add one (N, rows) cell
 history each.  Chunks run in parallel without affecting any number.
@@ -186,7 +187,7 @@ def _dz_weights(c, grid, xv, D, V):
     """Weights (a, b) of the DZ closed form paired with the direction V:
     sum_i V[i] DZ[m, i] = Y[m, :N] @ a + dB[m] @ b, for V of shape (N,) or
     a stack (P, N) of directions, giving (P, N) weights.  ``D`` is the
-    run's derivative field, read for D and its resolvent R.
+    run's derivative field: its resolvent R, forcing sigma kick and seed.
 
     Row i of DZ solves the linear Volterra equation
       DZ[i, j] = K[i, j] S_i + sum_{i<=k<j} K[k, j] (delta b'_k DZ[i, k]
@@ -194,31 +195,31 @@ def _dz_weights(c, grid, xv, D, V):
     seeded DZ[i, i] = K[i, i+1] S_i with S_i = 2 sigma'_i Y_i (primes are
     the state functions g at x_k; K = 1 without a kernel).  Its b' operator
     is the resolvent's: with w = R[N], the response of node N to a unit
-    forcing in cell k, and r_k = delta b'_k w_k,
+    forcing in cell k,
       DZ[i, N] = S_i lead_i
                  + sum_{k>=i} D[i, k] (2 b''_k Y_k delta + 2 sigma'_k dB_k) w_k,
-    lead_i = r_i K[i, i+1] + w_i.  Without a kernel w_k = G_{k+1} and
-    lead_k = G_k, with G_k = prod_{l=k}^{N-1} (1 + delta b'_l).  With
-    u = V triu(D[:, :N]) (diagonal seed included),
-    a = 2 sigma' lead V + 2 delta b'' w u and b = 2 sigma' w u.
+    lead_i = w_i kick_i, the k = i term of the field.  Without a kernel
+    w_k = G_{k+1} and lead_k = G_k, with G_k = prod_{l=k}^{N-1} (1 + delta b'_l).
+    With u = V triu(D[:, :N]) = (V sigma kick) R[:N]^T + V seed (diagonal
+    seed included), a = 2 sigma' lead V + 2 delta b'' w u and
+    b = 2 sigma' w u.
     """
-    N, d = grid.N, grid.delta
-    K = c.on_grid(grid)
+    N = grid.N
     w = D.R[N]
-    r = d * _on_path(c.db, grid, xv) * w
-    lead = r * (1.0 if K is None else np.diagonal(K, 1)) + w
     sp = _on_path(c.dsigma, grid, xv)
-    wu = w * (V @ np.triu(D.D[:, :N]))
-    return 2.0 * sp * lead * V + 2.0 * d * _on_path(c.d2b, grid, xv) * wu, 2.0 * sp * wu
+    wu = w * ((V * (D.sigma * D.kick)) @ D.R[:N].T + V * D.seed)
+    return (2.0 * sp * w * D.kick * V + 2.0 * grid.delta * _on_path(c.d2b, grid, xv) * wu,
+            2.0 * sp * wu)
 
 
 def _pairing(c, grid, xv, D):
     """The vector l with sum_i DZ[m, i] D[i, N] = l @ dB[m]: the DZ
-    weights (a, b) at D[:, N], with a's Y term pulled through the Euler
-    tangent C = R diag(sigma), since Euler Y is linear in the increments,
-    Y_j = C[j] @ dB."""
-    a, b = _dz_weights(c, grid, xv, D, D.D[:, grid.N])
-    return (a @ D.R[:grid.N]) * _on_path(c.sigma, grid, xv) + b
+    weights (a, b) along V = D[:, N] = R[N] sigma kick, with a's Y term
+    pulled through the Euler tangent C = R diag(sigma), since Euler Y is
+    linear in the increments, Y_j = C[j] @ dB."""
+    N = grid.N
+    a, b = _dz_weights(c, grid, xv, D, D.R[N] * (D.sigma * D.kick))
+    return (a @ D.R[:N]) * D.sigma + b
 
 
 def _every_node(what: str, rows: Iterator[np.ndarray], dBt: np.ndarray) -> np.ndarray:
@@ -316,18 +317,18 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
                              threads: int = 1) -> Dict[str, dict]:
     """Stream M coupled paths of ``c`` in fixed chunks over the whole eps sweep.
 
-    ``x`` and ``D`` are the run's limit path and derivative field of ``c``;
-    the grid and x0 are read off ``x``.  Each chunk draws its increments
-    straight into time-major, solves X once per eps and Y and Z once,
-    keeping only the observed nodes; Y and Z run in lockstep.  Returns
-    "X" and "Xt" = (X - x) / eps keyed by eps then node, "Y" and "Z" by
-    node, and "dzdy" (sum_i DZ[m, i] D[i, T] delta, terminal node only),
-    the per-path product l @ dB[m] with the pairing vector l of
-    ``_pairing``, read off D's resolvent once per call: one gemv per
-    chunk, so the driver runs no derivative solve and forms neither the
-    (M, N) DZ nor a chunk's Y rows.  Each worker's
-    workspace is its (N, rows) increment block, plus one
-    (N, rows) cell history each for Y and Z on the kernel branch.  The
+    ``x`` and ``D`` are the run's limit path and derivative field of ``c``
+    (the resolvent R and the per-cell sigma, kick and seed); the grid and
+    x0 are read off ``x``.  Each chunk draws its increments straight into
+    time-major, solves X once per eps and Y and Z once, keeping only the
+    observed nodes; Y and Z run in lockstep.  Returns "X" and
+    "Xt" = (X - x) / eps keyed by eps then node, "Y" and "Z" by node, and
+    "dzdy" (sum_i DZ[m, i] D[i, T] delta, terminal node only), the
+    per-path product l @ dB[m] with the pairing vector l of ``_pairing``,
+    read off the field once per call: one gemv per chunk, so the driver
+    runs no derivative solve and forms neither the (M, N) DZ nor a chunk's
+    Y rows.  Each worker's workspace is its (N, rows) increment block, plus
+    one (N, rows) cell history each for Y and Z on the kernel branch.  The
     terminal node is always observed.  Every number is independent of
     ``threads``: the chunk grid is fixed and each chunk fills its own
     rows.  All chunks run before a divergence is raised as the

@@ -15,6 +15,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from conftest import dense_D
 from volfluct.cli import main
 from volfluct.kernels import make_preset
 from volfluct.deterministic import (TimeGrid, solve_deterministic_limit,
@@ -353,8 +354,8 @@ def test_criterion_8_exactness(record_criterion):
     DZ = sim.simulate_DZ_terminal(c, grid, x, Y, D, batch)
     # the Skorokhod term delta(Z DY) per path
     delta = (Z.values[:, -1] * Y.values[:, -1]
-             - (DZ @ D.D[:, grid.N]) * grid.delta)
-    varY = float((D.D[:, grid.N] ** 2).sum() * grid.delta)
+             - (DZ @ dense_D(D)[:, grid.N]) * grid.delta)
+    varY = float((dense_D(D)[:, grid.N] ** 2).sum() * grid.delta)
     rhs, _ = st.thm2_rhs("cos", Y.values[:, -1], delta, varY)
     checks.append(rhs == 0.0)
 

@@ -154,6 +154,9 @@ def test_bad_configs_exit_2(tmp_path, capsys, doc):
      "test_functions: 'tanh:2.0' repeats an earlier entry"),
     ({"preset": "fbm-trig", "params": {"H": 0.7}},
      "params: give H as the top-level key, not in params"),
+    # a string is no list: iterating it would read "0.4" as '0', '.', '4'
+    ({"epsilons": "0.4"}, "epsilons: must be a list, got '0.4'"),
+    ({"test_functions": "cos"}, "test_functions: must be a list, got 'cos'"),
 ])
 def test_malformed_list_entries_name_their_field(tmp_path, capsys, doc, message):
     cfg = _cfg(tmp_path, **dict({"N": 16, "M": 200}, **doc))
@@ -168,15 +171,16 @@ def test_malformed_list_entries_name_their_field(tmp_path, capsys, doc, message)
 
 @pytest.mark.parametrize("field,value", [
     ("N", 16.9), ("M", 200.5), ("seed", 3.7),
-    ("N", True), ("M", False), ("seed", True),
+    ("N", True), ("M", False), ("seed", True), ("N", "16"),
 ])
 def test_non_integral_counts_exit_2(tmp_path, capsys, field, value):
-    # int() would silently run N = 16.9 as 16; the field must be named
+    # int() would silently run N = 16.9 as 16 and "16" as 16; the field
+    # must be named
     cfg = _cfg(tmp_path, **dict({"N": 16, "M": 200}, **{field: value}))
     out = tmp_path / "o"
     assert _run(["limit", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: %s: " % field)
+    assert err.startswith("config error: %s: must be an integer, got " % field)
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -192,14 +196,17 @@ def test_non_integral_counts_exit_2(tmp_path, capsys, field, value):
     ("H_list", {"H_list": ["-inf"]}),
     ("t_list", {"t_list": [False]}),
     ("cov_pairs", {"cov_pairs": [[1.0, "nan"]]}),
+    ("x0", {"x0": "1.5"}),
+    ("x0", {"x0": 10 ** 400}),               # an integer no float can hold
 ])
 def test_booleans_and_non_finite_reals_exit_2(tmp_path, capsys, field, doc):
-    # float() would run x0 = true as 1.0 and carry "inf" into the solvers
+    # float() would run x0 = true as 1.0 and "1.5" as 1.5, and carry "inf"
+    # into the solvers
     cfg = _cfg(tmp_path, **dict({"N": 16, "M": 200}, **doc))
     out = tmp_path / "o"
     assert _run(["limit", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: %s: " % field)
+    assert err.startswith("config error: %s: must be a finite real number, got " % field)
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -290,6 +297,21 @@ def test_unwritable_out_dir_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: out_dir: ")
 
 
+def test_allocation_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # M = 1e12 asks numpy for 7.28 TiB; a stand-in raises its error so that
+    # nothing large is allocated here
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000000000,) and data type float64")
+
+    monkeypatch.setattr(cli, "coupled_terminal_samples", refuse)
+    cfg = _cfg(tmp_path, preset="trig", N=16, M=10 ** 12, epsilons=[0.4, 0.2, 0.1])
+    assert _run(["rate-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: Unable to allocate 7.28 TiB for an array with shape "
+        "(1000000000000,) and data type float64"]
+
+
 def test_missing_and_malformed_config_files(tmp_path, capsys):
     assert _run(["limit", "--config", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -352,6 +374,34 @@ def test_rate_scan_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("VF_THREADS", "4")
     assert _run(["rate-scan", "--config", cfg, "--out", str(out)]) == 0
     assert _read_bytes(out, names) == first
+
+
+def test_rate_scan_assert_names_every_failed_gate_in_order(tmp_path, monkeypatch,
+                                                          capsys):
+    # stand-ins that fail all four gate kinds: Kolmogorov = eps over TV 0.15
+    # breaks the ordering at eps 0.4, each fit's slope is its first value,
+    # and the rms calls count up, so rms_second grows along the sweep
+    from volfluct.stats import DistanceReport, RateFit
+
+    monkeypatch.setattr(cli, "distance_report", lambda eps, a, b, seed=0: DistanceReport(
+        epsilon=eps, kolmogorov=eps, tv_histogram=0.15, bins=16, n_a=len(a),
+        n_b=len(b), kolmogorov_se=0.01, tv_se=0.02))
+    monkeypatch.setattr(cli, "rate_fit", lambda pts: RateFit(
+        slope=pts[0][1], intercept=0.0, residual=0.0, n_points=len(pts)))
+    calls = []
+    monkeypatch.setattr(cli, "rms_with_se",
+                        lambda vals: (calls.append(1) or 0.1 * len(calls), 0.001))
+    cfg = _cfg(tmp_path, preset="trig", N=16, M=200, epsilons=[0.4, 0.2, 0.1])
+    assert _run(["rate-scan", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--assert"]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "assert failed: distance ordering t=0.5 eps=0.4: kolmogorov 0.4 > tv 0.15 + 0.0894",
+        "assert failed: distance ordering t=1 eps=0.4: kolmogorov 0.4 > tv 0.15 + 0.0894",
+        "assert failed: rms_x_gap slope 0.100 outside [0.85, 1.15]",
+        "assert failed: rms_xt_y slope 0.200 outside [0.85, 1.15]",
+        "assert failed: kolmogorov slope 0.400 below 0.75",
+        "assert failed: rms_second not decreasing: 0.3 (eps=0.4) -> 0.6 (eps=0.2)",
+        "assert failed: rms_second not decreasing: 0.6 (eps=0.2) -> 0.9 (eps=0.1)"]
 
 
 def test_rate_scan_observe_times_snap(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import dense_D
 from volfluct.kernels import (fbm_kernel_matrix, fbm_kernel_params,
                               make_preset, variance_lower_bound_const)
 from volfluct.deterministic import (DivergenceError, TimeGrid, _Kept, _paths,
@@ -123,10 +125,10 @@ def test_derivative_field_zero_db_equals_sigma():
     D = solve_derivative_field(c, g, x)
     # strict upper part solves the equation; diagonal holds the seed
     for j in range(1, 33):
-        np.testing.assert_array_equal(D.D[:j, j], np.ones(j))
-    assert np.all(np.diag(D.D[:, :32]) == 1.0)
+        np.testing.assert_array_equal(dense_D(D)[:j, j], np.ones(j))
+    assert np.all(np.diag(dense_D(D)[:, :32]) == 1.0)
     # below the seed diagonal everything is zero: theta > t has no effect
-    tri = np.tril(D.D[:, 1:], -2)
+    tri = np.tril(dense_D(D)[:, 1:], -2)
     assert np.count_nonzero(tri) == 0
 
 
@@ -139,7 +141,7 @@ def test_derivative_field_linear_growth_exponential():
     D = solve_derivative_field(c, g, x)
     rows, cols = np.triu_indices(g.N, 1, g.N + 1)
     exact = np.exp(a * (g.nodes[cols] - g.midpoints[rows]))
-    rel = np.abs(D.D[rows, cols] - exact) / exact
+    rel = np.abs(dense_D(D)[rows, cols] - exact) / exact
     assert rel.max() < 2e-2
 
 
@@ -150,8 +152,26 @@ def test_derivative_field_fbm_columns_are_kernel_columns():
     D = solve_derivative_field(c, g, x)
     km = fbm_kernel_matrix(fbm_kernel_params(0.7), g)
     rows, cols = np.triu_indices(g.N, 1, g.N + 1)
-    np.testing.assert_allclose(D.D[rows, cols], 1.5 * km[rows, cols],
+    np.testing.assert_allclose(dense_D(D)[rows, cols], 1.5 * km[rows, cols],
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("name,params", [("trig", {}), ("fbm-trig", {"H": 0.7})])
+def test_derivative_field_holds_one_dense_array(name, params):
+    # the field keeps its resolvent R and three per-cell vectors, no dense
+    # D beside it: about 1.01 (N+1) x N blocks, against 2.00 with D; the
+    # limit solve fills the kernel cache before the measurement
+    g = TimeGrid(T=1.0, N=512)
+    c = make_preset(name, **params)
+    x = solve_deterministic_limit(c, g, 1.0)
+    tracemalloc.start()
+    try:
+        D = solve_derivative_field(c, g, x)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert D.R.shape == (g.N + 1, g.N)
+    assert held / (8 * (g.N + 1) * g.N) <= 1.1
 
 
 def test_variance_additive_unit_exact():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from conftest import dense_D
 from volfluct import kernels
 from volfluct.kernels import make_preset
 from volfluct.deterministic import (DivergenceError, TimeGrid,
@@ -36,7 +37,7 @@ def _y_exact(D, batch):
     exactly Gaussian on the grid with variance sum_{i<j} D[i, j]^2 delta."""
     if D.grid != batch.grid:
         raise ValueError("derivative field and batch live on different grids")
-    return sim.PathEnsemble(values=batch.increments @ np.triu(D.D, 1),
+    return sim.PathEnsemble(values=batch.increments @ np.triu(dense_D(D), 1),
                             grid=D.grid, seed=batch.seed)
 
 
@@ -338,7 +339,7 @@ def test_engines_agree_when_kernel_path_is_forced():
     assert forced.kernel is not None and c.kernel is None
     xf, Df = _solved(forced, g, 1.0)
     np.testing.assert_allclose(xf.values, x.values, rtol=1e-13)
-    np.testing.assert_allclose(Df.D, D.D, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(dense_D(Df), dense_D(D), rtol=0, atol=1e-13)
     batch = sim.sample_brownian(6, g, 53)
 
     Xa = sim.simulate_X(c, g, 1.0, 0.2, batch)
@@ -420,7 +421,7 @@ def test_kernel_engines_match_pointwise_oracle(name, params):
     ox, oD, oX, oY, oZ, oDZ = _volterra_oracle(c, H, g, x0, eps, batch.increments)
     tol = dict(rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(x.values, ox, **tol)
-    np.testing.assert_allclose(D.D, oD, **tol)
+    np.testing.assert_allclose(dense_D(D), oD, **tol)
     X = sim.simulate_X(c, g, x0, eps, batch)
     Y = sim.simulate_Y_euler(c, g, x, batch)
     Z = sim.simulate_Z(c, g, x, Y, batch)
@@ -510,7 +511,7 @@ def test_coupled_driver_matches_direct_pipeline():
         np.testing.assert_array_equal(out["Z"][j], Z.values[:, j])
     # matmul-backed outputs shift at ULP level with the BLAS row blocking,
     # so chunked and whole-batch runs differ in the last bit
-    np.testing.assert_allclose(out["dzdy"][32], (DZ @ D.D[:, 32]) * g.delta,
+    np.testing.assert_allclose(out["dzdy"][32], (DZ @ dense_D(D)[:, 32]) * g.delta,
                                rtol=1e-12, atol=1e-15)
 
 
@@ -564,7 +565,7 @@ def test_driver_dzdy_contraction_equals_matrix_pairing(name, params):
     batch = sim.sample_brownian(M, g, seed)
     Y = sim.simulate_Y_euler(c, g, x, batch)
     DZ = sim.simulate_DZ_terminal(c, g, x, Y, D, batch)
-    np.testing.assert_allclose(a, (DZ @ D.D[:, 50]) * g.delta, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(a, (DZ @ dense_D(D)[:, 50]) * g.delta, rtol=1e-12, atol=1e-15)
 
 
 def test_driver_never_forms_the_dz_matrix(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from conftest import dense_D
 from volfluct import stats as st
 from volfluct import simulate as sim
 from volfluct.kernels import make_preset
@@ -244,7 +245,7 @@ def test_skorokhod_term_multiplicative_closed_form():
     Z = sim.simulate_Z(c, g, x, Y, batch)
     DZ = sim.simulate_DZ_terminal(c, g, x, Y, D, batch)
     out = _skorokhod_term(Y.values[:, -1], Z.values[:, -1], DZ,
-                          D.D[:, g.N], g)
+                          dense_D(D)[:, g.N], g)
     B = batch.increments.sum(axis=1)
     q = (batch.increments ** 2).sum(axis=1)
     closed = x0 ** 2 * ((B ** 2 - q) * B - 2.0 * B)
