@@ -33,13 +33,13 @@ from . import __version__
 from .deterministic import (_MAX_STEPS, DivergenceError, TimeGrid,
                             solve_deterministic_limit,
                             solve_derivative_field, variance_of_Y)
-from .kernels import (ConvergenceError, fbm_covariance, fbm_kernel_matrix,
+from .kernels import (ConvergenceError, _fbm_matrix, fbm_covariance,
                       fbm_kernel_params, kernel_l2_mass, make_preset,
                       variance_lower_bound_const)
 from .simulate import (_CHUNK_ROWS, _RNG_SCHEME, _chunks, _draw,
                        coupled_terminal_samples)
 from .stats import (GATE_SE, distance_report, parse_test_function,
-                    rate_fit, rms_with_se, thm2_report, thm2_richardson)
+                    rate_fit, rms_with_se, thm2_ell, thm2_r, thm2_report)
 
 _SNAP_TOL = 1e-9
 
@@ -77,11 +77,19 @@ def _real(v) -> float:
     return float(v)
 
 
-def _list(v) -> list:
-    # iterating a string would read "0.4" as the entries '0', '.' and '4'
-    if not isinstance(v, list):
-        raise ValueError("must be a list, got %r" % (v,))
-    return v
+def _typed(kind: type, name: str):
+    """A converter that takes one JSON type only: str() would run null as a
+    directory named None, dict() would take [["a", 2.0]] as {"a": 2.0}, and
+    iterating a string would read "0.4" as the entries '0', '.' and '4'."""
+    def convert(v):
+        if not isinstance(v, kind):
+            raise ValueError("must be %s, got %r" % (name, v))
+        return v
+    return convert
+
+
+_list, _string = _typed(list, "a list"), _typed(str, "a string")
+_object = _typed(dict, "an object")
 
 
 def _floats(v) -> Tuple[float, ...]:
@@ -107,11 +115,12 @@ def _integer(v) -> int:
 # one converter per ExperimentConfig field, in field order so the first bad
 # field names the error; the defaults live only in the dataclass
 _CONVERTERS = dict(
-    preset=str, params=lambda v: {str(k): _real(p) for k, p in dict(v).items()},
+    preset=_string, params=lambda v: {k: _real(p) for k, p in _object(v).items()},
     x0=_real, T=_real, N=_integer, M=_integer, seed=_integer, epsilons=_floats,
     H=lambda v: None if v is None else _real(v),
     observe_times=lambda v: None if v is None else _floats(v),
-    test_functions=lambda v: tuple(str(p) for p in _list(v)), out_dir=str,
+    test_functions=lambda v: tuple(_string(p) for p in _list(v)),
+    out_dir=_string,
     H_list=_floats, t_list=_floats,
     cov_pairs=lambda v: tuple(_pair(p) for p in _list(v)))
 
@@ -410,19 +419,22 @@ def run_thm2(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
                                        cfg.seed, observe=(N,), with_dzdy=True,
                                        threads=threads)
     Y = samples["Y"][N]
-    Xt = {eps: samples["Xt"][eps][N] for eps in cfg.epsilons}
     delta = samples["Z"][N] * Y - samples["dzdy"][N]
+    degenerate = not varY > 0.0
+    r = {} if degenerate else {phi: thm2_r(phi, Y, delta, varY)
+                               for phi in cfg.test_functions}
+    ell = {}
     for eps in cfg.epsilons:
         gated = not halving and eps == cfg.epsilons[-1]
         for phi in cfg.test_functions:
-            try:
-                rep = thm2_report(phi, eps, Xt[eps], Y, delta, varY)
-            except ValueError:
+            if degenerate:
                 rows.append([eps, phi, nan, nan, nan, nan, nan, nan, nan,
                              "degenerate"])
                 failures.append("phi=%s eps=%g: degenerate Var(Y_T)"
                                 % (phi, eps))
                 continue
+            ell[eps, phi] = thm2_ell(phi, samples["Xt"][eps][N], Y, eps)
+            rep = thm2_report(phi, eps, ell[eps, phi], r[phi])
             combined = rep.combined_se
             if combined > 0.0:
                 ratio = rep.gap / combined
@@ -434,14 +446,11 @@ def run_thm2(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
                 failures.append(
                     "phi=%s eps=%g: |lhs-rhs|=%.3g exceeds %g*SE=%.3g"
                     % (phi, eps, rep.gap, GATE_SE, GATE_SE * combined))
-    if halving:
+    if halving and not degenerate:
         eps = min(halving)
         for phi in cfg.test_functions:
-            try:
-                rep = thm2_richardson(phi, eps, Xt[eps], Xt[eps / 2.0], Y,
-                                      delta, varY)
-            except ValueError:
-                continue  # degenerate Var(Y_T), already a failure above
+            rep = thm2_report(phi, eps,
+                              2.0 * ell[eps / 2.0, phi] - ell[eps, phi], r[phi])
             if not rep.passes:
                 failures.append(
                     "phi=%s eps=%g: |2 lhs(eps/2) - lhs(eps) - rhs|=%.3g "
@@ -489,7 +498,7 @@ def run_kernel_check(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
             value = kernel_l2_mass(p, t)
             target = t ** (2.0 * H)
             mass.append(["l2mass", H, t, "", value, target, value - target, 0.0, 0.0])
-        Kmat = fbm_kernel_matrix(p, grid)
+        Kmat = _fbm_matrix(H, grid)  # the simulations' read-only copy
         # quadrature variance against the stated lower bound, H > 1/2 only
         margin = []
         if H > 0.5 + 1e-6:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 from scipy import special
@@ -297,8 +297,8 @@ def _mean_se(vals: np.ndarray) -> Tuple[float, float]:
     return m, se
 
 
-def thm2_lhs(phi_id: str, Xt_T, Y_T, eps: float) -> Tuple[float, float]:
-    """mean (phi(Xt_T) - phi(Y_T)) / eps with per-path differencing."""
+def thm2_ell(phi_id: str, Xt_T, Y_T, eps: float) -> np.ndarray:
+    """The per-path lhs l(eps) = (phi(Xt_T) - phi(Y_T)) / eps."""
     if eps == 0.0:
         raise ValueError("eps must be nonzero")
     f = resolve_test_function(phi_id)
@@ -306,11 +306,11 @@ def thm2_lhs(phi_id: str, Xt_T, Y_T, eps: float) -> Tuple[float, float]:
     y = _as_sample(Y_T)
     if xt.shape != y.shape:
         raise ValueError("coupled samples must have equal length")
-    return _mean_se((f(xt) - f(y)) / eps)
+    return (f(xt) - f(y)) / eps
 
 
-def thm2_rhs(phi_id: str, Y_T, delta, varY: float) -> Tuple[float, float]:
-    """mean phi(Y_T) delta / (2 Var(Y_T)) with its standard error."""
+def thm2_r(phi_id: str, Y_T, delta, varY: float) -> np.ndarray:
+    """The per-path rhs phi(Y_T) delta / (2 Var(Y_T))."""
     if not varY > 0.0:
         raise ValueError("degenerate Gaussian limit: Var(Y_T) must be positive")
     f = resolve_test_function(phi_id)
@@ -318,34 +318,20 @@ def thm2_rhs(phi_id: str, Y_T, delta, varY: float) -> Tuple[float, float]:
     dlt = _as_sample(delta)
     if y.shape != dlt.shape:
         raise ValueError("coupled samples must have equal length")
-    return _mean_se(f(y) * dlt / (2.0 * varY))
+    return f(y) * dlt / (2.0 * varY)
 
 
-def thm2_report(phi_id: str, eps: float, Xt_T, Y_T, delta, varY: float) -> Thm2Report:
-    lhs, lhs_se = thm2_lhs(phi_id, Xt_T, Y_T, eps)
-    rhs, rhs_se = thm2_rhs(phi_id, Y_T, delta, varY)
-    return Thm2Report(phi=phi_id, epsilon=eps, lhs=lhs, lhs_se=lhs_se,
-                      rhs=rhs, rhs_se=rhs_se)
+def thm2_report(phi_id: str, eps: float, ell, r) -> Thm2Report:
+    """Both sides of the weak expansion as means of per-path values.
 
-
-def thm2_richardson(phi_id: str, eps: float, Xt_T, Xt_half_T, Y_T, delta,
-                    varY: float) -> Thm2Report:
-    """Both sides with the lhs extrapolated to eps -> 0 on coupled paths.
-
-    The lhs is the per-path Richardson value r = 2 l(eps/2) - l(eps), with
-    l(e) = (phi(Xt_e) - phi(Y)) / e, which cancels the O(eps) term of the
-    expansion; its SE counts the correlation between the two eps.
+    ell is l(eps) from thm2_ell for a fixed-eps row, or the Richardson
+    value 2 l(eps/2) - l(eps) on coupled paths, which cancels the O(eps)
+    term of the expansion; its SE then counts the correlation between the
+    two eps.  r is thm2_r on the same paths.
     """
-    f = resolve_test_function(phi_id)
-    xt, xt_half, y = _as_sample(Xt_T), _as_sample(Xt_half_T), _as_sample(Y_T)
-    if not xt.shape == xt_half.shape == y.shape:
-        raise ValueError("coupled samples must have equal length")
-    fy = f(y)
-    ell = (f(xt) - fy) / eps
-    ell_half = (f(xt_half) - fy) / (eps / 2.0)
-    r, r_se = _mean_se(2.0 * ell_half - ell)
-    rhs, rhs_se = thm2_rhs(phi_id, y, delta, varY)
-    return Thm2Report(phi=phi_id, epsilon=eps, lhs=r, lhs_se=r_se,
+    lhs, lhs_se = _mean_se(ell)
+    rhs, rhs_se = _mean_se(r)
+    return Thm2Report(phi=phi_id, epsilon=eps, lhs=lhs, lhs_se=lhs_se,
                       rhs=rhs, rhs_se=rhs_se)
 
 

@@ -183,10 +183,11 @@ def test_criterion_5_weak_expansion(thm2_m1e6, record_criterion):
     gaps, oracles, coeff = [], [], ""
     for preset, s in thm2_m1e6.items():
         for phi in ("cos", "tanh"):
-            rep = st.thm2_report(phi, eps, s["Xt"], s["Y"], s["delta"],
-                                 s["varY"])
-            rich = st.thm2_richardson(phi, eps, s["Xt"], s["Xt_half"],
-                                      s["Y"], s["delta"], s["varY"])
+            r = st.thm2_r(phi, s["Y"], s["delta"], s["varY"])
+            ell = st.thm2_ell(phi, s["Xt"], s["Y"], eps)
+            ell_half = st.thm2_ell(phi, s["Xt_half"], s["Y"], eps / 2.0)
+            rep = st.thm2_report(phi, eps, ell, r)
+            rich = st.thm2_report(phi, eps, 2.0 * ell_half - ell, r)
             ok = ok and rich.passes
             gaps.append("%s/%s %.2f->%.2f" % (preset, phi,
                                               rep.gap / rep.combined_se,
@@ -203,9 +204,6 @@ def test_criterion_5_weak_expansion(thm2_m1e6, record_criterion):
             if phi == "cos":
                 # first-order coefficient against eps exp(-1/2) 7/24;
                 # reported only, the Euler grid's O(1/N) bias is resolved
-                fy = f(s["Y"])
-                ell = (f(s["Xt"]) - fy) / eps
-                ell_half = (f(s["Xt_half"]) - fy) / (eps / 2.0)
                 c1, c1_se = st._mean_se((ell - ell_half) / (eps / 2.0))
                 coeff = ("; multiplicative/cos first-order coefficient "
                          "%.4f+-%.4f (closed form %.4f)"
@@ -276,8 +274,9 @@ def test_golden_thm2_rows_match_committed_out(thm2_m1e6):
             [(e, phi) for e in cfg["epsilons"] for phi in cfg["test_functions"]]
         for r in rows:
             eps = float(r["epsilon"])
-            rep = st.thm2_report(r["phi"], eps, Xt[eps], s["Y"], s["delta"],
-                                 s["varY"])
+            rep = st.thm2_report(
+                r["phi"], eps, st.thm2_ell(r["phi"], Xt[eps], s["Y"], eps),
+                st.thm2_r(r["phi"], s["Y"], s["delta"], s["varY"]))
             np.testing.assert_allclose(
                 [rep.lhs, rep.lhs_se, rep.rhs, rep.rhs_se],
                 [float(r[k]) for k in ("lhs", "lhs_se", "rhs", "rhs_se")],
@@ -356,7 +355,7 @@ def test_criterion_8_exactness(record_criterion):
     delta = (Z.values[:, -1] * Y.values[:, -1]
              - (DZ @ dense_D(D)[:, grid.N]) * grid.delta)
     varY = float((dense_D(D)[:, grid.N] ** 2).sum() * grid.delta)
-    rhs, _ = st.thm2_rhs("cos", Y.values[:, -1], delta, varY)
+    rhs, _ = st._mean_se(st.thm2_r("cos", Y.values[:, -1], delta, varY))
     checks.append(rhs == 0.0)
 
     record_criterion(8, all(checks),

@@ -157,16 +157,37 @@ def test_bad_configs_exit_2(tmp_path, capsys, doc):
     # a string is no list: iterating it would read "0.4" as '0', '.', '4'
     ({"epsilons": "0.4"}, "epsilons: must be a list, got '0.4'"),
     ({"test_functions": "cos"}, "test_functions: must be a list, got 'cos'"),
+    # str() and dict() would take any JSON value: null, ["x"] and 7 as
+    # directory names, and a list of pairs as params
+    ({"out_dir": None}, "out_dir: must be a string, got None"),
+    ({"out_dir": ["x"]}, "out_dir: must be a string, got ['x']"),
+    ({"out_dir": 7}, "out_dir: must be a string, got 7"),
+    ({"preset": 7}, "preset: must be a string, got 7"),
+    ({"params": [["a", 2.0]], "preset": "linear-growth"},
+     "params: must be an object, got [['a', 2.0]]"),
+    ({"params": "ab"}, "params: must be an object, got 'ab'"),
+    ({"test_functions": ["cos", 3]}, "test_functions: must be a string, got 3"),
 ])
-def test_malformed_list_entries_name_their_field(tmp_path, capsys, doc, message):
+def test_malformed_list_entries_name_their_field(tmp_path, monkeypatch, capsys,
+                                                 doc, message):
     cfg = _cfg(tmp_path, **dict({"N": 16, "M": 200}, **doc))
     out = tmp_path / "o"
     command = READERS.get(next(iter(doc)), ("limit",))[0]
-    assert _run([command, "--config", cfg, "--out", str(out)]) == 2
+    # --out would win over the file's out_dir, so that case runs without it
+    monkeypatch.chdir(tmp_path)
+    args = [] if "out_dir" in doc else ["--out", str(out)]
+    assert _run([command, "--config", cfg] + args) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: " + message)
     assert "Traceback" not in err
     assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_out_override_wins_over_a_malformed_out_dir(tmp_path):
+    cfg = _cfg(tmp_path, N=16, out_dir=None)
+    assert _run(["limit", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "limit.csv").is_file()
 
 
 @pytest.mark.parametrize("field,value", [
@@ -469,8 +490,8 @@ def _off_by(real, shift):
 def test_thm2_assert_gates_smallest_halving_pair(tmp_path, monkeypatch,
                                                 capsys):
     seen = []
-    shifted = _off_by(cli.thm2_richardson, 10.0)
-    monkeypatch.setattr(cli, "thm2_richardson",
+    shifted = _off_by(cli.thm2_report, 10.0)
+    monkeypatch.setattr(cli, "thm2_report",
                         lambda phi, eps, *a: seen.append(eps) or
                         shifted(phi, eps, *a))
     cfg = _cfg(tmp_path, preset="trig", N=16, M=300,
@@ -479,7 +500,9 @@ def test_thm2_assert_gates_smallest_halving_pair(tmp_path, monkeypatch,
     assert _run(["thm2", "--config", cfg, "--out", str(out),
                  "--assert"]) == 4
     err = capsys.readouterr().err
-    assert seen == [0.1]  # pairs (0.4, 0.2), (0.2, 0.1), (0.1, 0.05)
+    # one report per row, then the gate on the smallest of the pairs
+    # (0.4, 0.2), (0.2, 0.1), (0.1, 0.05)
+    assert seen == [0.4, 0.2, 0.1, 0.05, 0.1]
     assert "phi=cos eps=0.1: |2 lhs(eps/2) - lhs(eps) - rhs|=10" in err
     assert "|lhs-rhs|" not in err  # fixed-eps rows are reported only
     assert len(_read_csv(out / "thm2.csv")) == 4
@@ -487,15 +510,18 @@ def test_thm2_assert_gates_smallest_halving_pair(tmp_path, monkeypatch,
 
 def test_thm2_assert_without_halving_pair_gates_last_eps(tmp_path,
                                                          monkeypatch, capsys):
-    monkeypatch.setattr(cli, "thm2_richardson",
-                        lambda *a: pytest.fail("no (e, e/2) pair to gate"))
-    monkeypatch.setattr(cli, "thm2_report", _off_by(cli.thm2_report, 10.0))
+    seen = []
+    shifted = _off_by(cli.thm2_report, 10.0)
+    monkeypatch.setattr(cli, "thm2_report",
+                        lambda phi, eps, *a: seen.append(eps) or
+                        shifted(phi, eps, *a))
     cfg = _cfg(tmp_path, preset="trig", N=16, M=300, epsilons=[0.3, 0.2],
                test_functions=["cos"])
     out = tmp_path / "o"
     assert _run(["thm2", "--config", cfg, "--out", str(out),
                  "--assert"]) == 4
     err = capsys.readouterr().err
+    assert seen == [0.3, 0.2]  # the rows only: no (e, e/2) pair to gate
     assert "phi=cos eps=0.2: |lhs-rhs|=10 exceeds 3*SE" in err
     assert "eps=0.3" not in err
 
@@ -707,3 +733,39 @@ def test_summarize_prints_header_of_empty_csv(tmp_path, capsys):
     assert lines[0] == "== %s" % (out / "kernel.csv")
     assert lines[1].split() == ["kind", "H", "t", "s", "value", "target", "z"]
     assert len(lines) == 2
+
+
+# ---------------------------------------------------------------------------
+# scripts/check_battery.py
+# ---------------------------------------------------------------------------
+
+
+def _check_battery(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "scripts"))  # for its run_all import
+    spec = importlib.util.spec_from_file_location(
+        "check_battery", REPO / "scripts" / "check_battery.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("got,want,expected", [
+    ("a,b\n1.5,ok\n", "a,b\n1.5,ok\n", (0.0, True)),
+    # tolerance at 1: 1e-9 relative plus 1e-12 absolute
+    ("a\n1.0000000005\n", "a\n1\n", (float("1.0000000005") - 1.0, True)),
+    ("a\n1.0000000011\n", "a\n1\n", (float("1.0000000011") - 1.0, False)),
+    ("a\n1e-13\n", "a\n0\n", (1e-13, True)),    # absolute where want is 0
+    ("a\nnan\n", "a\n1\n", (math.inf, False)),
+    ("a\n1\n", "a\nnan\n", (math.inf, False)),
+    ("a\nnan\n", "a\nnan\n", (0.0, True)),
+    ("a\n-0\n", "a\n0\n", (0.0, True)),
+    ("a,b\n1,ok\n", "a,b\n1,degenerate\n", (0.0, False)),
+    ("a,b\n1,2\n", "a,b\n1\n", (math.inf, False)),
+    ("a\n1\n2\n", "a\n1\n", (math.inf, False)),
+], ids=["identical", "inside", "outside", "at-zero", "nan-got", "nan-want",
+        "nan-both", "signed-zero", "text", "row-length", "row-count"])
+def test_check_battery_compare(tmp_path, monkeypatch, got, want, expected):
+    compare = _check_battery(monkeypatch).compare
+    (tmp_path / "got.csv").write_text(got)
+    (tmp_path / "want.csv").write_text(want)
+    assert compare(tmp_path / "got.csv", tmp_path / "want.csv") == expected

@@ -285,16 +285,68 @@ def test_resolve_test_function_menu():
     assert st.parse_test_function("cos") == st.parse_test_function("cos:1.0")
 
 
+# The estimators before both sides became per-path arrays, kept as
+# references for thm2_report over thm2_ell and thm2_r.
+
+
+def _thm2_lhs(phi_id, Xt_T, Y_T, eps):
+    """mean (phi(Xt_T) - phi(Y_T)) / eps with per-path differencing."""
+    if eps == 0.0:
+        raise ValueError("eps must be nonzero")
+    f = st.resolve_test_function(phi_id)
+    xt = st._as_sample(Xt_T)
+    y = st._as_sample(Y_T)
+    if xt.shape != y.shape:
+        raise ValueError("coupled samples must have equal length")
+    return st._mean_se((f(xt) - f(y)) / eps)
+
+
+def _thm2_rhs(phi_id, Y_T, delta, varY):
+    """mean phi(Y_T) delta / (2 Var(Y_T)) with its standard error."""
+    if not varY > 0.0:
+        raise ValueError("degenerate Gaussian limit: Var(Y_T) must be positive")
+    f = st.resolve_test_function(phi_id)
+    y = st._as_sample(Y_T)
+    dlt = st._as_sample(delta)
+    if y.shape != dlt.shape:
+        raise ValueError("coupled samples must have equal length")
+    return st._mean_se(f(y) * dlt / (2.0 * varY))
+
+
+def _thm2_report(phi_id, eps, Xt_T, Y_T, delta, varY):
+    lhs, lhs_se = _thm2_lhs(phi_id, Xt_T, Y_T, eps)
+    rhs, rhs_se = _thm2_rhs(phi_id, Y_T, delta, varY)
+    return st.Thm2Report(phi=phi_id, epsilon=eps, lhs=lhs, lhs_se=lhs_se,
+                         rhs=rhs, rhs_se=rhs_se)
+
+
+def _thm2_richardson(phi_id, eps, Xt_T, Xt_half_T, Y_T, delta, varY):
+    """Both sides with the lhs the per-path Richardson value
+    2 l(eps/2) - l(eps) on coupled paths."""
+    f = st.resolve_test_function(phi_id)
+    xt, xt_half, y = (st._as_sample(Xt_T), st._as_sample(Xt_half_T),
+                      st._as_sample(Y_T))
+    if not xt.shape == xt_half.shape == y.shape:
+        raise ValueError("coupled samples must have equal length")
+    fy = f(y)
+    ell = (f(xt) - fy) / eps
+    ell_half = (f(xt_half) - fy) / (eps / 2.0)
+    r, r_se = st._mean_se(2.0 * ell_half - ell)
+    rhs, rhs_se = _thm2_rhs(phi_id, y, delta, varY)
+    return st.Thm2Report(phi=phi_id, epsilon=eps, lhs=r, lhs_se=r_se,
+                         rhs=rhs, rhs_se=rhs_se)
+
+
 def test_thm2_lhs_trivial_zero_and_validation():
     y = np.array([0.1, -0.4, 0.9])
-    lhs, se = st.thm2_lhs("cos", y, y, 0.25)
+    lhs, se = st._mean_se(st.thm2_ell("cos", y, y, 0.25))
     assert lhs == 0.0 and se == 0.0
-    lhs, se = st.thm2_lhs("const", y + 1.0, y, 0.25)
+    lhs, se = st._mean_se(st.thm2_ell("const", y + 1.0, y, 0.25))
     assert lhs == 0.0
     with pytest.raises(ValueError):
-        st.thm2_lhs("cos", y, y, 0.0)
+        st.thm2_ell("cos", y, y, 0.0)
     with pytest.raises(ValueError):
-        st.thm2_lhs("cos", y, y[:2], 0.1)
+        st.thm2_ell("cos", y, y[:2], 0.1)
 
 
 def test_thm2_rhs_zero_mean_and_degenerate():
@@ -302,20 +354,26 @@ def test_thm2_rhs_zero_mean_and_degenerate():
     n = 50000
     y = r.standard_normal(n)
     delta = y ** 3 - 3.0 * y  # mean-zero Skorokhod term in the flat case
-    rhs, se = st.thm2_rhs("const", y, delta, 1.0)
+    rhs, se = st._mean_se(st.thm2_r("const", y, delta, 1.0))
     assert se > 0.0
     assert abs(rhs) < 3.0 * se
     with pytest.raises(ValueError, match="degenerate Gaussian limit"):
-        st.thm2_rhs("cos", y, delta, 0.0)
+        st.thm2_r("cos", y, delta, 0.0)
     with pytest.raises(ValueError):
-        st.thm2_rhs("cos", y, delta[:10], 1.0)
+        st.thm2_r("cos", y, delta[:10], 1.0)
+
+
+def _report_sample():
+    r = _rng(10)
+    y = r.standard_normal(2000)
+    return dict(y=y, xt={0.1: y + 0.01 * r.standard_normal(2000)},
+                delta=y ** 3 - 3 * y, varY=1.0)
 
 
 def test_thm2_report_fields():
-    r = _rng(10)
-    y = r.standard_normal(2000)
-    xt = y + 0.01 * r.standard_normal(2000)
-    rep = st.thm2_report("cos", 0.1, xt, y, y ** 3 - 3 * y, 1.0)
+    s = _report_sample()
+    rep = st.thm2_report("cos", 0.1, st.thm2_ell("cos", s["xt"][0.1], s["y"], 0.1),
+                         st.thm2_r("cos", s["y"], s["delta"], s["varY"]))
     assert rep.phi == "cos" and rep.epsilon == 0.1
     assert rep.gap == abs(rep.lhs - rep.rhs)
     assert rep.combined_se == pytest.approx(math.hypot(rep.lhs_se,
@@ -329,22 +387,64 @@ def test_thm2_report_passes_within_three_combined_se():
     assert not dataclasses.replace(rep, lhs=1.6).passes
 
 
-def test_thm2_richardson_per_path_value():
+def _richardson_sample():
     r = _rng(12)
     y = r.standard_normal(4000)
-    xt = y + 0.1 * r.standard_normal(4000)
-    xt_half = y + 0.05 * r.standard_normal(4000)
-    delta = y ** 3 - 3.0 * y
-    rep = st.thm2_richardson("cos", 0.1, xt, xt_half, y, delta, 1.0)
+    return dict(y=y, xt={0.1: y + 0.1 * r.standard_normal(4000),
+                         0.05: y + 0.05 * r.standard_normal(4000)},
+                delta=y ** 3 - 3.0 * y, varY=1.0)
+
+
+def test_thm2_richardson_per_path_value():
+    s = _richardson_sample()
+    y, xt, xt_half, delta = s["y"], s["xt"][0.1], s["xt"][0.05], s["delta"]
+    rep = st.thm2_report("cos", 0.1, 2.0 * st.thm2_ell("cos", xt_half, y, 0.05)
+                         - st.thm2_ell("cos", xt, y, 0.1),
+                         st.thm2_r("cos", y, delta, 1.0))
     per_path = (2.0 * (np.cos(xt_half) - np.cos(y)) / 0.05
                 - (np.cos(xt) - np.cos(y)) / 0.1)
     assert rep.lhs == pytest.approx(per_path.mean(), rel=1e-12)
     assert rep.lhs_se == pytest.approx(
         per_path.std(ddof=1) / math.sqrt(y.size), rel=1e-12)
-    assert (rep.rhs, rep.rhs_se) == st.thm2_rhs("cos", y, delta, 1.0)
+    assert (rep.rhs, rep.rhs_se) == st._mean_se(st.thm2_r("cos", y, delta, 1.0))
     assert rep.epsilon == 0.1 and rep.phi == "cos"
     with pytest.raises(ValueError):
-        st.thm2_richardson("cos", 0.1, xt, xt_half[:10], y, delta, 1.0)
+        st.thm2_ell("cos", xt_half[:10], y, 0.05)
+
+
+def _criterion_5_sample():
+    """Two eps on the same paths, from the driver, as criterion 5 has them."""
+    grid = TimeGrid(T=1.0, N=32)
+    c = make_preset("multiplicative")
+    x = solve_deterministic_limit(c, grid, 1.0)
+    D = solve_derivative_field(c, grid, x)
+    s = sim.coupled_terminal_samples(c, x, D, (0.05, 0.025), 3000, 12345,
+                                     observe=(32,), with_dzdy=True)
+    y = s["Y"][32]
+    return dict(y=y, xt={e: s["Xt"][e][32] for e in (0.05, 0.025)},
+                delta=s["Z"][32] * y - s["dzdy"][32],
+                varY=float((dense_D(D)[:, 32] ** 2).sum() * grid.delta))
+
+
+_THM2_SAMPLES = {"fields": _report_sample, "richardson": _richardson_sample,
+                 "criterion-5": _criterion_5_sample}
+
+
+@pytest.mark.parametrize("phi", ["cos", "tanh:2", "sigmoid", "const"])
+@pytest.mark.parametrize("case", sorted(_THM2_SAMPLES))
+def test_thm2_report_of_per_path_values_is_the_reference(phi, case):
+    s = _THM2_SAMPLES[case]()
+    y, xt, delta, varY = s["y"], s["xt"], s["delta"], s["varY"]
+    r = st.thm2_r(phi, y, delta, varY)
+    ell = {e: st.thm2_ell(phi, xt[e], y, e) for e in xt}
+    pairs = [e for e in xt if e / 2.0 in xt]
+    assert len(pairs) == len(xt) - 1
+    for e in xt:
+        assert st.thm2_report(phi, e, ell[e], r) == \
+            _thm2_report(phi, e, xt[e], y, delta, varY)
+    for e in pairs:
+        assert st.thm2_report(phi, e, 2.0 * ell[e / 2.0] - ell[e], r) == \
+            _thm2_richardson(phi, e, xt[e], xt[e / 2.0], y, delta, varY)
 
 
 def test_gauss_hermite_mean_moments():
