@@ -4,7 +4,7 @@
 numpy's ``NPY_DISABLE_CPU_FEATURES`` and OpenBLAS's ``OPENBLAS_CORETYPE``
 act only on the process that reads them, so one machine can stand in for
 CPUs without AVX-512, CPUs at numpy's baseline dispatch and older BLAS
-kernels.  Three small battery configs run in child processes, natively
+kernels.  Four small battery configs run in child processes, natively
 and then under each setting alone:
 
 - numpy dispatch: the enabled targets above X86_V3 disabled (no
@@ -39,6 +39,7 @@ CONFIGS = [
     ("thm2-trig", "thm2", "thm2_trig.json", {"N": 64, "M": 2048}),
     ("thm2-fbm-trig", "thm2", "thm2_fbm_trig.json", {"N": 64, "M": 2048}),
     ("limit-fbm", "limit", "limit_fbm.json", {"N": 128}),
+    ("rate-scan-trig", "rate-scan", "rate_scan_trig.json", {"N": 64, "M": 2048}),
 ]
 
 # Each bound is the largest change of its file over the four settings,
@@ -51,15 +52,22 @@ CONFIGS = [
 #   thm2-fbm-trig/thm2.csv   lhs 2.01e-13, 2.03e-13, 3.01e-13, 1.08e-12
 #   limit-fbm/limit.csv      0, 0, 0, 0
 #   limit-fbm/variance.csv   2.37e-16, 2.37e-16, 0, 0
+#   rate-scan-trig/distances.csv, strong.csv   0, 0, 0, 0
+#   rate-scan-trig/ratefit.csv   0, 0, 1.13e-13, 1.13e-13 (residual;
+#                                slope and intercept in the last digits)
 # Sources: np.power and np.exp without AVX-512 (the fBm prefactor
-# (t - s) ** (H - 0.5), so the K_H matrix itself differs), and the BLAS
+# (t - s) ** (H - 0.5), so the K_H matrix itself differs), the BLAS
 # kernels behind the dzdy gemv and the kernel mat-vec, which differ by
-# core type.
+# core type, and, for ratefit.csv, np.polyfit's least-squares solve,
+# whose LAPACK call runs on the same core-type-dependent BLAS.
 BOUNDS = {
     "thm2-trig/thm2.csv": 1.2e-15,
     "thm2-fbm-trig/thm2.csv": 1.1e-12,
     "limit-fbm/limit.csv": 0.0,
     "limit-fbm/variance.csv": 2.4e-16,
+    "rate-scan-trig/distances.csv": 0.0,
+    "rate-scan-trig/strong.csv": 0.0,
+    "rate-scan-trig/ratefit.csv": 1.2e-13,
 }
 VARIABLES = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
 

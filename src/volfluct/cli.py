@@ -33,7 +33,7 @@ from . import __version__
 from .deterministic import (_MAX_STEPS, DivergenceError, TimeGrid,
                             solve_deterministic_limit,
                             solve_derivative_field, variance_of_Y)
-from .kernels import (ConvergenceError, _fbm_matrix, fbm_covariance,
+from .kernels import (ConvergenceError, fbm_covariance, fbm_kernel_matrix,
                       fbm_kernel_params, kernel_l2_mass, make_preset,
                       variance_lower_bound_const)
 from .simulate import (_CHUNK_ROWS, _RNG_SCHEME, _chunks, _draw,
@@ -498,7 +498,7 @@ def run_kernel_check(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
             value = kernel_l2_mass(p, t)
             target = t ** (2.0 * H)
             mass.append(["l2mass", H, t, "", value, target, value - target, 0.0, 0.0])
-        Kmat = _fbm_matrix(H, grid)  # the simulations' read-only copy
+        Kmat = fbm_kernel_matrix(p, grid)  # not cached: dropped once sliced
         # quadrature variance against the stated lower bound, H > 1/2 only
         margin = []
         if H > 0.5 + 1e-6:
@@ -510,6 +510,7 @@ def run_kernel_check(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
             margin.append(["varmargin", H, grid.nodes[worst + 1], "",
                            value, 0.0, value, 0.0, 0.0])
         parts.append((mass, Kmat[:, needed], margin))
+        del Kmat
 
     # synthesized fBm covariance at the requested node pairs: each chunk is
     # drawn once, and each H's sums run in chunk order

@@ -6,14 +6,16 @@ per-cell vectors, and the variance profile Var(Y_t) obtained as the
 squared L2 norm of a derivative row.
 
 x, R and the processes X, Y and Z of ``simulate`` all run on the one
-Volterra engine ``_volterra`` defined here: x as one noiseless path, R as
-the Y step with unit noise on unit increments, one path per theta-cell.
-R gives D (cell i scaled by its forcing sigma_i kick_i, the seed on the
-diagonal), the Euler tangent of Y and the DZ weight that ``simulate``
-pairs with, so no dense D is formed.  The first non-finite node j >= 1,
-then the first path in it, names where a run blew up; ``_Kept`` is the
-one place that finds it, reading the engine's rows (or D's node rows) as
-it copies the nodes its caller keeps.
+Volterra engine ``_volterra`` defined here, one call per run: x as one
+noiseless path, R as the Y step with unit noise on unit increments, one
+path per theta-cell, kept straight into R.  A call can run several
+coupled processes on one state, each step reading its own row and those
+of earlier processes, which is how Z reads Y.  R gives D (cell i scaled by its forcing
+sigma_i kick_i, the seed on the diagonal), the Euler tangent of Y and
+the DZ weight that ``simulate`` pairs with, so no dense D is formed.
+The first non-finite node j >= 1, then the first path in it, names where
+a run blew up; the engine finds it for each process in the rows it
+keeps (every row on the kernel branch).
 
 All solvers share one discretization: explicit (left-point) rule in the
 state argument, kernel arguments evaluated at cell midpoints
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,99 +126,66 @@ def _on_path(f, grid: TimeGrid, xv: np.ndarray) -> np.ndarray:
 
 
 def _volterra(K: Optional[np.ndarray], base: float, dBt: np.ndarray,
-              step) -> Iterator[np.ndarray]:
-    """Yield V_j = base + sum_{i<j} K[i, j] (drift_i + noise_i), j = 0..N,
-    one (M,) time-major row per node.
+              steps: Sequence, keep: Sequence[Dict[int, np.ndarray]]
+              ) -> List[Optional[Tuple[int, int]]]:
+    """Run P = len(steps) coupled processes on one (P, M) state,
+    V_j = base + sum_{i<j} K[i, j] (drift_i + noise_i), j = 0..N.
 
     ``dBt`` is the (N, M) time-major increment block, row i the step-i
-    increments of every path.  ``step(i, V_i, dB_i)`` returns the (M,)
-    drift and noise of cell i.  Without a kernel (K is None, k = 1) the
-    sum telescopes, V_j = V_{j-1} + drift + noise, in one row updated in
-    place, so a non-finite value persists to V_N; with one, each node is
-    one mat-vec of a contiguous kernel row against the cell increments so
-    far, and a non-finite V_j need not reach later nodes.  Each yielded row
-    is overwritten by the next, so a caller copies the nodes it keeps.
+    increments of every path.  ``steps[p](i, V, dB_i)`` returns process
+    p's (M,) drift and noise of cell i from the state's rows V, V[q] being
+    process q; it may read its own row and those of earlier processes,
+    which still hold node i (later processes move first).  Without a
+    kernel (K is None, k = 1) the sum telescopes, V_j = V_{j-1} + drift
+    + noise, in place, so a non-finite value persists to V_N; with one,
+    each node is one mat-vec per process of a contiguous kernel row
+    against its cell increments so far, and a non-finite V_j need not
+    reach later nodes.  Row j of process p is copied into ``keep[p][j]``
+    when that key exists.
+
+    Returns, per process, (node, path) of the first non-finite entry of
+    the first non-finite checked row j >= 1, or None.  The checked rows
+    are the kept ones, and on the kernel branch every row; a non-finite
+    value of the telescoping sum always reaches node N, so keeping it
+    misses no divergence.  Overflow is expected on a diverging run and
+    reported this way.
     """
     N, M = dBt.shape
-    V = np.empty(M)
+    V = np.empty((len(steps), M))
     V[...] = base
-    yield V
-    if K is None:
-        for i in range(N):
-            drift, noise = step(i, V, dBt[i])
-            V += drift
-            V += noise
-            yield V
-        return
-    Kt = np.ascontiguousarray(K.T)
-    F = np.empty((N, M))
-    for i in range(N):
-        drift, noise = step(i, V, dBt[i])
-        np.add(drift, noise, out=F[i])
-        np.dot(Kt[i + 1, :i + 1], F[:i + 1], out=V)
-        if base:
-            V += base
-        yield V
+    rows = list(V)  # one view per process, updated in place
+    procs = list(enumerate(zip(steps, rows, keep)))[::-1]
+    bad: List[Optional[Tuple[int, int]]] = [None] * len(steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if K is not None:
+            Kt = np.ascontiguousarray(K.T)
+            F = np.empty((len(steps), N, M))  # each process's cell history
+        for j in range(N + 1):
+            for p, (step, Vp, _) in procs if j else ():
+                drift, noise = step(j - 1, rows, dBt[j - 1])
+                if K is None:
+                    Vp += drift
+                    Vp += noise
+                    continue
+                np.add(drift, noise, out=F[p, j - 1])
+                np.dot(Kt[j, :j], F[p, :j], out=Vp)
+                if base:
+                    Vp += base
+            for p, (_, Vp, kept) in procs:
+                dst = kept.get(j)
+                if dst is not None:
+                    dst[...] = Vp
+                elif K is None:
+                    continue  # neither kept nor checked
+                if j and bad[p] is None:
+                    ok = np.isfinite(Vp)
+                    if not ok.all():
+                        bad[p] = j, int(np.argmin(ok))
+    return bad
 
 
-class _Kept:
-    """The one reader of an engine run's node rows: it keeps some of them
-    and checks them for non-finite values.
-
-    Row j is copied into ``sinks[j]``, when the run keeps it, before it is
-    passed on; a row that is neither kept nor checked passes straight on.
-    ``bad`` is (node, path) of the first non-finite entry of
-    the first non-finite checked row j >= 1, or None: the checked rows are
-    the kept ones, which include the terminal node, where a non-finite
-    value of the telescoping recursion always arrives, or every row when
-    ``every`` (the kernel branch, where it need not).
-    """
-
-    def __init__(self, rows: Iterator[np.ndarray], sinks: Dict[int, np.ndarray],
-                 every: bool):
-        self._rows = enumerate(rows)
-        self._sinks = sinks
-        self._every = every
-        self.bad: Optional[Tuple[int, int]] = None
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> np.ndarray:
-        j, V = next(self._rows)
-        dst = self._sinks.get(j)
-        if dst is not None:
-            dst[...] = V
-        elif not self._every:
-            return V  # neither kept nor checked
-        if self.bad is None and j:
-            ok = np.isfinite(V)
-            if not ok.all():
-                self.bad = j, int(np.argmin(ok))
-        return V
-
-    def drain(self) -> Optional[Tuple[int, int]]:
-        """Run to the last node and return ``bad``.  Overflow in the engine
-        is expected on a diverging run and reported through ``bad``."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in self:
-                pass
-        return self.bad
-
-
-def _paths(rows: Iterator[np.ndarray], shape: Tuple[int, int]):
-    """Every node of an engine run on (N, M) increments, checking each:
-    the (M, N+1) path-major view of a C-contiguous (N+1, M) array, and the
-    first bad (node, path) or None."""
-    N, M = shape
-    V = np.empty((N + 1, M))
-    bad = _Kept(rows, dict(enumerate(V)), True).drain()
-    return V.T, bad
-
-
-def _node_diverged(what: str, grid: TimeGrid, bad: Tuple[int, int]) -> DivergenceError:
+def _node_diverged(what: str, grid: TimeGrid, j: int) -> DivergenceError:
     """A deterministic solve's divergence, named by its first bad node."""
-    j = bad[0]
     return DivergenceError("%s diverged at node %d (t=%.6g)" % (what, j, grid.nodes[j]),
                            node=j)
 
@@ -231,14 +200,14 @@ def solve_deterministic_limit(c: CoefficientSet, grid: TimeGrid, x0: float) -> L
     reproduces this path bit for bit.  A non-finite value raises at its
     first node.
     """
-    K = c.on_grid(grid)
     t, s, d = grid.nodes, grid.midpoints, grid.delta
-    V, bad = _paths(_volterra(K, float(x0), np.zeros((grid.N, 1)),
-                              lambda i, xi, _: (c.b(t[i + 1], s[i], xi) * d, 0.0)),
-                    (grid.N, 1))
+    x = np.empty(grid.N + 1)
+    bad, = _volterra(c.on_grid(grid), float(x0), np.zeros((grid.N, 1)),
+                     [lambda i, V, _: (c.b(t[i + 1], s[i], V[0]) * d, 0.0)],
+                     [dict(enumerate(x[:, None]))])
     if bad:
-        raise _node_diverged("limit path", grid, bad)
-    return LimitPath(values=V[0], grid=grid)
+        raise _node_diverged("limit path", grid, bad[0])
+    return LimitPath(values=x, grid=grid)
 
 
 def solve_derivative_field(c: CoefficientSet, grid: TimeGrid, x: LimitPath) -> DerivativeField:
@@ -264,14 +233,16 @@ def solve_derivative_field(c: CoefficientSet, grid: TimeGrid, x: LimitPath) -> D
     with np.errstate(over="ignore", invalid="ignore"):
         bp = _on_path(c.db, grid, x.values)
         sg = _on_path(c.sigma, grid, x.values)
-        for j, V in enumerate(_volterra(K, 0.0, np.eye(N),
-                                        lambda i, Vi, dBi: (bp[i] * Vi * d, dBi))):
-            R[j] = V
         kick, seed = 1.0 + d * bp * K1, sg * K1
         f = sg * kick
-    bad = _Kept((R[j, :j] * f[:j] for j in range(N + 1)), {}, True).drain()
-    if bad:
-        raise _node_diverged("derivative field", grid, bad)
+        _volterra(K, 0.0, np.eye(N), [lambda i, V, dBi: (bp[i] * V[0] * d, dBi)],
+                  [dict(enumerate(R))])
+        # |R[j, i] f[i]| <= max|R| max|f|, so a finite bound proves every
+        # product finite; only otherwise are the rows scanned
+        if not np.isfinite(np.maximum(R.max(), -R.min()) * np.abs(f).max()):
+            for j in range(1, N + 1):
+                if not np.isfinite(R[j, :j] * f[:j]).all():
+                    raise _node_diverged("derivative field", grid, j)
     return DerivativeField(grid=grid, R=R, sigma=sg, kick=kick, seed=seed)
 
 

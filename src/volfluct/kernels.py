@@ -110,10 +110,12 @@ def eval_fbm_kernel(p: FbmKernelParams, t, s):
 def kernel_l2_mass(p: FbmKernelParams, t: float) -> float:
     """int_0^t K_H(t, s)^2 ds by singularity-aware quadrature (equals t^(2H)).
 
-    Near s = 0 the integrand behaves like s^(a0 - 1) with
-    a0 = 1 - |2H - 1|, near s = t like (t - s)^(2H - 1); power
-    substitutions flatten both endpoints before quadrature.  A missed
-    accuracy target, as for H near 1, raises ``ConvergenceError``.
+    Near s = 0 the integrand behaves like C^2 s^(a0 - 1) with
+    a0 = 1 - |2H - 1| (C from the z -> -inf asymptotics of 2F1), near
+    s = t like (t - s)^(2H - 1); power substitutions flatten both
+    endpoints before quadrature, and where s underflows (H near 0 or 1)
+    the flattened left integrand is its limit C^2 / a0.  A missed
+    accuracy target raises ``ConvergenceError``.
     """
     from scipy import integrate
 
@@ -132,10 +134,17 @@ def kernel_l2_mass(p: FbmKernelParams, t: float) -> float:
     # w = t - s, so it tends to this value as w -> 0
     edge = 1.0 / (math.gamma(H + 0.5) ** 2 * p.VH * at)
 
+    # K_H(t, s) ~ C s^(-|H - 1/2|) as s -> 0
+    if H > 0.5:
+        C = t ** (at - 1.0) * math.gamma(at - 1.0) / (
+            math.sqrt(p.VH) * math.gamma(H - 0.5) * math.gamma(at))
+    else:
+        C = math.gamma(1.0 - at) / (math.sqrt(p.VH) * math.gamma(0.5 - H))
+
     def left(u):  # s = u^(1/a0) on (0, t/2)
         s = u ** (1.0 / a0)
-        if s == 0.0:  # u^(1/a0) underflows when H is near 1
-            raise ConvergenceError(failed)
+        if s < 1e-300:  # t/s nears overflow: the integrand's s -> 0 limit
+            return C * C / a0
         return ksq(s) * u ** (1.0 / a0 - 1.0) / a0
 
     def right(v):  # t - s = w = v^(1/at) on (t/2, t)

@@ -15,10 +15,10 @@ chunks over the whole eps sweep, and returns X, the fluctuation
 X-tilde = (X_eps - x) / eps, the Gaussian limit Y, the second-order
 correction Z and the terminal Malliavin pairing of DZ, at the requested
 nodes only.  Each chunk is drawn once, into a buffer that every engine
-reads.  The engine yields one row per node and the driver keeps and
-checks only what it reads: X at each eps writes its observed nodes into
-the output columns, and Y feeds Z's step row by row in lockstep, so no Y
-row outlives its step.  The pairing is one number per path and linear
+reads.  The engine keeps and checks only the nodes the driver reads: X
+at each eps writes its observed nodes into the output columns, and Y
+and Z run as one call of two processes, Z's step reading Y_i from the
+shared state, so no Y row outlives its step.  The pairing is one number per path and linear
 in its increments: DZ_T is linear in (Y, dB) and Euler Y is linear in
 dB, so the driver reads one vector l off the field once per call (the
 DZ closed form along D[:, N] = R[N] sigma kick, its Y term pulled
@@ -26,25 +26,26 @@ through the Euler tangent C = R diag(sigma)) and each chunk's pairing
 is one gemv, l @ dB; the driver runs no engine outside its chunks, and
 the (M, N) DZ rows are never formed.  Each worker thread keeps one workspace
 across its chunks, the (N, rows) increment block, with or without the
-pairing; on the kernel branch the Y and Z engines add one (N, rows) cell
-history each.  Chunks run in parallel without affecting any number.
+pairing; on the kernel branch the Y and Z run adds one (N, rows) cell
+history per process.  Chunks run in parallel without affecting any number.
 
 The whole-batch calls run the same engines on one increment batch:
 ``sample_brownian`` (the M x N increment table, the transpose of one
 time-major draw), ``simulate_X`` (X_eps by an explicit Euler rule),
 ``simulate_Y_euler`` (Y by the linearized Euler rule), ``simulate_Z``
-(the second-order correction) and ``simulate_DZ_terminal`` (the terminal
-Malliavin rows D_theta Z_T, from a closed form); each keeps every node.
+(the second-order correction, with Y run again beside it) and
+``simulate_DZ_terminal`` (the terminal Malliavin rows D_theta Z_T, from a
+closed form); each keeps every node.
 
 X, Y and Z run on the time-major Volterra engine of ``deterministic``,
 which also solves x and R: g is evaluated once per path and step, and
 the Volterra convolution is resummed as one mat-vec against a column of
 the kernel matrix K[i, j] = k(t_j, s_i*) of the preset's coefficients
 k(t, s) g(x).  State-only presets (k = 1) have no kernel matrix, and
-the same engine telescopes the sum into an O(N) recursion.  Every engine
-run is read through ``deterministic._Kept``, which checks each row as it
-copies it, so a divergence is named by its first non-finite node, then
-its first path, in one place.
+the same engine telescopes the sum into an O(N) recursion.  The engine
+checks each row it keeps (every row on the kernel branch), so a
+divergence is named by its first non-finite node, then its first path,
+in one place.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy import special
@@ -61,7 +62,7 @@ from scipy import special
 # the solve_* names are not called here; perfbench/traced.py patches them
 # on this module, so they stay importable until that tracer is re-pointed
 from .deterministic import (DerivativeField, DivergenceError, LimitPath,  # noqa: F401
-                            TimeGrid, _Kept, _on_path, _paths, _volterra,
+                            TimeGrid, _on_path, _volterra,
                             solve_derivative_field, solve_deterministic_limit)
 from .kernels import CoefficientSet
 
@@ -146,36 +147,30 @@ def sample_brownian(M: int, grid: TimeGrid, seed: int) -> BrownianBatch:
                          increments=_draw(seed, grid, 0, M, np.empty((grid.N, M))).T)
 
 
-def _x(c, grid, x0, eps, dBt):
-    K = c.on_grid(grid)
+def _x(c, grid, eps):
+    """X's step at eps, run as process 0."""
     t, s, d = grid.nodes, grid.midpoints, grid.delta
-    return _volterra(K, x0, dBt, lambda i, Xi, dBi: (c.b(t[i + 1], s[i], Xi) * d,
-                                                     eps * c.sigma(t[i + 1], s[i], Xi) * dBi))
+    return lambda i, V, dBi: (c.b(t[i + 1], s[i], V[0]) * d,
+                              eps * c.sigma(t[i + 1], s[i], V[0]) * dBi)
 
 
-def _y(c, grid, xv, dBt):
-    K = c.on_grid(grid)
+def _y(c, grid, xv):
+    """Y's step along the limit path ``xv``, run as process 0."""
     d = grid.delta
     bp = _on_path(c.db, grid, xv)
     sg = _on_path(c.sigma, grid, xv)
-    return _volterra(K, 0.0, dBt, lambda i, Yi, dBi: (bp[i] * Yi * d, sg[i] * dBi))
+    return lambda i, V, dBi: (bp[i] * V[0] * d, sg[i] * dBi)
 
 
-def _z(c, grid, xv, Y, dBt):
-    """Z's rows; ``Y`` gives Y's time-major rows Y_0, Y_1, ...: an (N+1, M)
-    array, or a running Y engine that Z's step i advances to Y_i."""
-    K = c.on_grid(grid)
+def _z(c, grid, xv):
+    """Z's step, run as process 1 beside Y as process 0, whose row Y_i it
+    reads at node i."""
     d = grid.delta
     bp = _on_path(c.db, grid, xv)
     bpp = _on_path(c.d2b, grid, xv)
     sp2 = 2.0 * _on_path(c.dsigma, grid, xv)
-    Yrows = iter(Y)
-
-    def step(i, Zi, dBi):
-        Yi = next(Yrows)
-        return (bp[i] * Zi + bpp[i] * Yi ** 2) * d, sp2[i] * Yi * dBi
-
-    return _volterra(K, 0.0, dBt, step)
+    return lambda i, V, dBi: ((bp[i] * V[1] + bpp[i] * V[0] ** 2) * d,
+                              sp2[i] * V[0] * dBi)
 
 
 def _diverged(what: str, node: int, path: int) -> DivergenceError:
@@ -222,14 +217,16 @@ def _pairing(c, grid, xv, D):
     return (a @ D.R[:N]) * D.sigma + b
 
 
-def _every_node(what: str, rows: Iterator[np.ndarray], dBt: np.ndarray) -> np.ndarray:
-    """The (M, N+1) paths of process ``what`` from its engine ``rows`` on
-    the increments ``dBt``; a non-finite value raises at its first node,
-    then its first path."""
-    V, bad = _paths(rows, dBt.shape)
+def _paths(what: str, K, base: float, dBt: np.ndarray, steps: list) -> np.ndarray:
+    """The (M, N+1) paths of ``what``, the last of the coupled processes
+    ``steps`` run on the kernel ``K`` and the increments ``dBt``; a
+    non-finite value raises at its first node, then its first path."""
+    N, M = dBt.shape
+    V = np.empty((N + 1, M))
+    bad = _volterra(K, base, dBt, steps, [{}] * (len(steps) - 1) + [dict(enumerate(V))])[-1]
     if bad:
         raise _diverged(what, *bad)
-    return V
+    return V.T
 
 
 def simulate_X(c: CoefficientSet, grid: TimeGrid, x0: float, eps: float,
@@ -243,7 +240,7 @@ def simulate_X(c: CoefficientSet, grid: TimeGrid, x0: float, eps: float,
     if batch.grid != grid:
         raise ValueError("batch grid mismatch")
     dBt = np.ascontiguousarray(batch.increments.T)
-    values = _every_node("X", _x(c, grid, float(x0), float(eps), dBt), dBt)
+    values = _paths("X", c.on_grid(grid), float(x0), dBt, [_x(c, grid, float(eps))])
     return PathEnsemble(values=values, grid=grid, seed=batch.seed)
 
 
@@ -256,7 +253,7 @@ def simulate_Y_euler(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
     if batch.grid != grid or x.grid != grid:
         raise ValueError("grid mismatch")
     dBt = np.ascontiguousarray(batch.increments.T)
-    values = _every_node("Y", _y(c, grid, x.values, dBt), dBt)
+    values = _paths("Y", c.on_grid(grid), 0.0, dBt, [_y(c, grid, x.values)])
     return PathEnsemble(values=values, grid=grid, seed=batch.seed)
 
 
@@ -272,14 +269,15 @@ def simulate_Z(c: CoefficientSet, grid: TimeGrid, x: LimitPath, Y: PathEnsemble,
     """Euler paths of the correction process
     Z_{t_j} = sum_{i<j} [b'(t_j, s_i*, x_i) Z_i + b''(t_j, s_i*, x_i) Y_i^2] delta
                 + 2 sum_{i<j} sigma'(t_j, s_i*, x_i) Y_i dB_i,
-    coupled pathwise to Y through the shared batch.
+    coupled pathwise to Y through the shared batch: Y runs again beside Z
+    on that batch, so for a Y that ``simulate_Y_euler`` made from the same
+    coefficients and x, Z's step reads the given Y bit for bit.
     """
     if x.grid != grid:
         raise ValueError("grid mismatch")
     _require_coupled(Y, batch)
     dBt = np.ascontiguousarray(batch.increments.T)
-    values = _every_node("Z", _z(c, grid, x.values, np.ascontiguousarray(Y.values.T), dBt),
-                         dBt)
+    values = _paths("Z", c.on_grid(grid), 0.0, dBt, [_y(c, grid, x.values), _z(c, grid, x.values)])
     return PathEnsemble(values=values, grid=grid, seed=batch.seed)
 
 
@@ -321,7 +319,8 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     (the resolvent R and the per-cell sigma, kick and seed); the grid and
     x0 are read off ``x``.  Each chunk draws its increments straight into
     time-major, solves X once per eps and Y and Z once, keeping only the
-    observed nodes; Y and Z run in lockstep.  Returns "X" and
+    observed nodes; Y and Z are one engine run of two processes, Z's step
+    reading Y from the shared state.  Returns "X" and
     "Xt" = (X - x) / eps keyed by eps then node, "Y" and "Z" by node, and
     "dzdy" (sum_i DZ[m, i] D[i, T] delta, terminal node only), the
     per-path product l @ dB[m] with the pairing vector l of ``_pairing``,
@@ -335,9 +334,9 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     whole-batch calls meet it: first by stage (X at the first eps, Y, Z,
     DZ, X at each later eps), then node, path.  A chunk stage whose
     checked rows are not all finite is run again from its increments,
-    keeping no row and checking every one, to find its first node and
-    path; Z's run is fed by a fresh Y in lockstep, so locating a
-    divergence forms no whole-path array.
+    keeping every node into one scratch row, and so checking every one,
+    to find its first node and path; Z's run again carries Y beside it,
+    so locating a divergence forms no whole-path array.
     """
     grid = x.grid
     if D.grid != grid:
@@ -352,7 +351,6 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     if observe[0] < 1 or observe[-1] > grid.N:
         raise ValueError("observation nodes must lie in [1, N]")
     N = grid.N
-    every = c.kernel is not None
 
     def columns():
         return {j: np.empty(M) for j in observe}
@@ -367,6 +365,8 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
 
     width = min(M, _CHUNK_ROWS)
     local = threading.local()
+    K = c.on_grid(grid)
+    yz = [_y(c, grid, x.values), _z(c, grid, x.values)]
 
     def kept(process: dict, m0: int, m1: int) -> Dict[int, np.ndarray]:
         return {j: process[j][m0:m1] for j in observe}
@@ -380,34 +380,34 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
         # one time-major draw per chunk, shared by every engine and the pairing
         dBt = _draw(seed, grid, m0, m1, local.dBt[:, :m1 - m0])
 
-        def located(stage: int, name: str, engine: Iterator[np.ndarray]):
-            # a failed stage's first bad row, from a fresh run of its engine
-            # that keeps no row and checks every one
-            j, m = _Kept(engine, {}, True).drain()
+        def located(stage: int, name: str, base: float, steps: list):
+            # a failed stage's first bad row, from a fresh run that keeps
+            # every node into one scratch row and so checks every one
+            every = dict.fromkeys(range(N + 1), np.empty(m1 - m0))
+            j, m = _volterra(K, base, dBt, steps, [every] * len(steps))[-1]
             return stage, j, m0 + m, name
 
         stage = 0  # stages count in the order the whole-batch calls meet them
         for k, eps in enumerate(epsilons):
             stage += 1
             Xk = kept(out["X"][eps], m0, m1)
-            if _Kept(_x(c, grid, x.x0, float(eps), dBt), Xk, every).drain():
-                return located(stage, "X", _x(c, grid, x.x0, float(eps), dBt))
+            X = [_x(c, grid, float(eps))]
+            if _volterra(K, x.x0, dBt, X, [Xk])[0]:
+                return located(stage, "X", x.x0, X)
             for j, Xj in Xk.items():
                 Xt = out["Xt"][eps][j][m0:m1]
                 np.subtract(Xj, x.values[j], out=Xt)
                 Xt /= eps
             if k == 0:
-                # Z's step i reads Y_i as the Y engine yields it
-                Y = _Kept(_y(c, grid, x.values, dBt), kept(out["Y"], m0, m1), every)
-                z_bad = _Kept(_z(c, grid, x.values, Y, dBt), kept(out["Z"], m0, m1),
-                              every).drain()
+                # one run of the pair: Z's step i reads Y_i from the state
+                y_bad, z_bad = _volterra(K, 0.0, dBt, yz, [kept(out["Y"], m0, m1),
+                                                           kept(out["Z"], m0, m1)])
                 stage += 1
-                if Y.drain():  # Y_N, which no Z step reads
-                    return located(stage, "Y", _y(c, grid, x.values, dBt))
+                if y_bad:
+                    return located(stage, "Y", 0.0, yz[:1])
                 stage += 1
                 if z_bad:
-                    return located(stage, "Z",
-                                   _z(c, grid, x.values, _y(c, grid, x.values, dBt), dBt))
+                    return located(stage, "Z", 0.0, yz)
                 if with_dzdy:
                     stage += 1
                     with np.errstate(over="ignore", invalid="ignore"):

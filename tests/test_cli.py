@@ -590,24 +590,19 @@ def test_kernel_check_rough_and_smooth(tmp_path):
     assert float(margins[0]["value"]) >= 0.0
 
 
-@pytest.mark.parametrize("H", [0.05, 0.1, 0.999])
+@pytest.mark.parametrize("H", [0.002, 0.05, 0.1, 0.999, 0.9999])
 def test_kernel_check_extreme_hurst_index_exits_cleanly(tmp_path, capsys, H):
     # s = t - w rounds to t near the right end of the mass quadrature when H
-    # is small, and u^(1/a0) underflows at its left end when H is near 1
+    # is small, and u^(1/a0) underflows at its left end when H is near 0 or 1
     cfg = _cfg(tmp_path, N=8, M=100, H_list=[H], t_list=[1.0],
                cov_pairs=[[1.0, 0.5]])
     out = tmp_path / "o"
     code = _run(["kernel-check", "--config", cfg, "--out", str(out)])
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if H < 0.5:
-        assert code == 0 and err == ""
-        mass = [r for r in _read_csv(out / "kernel.csv") if r["kind"] == "l2mass"]
-        assert abs(float(mass[0]["err"])) <= 1e-3 * float(mass[0]["target"])
-    else:
-        assert code == 3
-        assert err == ("numerical divergence: kernel L2 quadrature failed at "
-                       "H=0.999, t=1\n")
+    assert code == 0 and err == ""
+    mass = [r for r in _read_csv(out / "kernel.csv") if r["kind"] == "l2mass"]
+    assert abs(float(mass[0]["err"])) <= 1e-3 * float(mass[0]["target"])
 
 
 def test_kernel_check_draws_each_increment_once(tmp_path, monkeypatch):

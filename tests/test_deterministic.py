@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import dense_D
 from volfluct.kernels import (fbm_kernel_matrix, fbm_kernel_params,
                               make_preset, variance_lower_bound_const)
-from volfluct.deterministic import (DivergenceError, TimeGrid, _Kept, _paths,
+from volfluct.deterministic import (DivergenceError, TimeGrid, _volterra,
                                     solve_deterministic_limit,
                                     solve_derivative_field, variance_of_Y)
 
@@ -31,41 +31,42 @@ def _first_nonfinite(V):
 
 @st.composite
 def _marked_runs(draw):
-    """Time-major (N+1, M) node rows with NaN and +-inf at random cells, a
-    random set of kept nodes and the ``every`` flag."""
+    """Cell values of P processes run together, with NaN and +-inf at random
+    cells, a random set of kept nodes per process and the branch."""
+    P = draw(st.integers(1, 3))
     N = draw(st.integers(1, 8))
     M = draw(st.integers(1, 6))
-    V = np.arange((N + 1) * M, dtype=float).reshape(N + 1, M)
-    cells = st.tuples(st.integers(0, N), st.integers(0, M - 1),
+    F = np.arange(P * N * M, dtype=float).reshape(P, N, M)
+    cells = st.tuples(st.integers(0, P - 1), st.integers(0, N - 1),
+                      st.integers(0, M - 1),
                       st.sampled_from([np.nan, np.inf, -np.inf]))
-    for j, m, v in draw(st.lists(cells, max_size=6)):
-        V[j, m] = v
-    return V, draw(st.sets(st.integers(0, N))), draw(st.booleans())
+    for p, i, m, v in draw(st.lists(cells, max_size=8)):
+        F[p, i, m] = v
+    kept = [draw(st.sets(st.integers(0, N))) for _ in range(P)]
+    return F, kept, draw(st.booleans())
 
 
 @given(_marked_runs())
-def test_kept_finds_the_first_bad_checked_row(run):
-    V, kept, every = run
-    N, M = V.shape[0] - 1, V.shape[1]
-
-    def rows():
-        # like the engine, one buffer overwritten at every node
-        buf = np.empty(M)
-        for Vj in V:
-            buf[...] = Vj
-            yield buf
-
-    sinks = {j: np.empty(M) for j in kept}
-    bad = _Kept(rows(), sinks, every).drain()
-    checked = V.copy()
-    if not every:
-        checked[[j for j in range(N + 1) if j not in kept]] = 0.0
-    assert bad == _first_nonfinite(checked.T)
-    for j in kept:
-        np.testing.assert_array_equal(sinks[j], V[j])
-    paths, bad = _paths(rows(), (N, M))
-    np.testing.assert_array_equal(paths, V.T)
-    assert bad == _first_nonfinite(V.T)
+def test_engine_finds_the_first_bad_checked_row(run):
+    F, kept, kernel = run
+    P, N, M = F.shape
+    # process p's cell i is F[p, i]; under the unit kernel, as when
+    # telescoping, node j sums cells i < j, so both branches give the rows
+    # W (exact: the finite cells are small integers); the kernel branch
+    # checks every row, the telescoping branch only the kept ones
+    K = np.triu(np.ones((N, N + 1)), 1) if kernel else None
+    W = np.zeros((P, N + 1, M))
+    W[:, 1:] = np.cumsum(F, axis=1)
+    steps = [lambda i, V, dBi, p=p: (F[p, i], 0.0) for p in range(P)]
+    keep = [{j: np.empty(M) for j in kept[p]} for p in range(P)]
+    bad = _volterra(K, 0.0, np.zeros((N, M)), steps, keep)
+    for p in range(P):
+        checked = W[p].copy()
+        if not kernel:
+            checked[[j for j in range(N + 1) if j not in kept[p]]] = 0.0
+        assert bad[p] == _first_nonfinite(checked.T)
+        for j in kept[p]:
+            np.testing.assert_array_equal(keep[p][j], W[p, j])
 
 
 def test_time_grid_validation():
@@ -143,6 +144,20 @@ def test_derivative_field_linear_growth_exponential():
     exact = np.exp(a * (g.nodes[cols] - g.midpoints[rows]))
     rel = np.abs(dense_D(D)[rows, cols] - exact) / exact
     assert rel.max() < 2e-2
+
+
+def test_derivative_field_bound_false_alarm_raises_nothing():
+    # max|R| max|sigma kick| overflows, yet every D[i, j] = R[j, i] sigma_i
+    # kick_i is finite: R peaks at (N, 0), and sigma is huge only in the
+    # last cell, whose one entry R[N, N-1] is 1
+    g = TimeGrid(T=1.0, N=16)
+    c = dataclasses.replace(make_preset("linear-growth", a=700.0),
+                            sigma=lambda t, s, x: np.where(x > 1e24, 1e300, 1.0))
+    x = solve_deterministic_limit(c, g, 1.0)
+    D = solve_derivative_field(c, g, x)
+    f = D.sigma * D.kick
+    assert float(np.abs(D.R).max()) * float(np.abs(f).max()) == math.inf
+    assert np.isfinite(np.tril(D.R, -1) * f).all() and f[-1] > 1e300
 
 
 def test_derivative_field_fbm_columns_are_kernel_columns():

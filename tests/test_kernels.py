@@ -170,7 +170,9 @@ def test_kernel_singularity_envelope_H_below_half():
 
 
 def test_kernel_l2_mass_identity():
-    for H in (0.3, 0.5, 0.7, 0.9):
+    # at H near 0 or 1, s = u^(1/a0) underflows on part of the left
+    # interval, where the integrand is its s -> 0 limit
+    for H in (0.0005, 0.003, 0.3, 0.5, 0.7, 0.9, 0.996, 0.997, 0.9999):
         p = K.fbm_kernel_params(H)
         for t in (0.25, 0.5, 1.0):
             mass = K.kernel_l2_mass(p, t)
@@ -180,8 +182,9 @@ def test_kernel_l2_mass_identity():
 
 def test_kernel_l2_mass_identity_is_tight():
     # quadrature is far better than the gate; freeze the observed level
-    p = K.fbm_kernel_params(0.7)
-    assert K.kernel_l2_mass(p, 1.0) == pytest.approx(1.0, rel=1e-9)
+    for H in (0.0005, 0.7, 0.9999):
+        p = K.fbm_kernel_params(H)
+        assert K.kernel_l2_mass(p, 1.0) == pytest.approx(1.0, rel=1e-9), H
 
 
 def test_fbm_covariance_closed_form():

@@ -581,20 +581,20 @@ def test_driver_never_forms_the_dz_matrix(monkeypatch):
 
 @pytest.mark.parametrize("name,params", [("trig", {}), ("fbm-trig", {"H": 0.7})])
 def test_driver_runs_no_derivative_solve(monkeypatch, name, params):
-    # the pairing vector is read off the field's resolvent, so the one Y
-    # engine run of a with-dzdy call is the chunk's own
+    # the pairing vector is read off the field's resolvent, so the only
+    # engine runs of a with-dzdy call are the chunk's own: X, then Y and Z
     g = TimeGrid(T=1.0, N=16)
     c, x, D = _pipeline(name, g, 1.0, **params)
-    shapes = []
-    engine = sim._y
+    runs = []
+    engine = sim._volterra
 
-    def counted(c, grid, xv, dBt):
-        shapes.append(dBt.shape)
-        return engine(c, grid, xv, dBt)
+    def counted(K, base, dBt, steps, keep):
+        runs.append((dBt.shape, len(steps)))
+        return engine(K, base, dBt, steps, keep)
 
-    monkeypatch.setattr(sim, "_y", counted)
+    monkeypatch.setattr(sim, "_volterra", counted)
     out = sim.coupled_terminal_samples(c, x, D, (0.2,), 300, 5, with_dzdy=True)
-    assert shapes == [(16, 300)]
+    assert runs == [((16, 300), 1), ((16, 300), 2)]
     assert np.all(np.isfinite(out["dzdy"][16]))
 
 
@@ -751,10 +751,10 @@ def test_driver_checks_every_kernel_branch_node():
     c = dataclasses.replace(base, name="overflow", kernel=_band_kernel,
                             b=lambda t, s, x: np.where(np.isfinite(x) & (t < 1.0), 1.7e308, 0.0))
     batch = sim.sample_brownian(300, g, 7)
-    dBt = np.ascontiguousarray(batch.increments.T)
-    with np.errstate(over="ignore"):
-        X, _ = sim._paths(sim._x(c, g, x0, 0.5, dBt), dBt.shape)
-    assert np.isfinite(X[:, g.N]).all() and not np.isfinite(X[:, 1]).any()
+    X = np.empty((g.N + 1, 300))
+    sim._volterra(c.on_grid(g), x0, np.ascontiguousarray(batch.increments.T),
+                  [sim._x(c, g, 0.5)], [dict(enumerate(X))])
+    assert np.isfinite(X[g.N]).all() and not np.isfinite(X[1]).any()
     with pytest.raises(DivergenceError) as whole:
         sim.simulate_X(c, g, x0, 0.5, batch)
     with pytest.raises(DivergenceError) as exc:
