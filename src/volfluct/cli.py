@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from . import __version__
@@ -245,6 +244,8 @@ def _numerics() -> dict:
     """The numerical environment the outputs depend on: the numpy and
     scipy versions, numpy's BLAS, the CPU kernels numpy dispatches to, the
     Monte Carlo chunk size and the RNG scheme.  None depends on threads."""
+    import scipy
+
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {"numpy": np.__version__, "scipy": scipy.__version__,
             "blas": "%s %s" % (blas.get("name", "?"), blas.get("version", "?")),

@@ -7,14 +7,19 @@ Volterra kernel k times state functions g.  This module supplies
 * ``FbmKernelParams`` / ``eval_fbm_kernel``: the kernel K_H mapping a
   standard Brownian motion to fractional Brownian motion with Hurst
   index H, through ``scipy.special.hyp2f1`` (re-exported here as
-  ``hyp2f1``), plus the quadrature ``kernel_l2_mass`` built on it, which
-  imports ``scipy.integrate`` (and with it ``scipy.optimize``,
-  ``scipy.sparse`` and ``scipy.linalg``) on first use, so ``limit``,
-  ``rate-scan`` and ``thm2`` never load it, and
+  ``hyp2f1``, and looked up there at each call), plus the quadrature
+  ``kernel_l2_mass`` built on it, and
 * ``CoefficientSet`` presets spanning trivial, closed-form and fractional
   test equations, each declared once: g and its x-derivatives, plus for
   the fractional ones k = K_H, evaluated once per grid into a memoized
   kernel matrix.
+
+Both scipy dependencies load on first use, so importing this module
+loads no scipy.  ``scipy.special`` loads at the first access to
+``kernels.hyp2f1`` (a module ``__getattr__``) or the first c_H of an
+H > 1/2; ``kernel_l2_mass`` imports ``scipy.integrate`` (and with it
+``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg``), so
+``limit``, ``rate-scan`` and ``thm2`` never load it.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
-from scipy.special import hyp2f1
 
 _H_BROWNIAN_TOL = 1e-6
 
@@ -73,10 +76,23 @@ def fbm_kernel_params(H: float) -> FbmKernelParams:
         return FbmKernelParams(H=H, cH=float("nan"), VH=1.0, brownian=True)
     VH = math.gamma(2.0 - 2.0 * H) * math.cos(math.pi * H) / (math.pi * H * (1.0 - 2.0 * H))
     if H > 0.5:
-        cH = math.sqrt(H * (2.0 * H - 1.0) / special.beta(2.0 - 2.0 * H, H - 0.5))
+        from scipy.special import beta
+
+        cH = math.sqrt(H * (2.0 * H - 1.0) / beta(2.0 - 2.0 * H, H - 0.5))
     else:
         cH = float("nan")
     return FbmKernelParams(H=H, cH=cH, VH=VH, brownian=False)
+
+
+def __getattr__(name: str):
+    """Bind scipy's ``hyp2f1`` as ``kernels.hyp2f1`` at its first access
+    (PEP 562), so that importing this module leaves scipy.special unloaded."""
+    if name != "hyp2f1":
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from scipy.special import hyp2f1
+
+    globals()["hyp2f1"] = hyp2f1
+    return hyp2f1
 
 
 def eval_fbm_kernel(p: FbmKernelParams, t, s):
@@ -96,6 +112,8 @@ def eval_fbm_kernel(p: FbmKernelParams, t, s):
         out = np.ones(s_arr.shape)
     else:
         H = p.H
+        # the module attribute, looked up at each call so a patch is honoured
+        hyp2f1 = globals().get("hyp2f1") or __getattr__("hyp2f1")
         with np.errstate(all="ignore"):
             f = hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1.0 - t_arr / s_arr)
             pref = (t_arr - s_arr) ** (H - 0.5) / (math.gamma(H + 0.5) * math.sqrt(p.VH))

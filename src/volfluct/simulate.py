@@ -52,12 +52,10 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy import special
 
 # the solve_* names are not called here; perfbench/traced.py patches them
 # on this module, so they stay importable until that tracer is re-pointed
@@ -106,13 +104,15 @@ def _increment_rows(seed: int, grid: TimeGrid, m0: int, m1: int) -> np.ndarray:
     consumes exactly one word per double, so a counter started at block
     m0*N // 4 addresses draw m0*N after at most 3 skipped words.
     """
+    from scipy.special import ndtri
+
     N = grid.N
     g0 = m0 * N
     bitgen = np.random.Philox(key=np.uint64(seed), counter=[g0 // 4, 0, 0, 0])
     # offset, normal quantile and scale in place: one allocation per call
     z = np.random.Generator(bitgen).random(m1 * N - g0 // 4 * 4)[g0 % 4:]
     z += _UNIFORM_OFFSET
-    special.ndtri(z, out=z)
+    ndtri(z, out=z)
     z *= math.sqrt(grid.delta)
     return z.reshape(m1 - m0, N)
 
@@ -421,6 +421,8 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     if threads == 1:
         failures = [run_chunk(rows) for rows in _chunks(M)]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             failures = list(pool.map(run_chunk, _chunks(M)))
     if any(failures):

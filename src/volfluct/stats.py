@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-from scipy import special
 
 _BOOTSTRAP_RESAMPLES = 200
 _MIN_BINS = 16
@@ -260,10 +259,16 @@ def rate_fit(points: Sequence[Tuple[float, float]]) -> RateFit:
 # ---------------------------------------------------------------------------
 
 
+def _sigmoid(w, x):
+    from scipy.special import expit
+
+    return expit(w * x)
+
+
 _TEST_FUNCTIONS = {
     "cos": lambda w, x: np.cos(w * x),
     "tanh": lambda w, x: np.tanh(w * x),
-    "sigmoid": lambda w, x: special.expit(w * x),
+    "sigmoid": _sigmoid,
     "const": lambda w, x: np.full(np.shape(x), w),
 }
 

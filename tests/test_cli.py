@@ -707,6 +707,52 @@ def test_simulation_commands_do_not_import_quadrature(tmp_path):
     assert doc["integrate_after"]
 
 
+# set-up is numpy and volfluct alone: scipy.special (ndtri, expit, beta,
+# hyp2f1) loads at the first draw or the first fBm kernel, and the thread
+# pool only when VF_THREADS > 1
+_LAZY_MODULES = ("scipy.special", "concurrent.futures")
+
+_SET_UP = """
+import json, sys
+from volfluct.cli import _prepare, load_config, main
+trig, mult, last, out = sys.argv[1:]
+_prepare(load_config(trig))
+_prepare(load_config(mult))
+code = main(["limit", "--config", trig, "--out", out + "/limit"])
+loaded = [m for m in %r if m in sys.modules]
+codes = [code, 0]
+if last.endswith("thm2.json"):
+    codes[1] = main(["thm2", "--config", last, "--out", out + "/thm2"])
+else:
+    _prepare(load_config(last))
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "after": [m for m in %r if m in sys.modules]}))
+""" % (_LAZY_MODULES, _LAZY_MODULES)
+
+
+@pytest.mark.parametrize("last", ["thm2", "fbm"])
+def test_set_up_does_not_import_scipy_special(tmp_path, last):
+    trig = _cfg(tmp_path, "trig.json", preset="trig", N=16, M=200)
+    mult = _cfg(tmp_path, "mult.json", preset="multiplicative", N=16, M=200)
+    then = {"thm2": _cfg(tmp_path, "thm2.json", preset="multiplicative",
+                         N=16, M=200, epsilons=[0.1]),
+            "fbm": _cfg(tmp_path, "fbm.json", preset="fbm-trig", H=0.7,
+                        N=16, M=200)}[last]
+    src = os.path.dirname(os.path.dirname(volfluct.__file__))
+    env = dict(os.environ, VF_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _SET_UP, trig, mult, then,
+                           str(tmp_path / "o")], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["codes"] == [0, 0]
+    assert doc["loaded"] == []
+    # the first draw, or the fBm kernel's c_H and hyp2f1, loads it (and
+    # scipy.special itself imports concurrent.futures)
+    assert "scipy.special" in doc["after"]
+
+
 # ---------------------------------------------------------------------------
 # scripts/summarize.py
 # ---------------------------------------------------------------------------

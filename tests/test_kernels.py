@@ -65,6 +65,23 @@ def test_kernel_is_scipy_hyp2f1():
     assert K.hyp2f1 is sp.hyp2f1
 
 
+def test_kernel_reads_hyp2f1_from_the_module_at_call_time(monkeypatch):
+    # the benchmark's tracer times hyp2f1 by patching kernels.hyp2f1
+    p, grid = K.fbm_kernel_params(0.7), TimeGrid(T=1.0, N=8)
+    want = K.fbm_kernel_matrix(p, grid)
+    calls = []
+    real = K.hyp2f1
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(K, "hyp2f1", counted)
+    got = K.fbm_kernel_matrix(p, grid)
+    assert calls
+    assert got.tobytes() == want.tobytes()
+
+
 def test_kernel_matches_mpmath():
     # the closed form at 40 digits, with s/t down to the N = 4096 grid's
     # first midpoint 1/8192
