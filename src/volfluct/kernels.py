@@ -6,19 +6,17 @@ Volterra kernel k times state functions g.  This module supplies
 
 * ``FbmKernelParams`` / ``eval_fbm_kernel``: the kernel K_H mapping a
   standard Brownian motion to fractional Brownian motion with Hurst
-  index H, through ``scipy.special.hyp2f1`` (re-exported here as
-  ``hyp2f1``, and looked up there at each call), plus the quadrature
-  ``kernel_l2_mass`` built on it, and
+  index H, through ``scipy.special.hyp2f1`` (read as ``kernels.hyp2f1``
+  at each call), plus the quadrature ``kernel_l2_mass`` built on it, and
 * ``CoefficientSet`` presets spanning trivial, closed-form and fractional
   test equations, each declared once: g and its x-derivatives, plus for
   the fractional ones k = K_H, evaluated once per grid into a memoized
   kernel matrix.
 
-Both scipy dependencies load on first use, so importing this module
-loads no scipy.  ``scipy.special`` loads at the first access to
-``kernels.hyp2f1`` (a module ``__getattr__``) or the first c_H of an
-H > 1/2; ``kernel_l2_mass`` imports ``scipy.integrate`` (and with it
-``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg``), so
+Importing this module loads no scipy: ``scipy.special`` loads at the
+first access to ``kernels.hyp2f1`` (a module ``__getattr__``) or the
+first c_H (H > 1/2), and ``scipy.integrate`` (with ``scipy.optimize``,
+``scipy.sparse`` and ``scipy.linalg``) in ``kernel_l2_mass`` alone, so
 ``limit``, ``rate-scan`` and ``thm2`` never load it.
 """
 
@@ -112,7 +110,7 @@ def eval_fbm_kernel(p: FbmKernelParams, t, s):
         out = np.ones(s_arr.shape)
     else:
         H = p.H
-        # the module attribute, looked up at each call so a patch is honoured
+        # kernels.hyp2f1 at each call, so a patched one is honoured
         hyp2f1 = globals().get("hyp2f1") or __getattr__("hyp2f1")
         with np.errstate(all="ignore"):
             f = hyp2f1(H - 0.5, 0.5 - H, H + 0.5, 1.0 - t_arr / s_arr)

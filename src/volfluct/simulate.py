@@ -7,6 +7,9 @@ growing the batch or re-chunking the work never changes existing paths.
 kernel-check and ``sample_brownian`` alike: it draws row blocks of about
 512 KiB, applies the offset, the normal quantile and the sqrt(delta)
 scale in place, and copies each block straight into a time-major array.
+The normal quantile ``scipy.special.ndtri`` is imported at the first
+draw and ``concurrent.futures`` only when the driver runs more than one
+thread, so importing this module loads neither.
 
 ``coupled_terminal_samples`` is the simulation driver.  It takes the
 run's deterministic limit x and derivative field (the resolvent R and

@@ -716,18 +716,19 @@ _SET_UP = """
 import json, sys
 from volfluct.cli import _prepare, load_config, main
 trig, mult, last, out = sys.argv[1:]
+lazy = %r
 _prepare(load_config(trig))
 _prepare(load_config(mult))
 code = main(["limit", "--config", trig, "--out", out + "/limit"])
-loaded = [m for m in %r if m in sys.modules]
+loaded = [m for m in lazy if m in sys.modules]
 codes = [code, 0]
 if last.endswith("thm2.json"):
     codes[1] = main(["thm2", "--config", last, "--out", out + "/thm2"])
 else:
     _prepare(load_config(last))
 print(json.dumps({"codes": codes, "loaded": loaded,
-                  "after": [m for m in %r if m in sys.modules]}))
-""" % (_LAZY_MODULES, _LAZY_MODULES)
+                  "after": [m for m in lazy if m in sys.modules]}))
+""" % (_LAZY_MODULES,)
 
 
 @pytest.mark.parametrize("last", ["thm2", "fbm"])
