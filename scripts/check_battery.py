@@ -9,12 +9,15 @@ difference of its numeric cells relative to the committed value
 (absolute where that value is 0).  The exit code is 0 when every job
 exits 0, every committed CSV is produced and every cell is within the
 golden tolerance of the acceptance tests (relative 1e-9 plus absolute
-1e-12, text cells equal), and 1 otherwise.  Run it from the repository
-root:
+1e-12, text cells equal), and 1 otherwise.  Config file names as
+arguments check only those jobs; an unknown name exits 2.  Run it from
+the repository root:
 
     PYTHONPATH=src python3 scripts/check_battery.py
     VF_THREADS=2 PYTHONPATH=src python3 scripts/check_battery.py
+    PYTHONPATH=src python3 scripts/check_battery.py thm2_multiplicative.json
 """
+import argparse
 import csv
 import json
 import math
@@ -51,9 +54,11 @@ def compare(got, want):
     return worst, ok
 
 
-def check(tmp):
+def check(tmp, names=()):
     good = True
     for command, name in JOBS:
+        if names and name not in names:
+            continue
         cfg = HERE / "configs" / name
         committed = HERE.parent / json.loads(cfg.read_text())["out_dir"]
         fresh = tmp / committed.name
@@ -76,5 +81,14 @@ def check(tmp):
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Rerun battery jobs and compare "
+                                                 "their CSVs with the committed out/.")
+    parser.add_argument("configs", nargs="*", metavar="CONFIG",
+                        help="config file names of the jobs to check (default: all)")
+    names = parser.parse_args().configs
+    unknown = sorted(set(names) - {name for _, name in JOBS})
+    if unknown:
+        parser.error("unknown config %s; known: %s"
+                     % (", ".join(unknown), ", ".join(name for _, name in JOBS)))
     with tempfile.TemporaryDirectory() as tmp:
-        sys.exit(0 if check(pathlib.Path(tmp)) else 1)
+        sys.exit(0 if check(pathlib.Path(tmp), set(names)) else 1)

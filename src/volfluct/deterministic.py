@@ -17,6 +17,17 @@ The first non-finite node j >= 1, then the first path in it, names where
 a run blew up; the engine finds it for each process in the rows it
 keeps (every row on the kernel branch).
 
+Each step builder decides once, when it builds the step, which of its
+terms are identically zero, and the step returns None for them: the
+engine adds only the terms it receives.  A coefficient on the limit path
+(b', b'', sigma', sigma) is zero by value, when no entry is nonzero; the
+drift b of x and X is zero by identity, when it is the presets' declared
+zero function ``kernels._zero_coeff`` (any other callable keeps its
+term).  This touches additive-unit, multiplicative, linear-growth and
+fbm-additive; trig and fbm-trig keep every term.  As V + 0.0 == V for
+every finite V, no finite number moves.  Only a diverging run can
+differ: a dropped term no longer turns 0 * inf into NaN.
+
 All solvers share one discretization: explicit (left-point) rule in the
 state argument, kernel arguments evaluated at cell midpoints
 s_k* = s_k + delta/2, which keeps fractional kernels away from their
@@ -32,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import CoefficientSet
+from .kernels import CoefficientSet, _zero_coeff
 
 _MAX_STEPS = 4096
 
@@ -125,6 +136,11 @@ def _on_path(f, grid: TimeGrid, xv: np.ndarray) -> np.ndarray:
                                       dtype=float), (grid.N,))
 
 
+def _unless_zero(v: np.ndarray) -> Optional[np.ndarray]:
+    """``v``, or None when every entry is zero, so a step drops its term."""
+    return v if v.any() else None
+
+
 def _volterra(K: Optional[np.ndarray], base: float, dBt: np.ndarray,
               steps: Sequence, keep: Sequence[Dict[int, np.ndarray]]
               ) -> List[Optional[Tuple[int, int]]]:
@@ -135,13 +151,15 @@ def _volterra(K: Optional[np.ndarray], base: float, dBt: np.ndarray,
     increments of every path.  ``steps[p](i, V, dB_i)`` returns process
     p's (M,) drift and noise of cell i from the state's rows V, V[q] being
     process q; it may read its own row and those of earlier processes,
-    which still hold node i (later processes move first).  Without a
-    kernel (K is None, k = 1) the sum telescopes, V_j = V_{j-1} + drift
-    + noise, in place, so a non-finite value persists to V_N; with one,
-    each node is one mat-vec per process of a contiguous kernel row
-    against its cell increments so far, and a non-finite V_j need not
-    reach later nodes.  Row j of process p is copied into ``keep[p][j]``
-    when that key exists.
+    which still hold node i (later processes move first).  A step returns
+    None for a term its builder found identically zero, and the engine
+    adds only the terms it receives.  Without a kernel (K is None, k = 1)
+    the sum telescopes, V_j = (V_{j-1} + drift) + noise, in place, so a
+    non-finite value persists to V_N; with one, the cell row is the sum of
+    the terms received (zero for none), each node is one mat-vec per
+    process of a contiguous kernel row against its cell rows so far, and
+    a non-finite V_j need not reach later nodes.  Row j of process p is
+    copied into ``keep[p][j]`` when that key exists.
 
     Returns, per process, (node, path) of the first non-finite entry of
     the first non-finite checked row j >= 1, or None.  The checked rows
@@ -164,10 +182,18 @@ def _volterra(K: Optional[np.ndarray], base: float, dBt: np.ndarray,
             for p, (step, Vp, _) in procs if j else ():
                 drift, noise = step(j - 1, rows, dBt[j - 1])
                 if K is None:
-                    Vp += drift
-                    Vp += noise
+                    if drift is not None:
+                        Vp += drift
+                    if noise is not None:
+                        Vp += noise
                     continue
-                np.add(drift, noise, out=F[p, j - 1])
+                Fj = F[p, j - 1]
+                if drift is None:
+                    Fj[...] = 0.0 if noise is None else noise
+                elif noise is None:
+                    Fj[...] = drift
+                else:
+                    np.add(drift, noise, out=Fj)
                 np.dot(Kt[j, :j], F[p, :j], out=Vp)
                 if base:
                     Vp += base
@@ -197,13 +223,16 @@ def solve_deterministic_limit(c: CoefficientSet, grid: TimeGrid, x0: float) -> L
 
     as one noiseless path of the engine that runs X.  Without a kernel the
     sum telescopes with X's update order, so a zero-diffusion simulation
-    reproduces this path bit for bit.  A non-finite value raises at its
-    first node.
+    reproduces this path bit for bit.  A preset whose b is the declared
+    zero function ``kernels._zero_coeff`` has no drift term, and the path
+    stays at x0.  A non-finite value raises at its first node.
     """
     t, s, d = grid.nodes, grid.midpoints, grid.delta
     x = np.empty(grid.N + 1)
+    b = None if c.b is _zero_coeff else c.b
     bad, = _volterra(c.on_grid(grid), float(x0), np.zeros((grid.N, 1)),
-                     [lambda i, V, _: (c.b(t[i + 1], s[i], V[0]) * d, 0.0)],
+                     [lambda i, V, _: (None if b is None else b(t[i + 1], s[i], V[0]) * d,
+                                       None)],
                      [dict(enumerate(x[:, None]))])
     if bad:
         raise _node_diverged("limit path", grid, bad[0])
@@ -222,7 +251,9 @@ def solve_derivative_field(c: CoefficientSet, grid: TimeGrid, x: LimitPath) -> D
     sigma(t_{i+1}, theta_i*, x_i) K[i, i+1], which for time-independent
     sigma is the defining sigma(t_i, theta_i*, x_i) and keeps fractional
     kernel arguments inside their s < t domain.  Only here are kick and
-    seed set.  A non-finite D[i, j], j > i, raises at its first node j.
+    seed set.  Where b' is zero on the whole path (additive-unit,
+    multiplicative, fbm-additive) the step has no drift term.  A
+    non-finite D[i, j], j > i, raises at its first node j.
     """
     if x.grid != grid:
         raise ValueError("limit path was solved on a different grid")
@@ -235,7 +266,9 @@ def solve_derivative_field(c: CoefficientSet, grid: TimeGrid, x: LimitPath) -> D
         sg = _on_path(c.sigma, grid, x.values)
         kick, seed = 1.0 + d * bp * K1, sg * K1
         f = sg * kick
-        _volterra(K, 0.0, np.eye(N), [lambda i, V, dBi: (bp[i] * V[0] * d, dBi)],
+        lin = _unless_zero(bp)
+        _volterra(K, 0.0, np.eye(N),
+                  [lambda i, V, dBi: (None if lin is None else lin[i] * V[0] * d, dBi)],
                   [dict(enumerate(R))])
         # |R[j, i] f[i]| <= max|R| max|f|, so a finite bound proves every
         # product finite; only otherwise are the rows scanned

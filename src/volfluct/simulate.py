@@ -48,7 +48,11 @@ k(t, s) g(x).  State-only presets (k = 1) have no kernel matrix, and
 the same engine telescopes the sum into an O(N) recursion.  The engine
 checks each row it keeps (every row on the kernel branch), so a
 divergence is named by its first non-finite node, then its first path,
-in one place.
+in one place.  Each step leaves out the terms that are identically
+zero, as ``deterministic`` describes: Y's and Z's coefficients on the
+limit path by value, X's drift when b is ``kernels._zero_coeff``.  On
+additive-unit, multiplicative, linear-growth and fbm-additive this drops
+work without moving a finite number; trig and fbm-trig keep every term.
 """
 
 from __future__ import annotations
@@ -63,9 +67,9 @@ import numpy as np
 # the solve_* names are not called here; perfbench/traced.py patches them
 # on this module, so they stay importable until that tracer is re-pointed
 from .deterministic import (DerivativeField, DivergenceError, LimitPath,  # noqa: F401
-                            TimeGrid, _on_path, _volterra,
+                            TimeGrid, _on_path, _unless_zero, _volterra,
                             solve_derivative_field, solve_deterministic_limit)
-from .kernels import CoefficientSet
+from .kernels import CoefficientSet, _zero_coeff
 
 _CHUNK_ROWS = 2048
 # the driver draws each chunk in row blocks of about 512 KiB (256 rows at
@@ -151,29 +155,50 @@ def sample_brownian(M: int, grid: TimeGrid, seed: int) -> BrownianBatch:
 
 
 def _x(c, grid, eps):
-    """X's step at eps, run as process 0."""
+    """X's step at eps, run as process 0; it has no drift term when b is
+    the declared zero function ``kernels._zero_coeff``."""
     t, s, d = grid.nodes, grid.midpoints, grid.delta
-    return lambda i, V, dBi: (c.b(t[i + 1], s[i], V[0]) * d,
-                              eps * c.sigma(t[i + 1], s[i], V[0]) * dBi)
+    b = None if c.b is _zero_coeff else c.b
+
+    def step(i, V, dBi):
+        noise = eps * c.sigma(t[i + 1], s[i], V[0])
+        noise *= dBi
+        return None if b is None else b(t[i + 1], s[i], V[0]) * d, noise
+    return step
 
 
 def _y(c, grid, xv):
-    """Y's step along the limit path ``xv``, run as process 0."""
+    """Y's step along the limit path ``xv``, run as process 0, without the
+    terms whose b' or sigma is zero on the whole path."""
     d = grid.delta
-    bp = _on_path(c.db, grid, xv)
-    sg = _on_path(c.sigma, grid, xv)
-    return lambda i, V, dBi: (bp[i] * V[0] * d, sg[i] * dBi)
+    bp = _unless_zero(_on_path(c.db, grid, xv))
+    sg = _unless_zero(_on_path(c.sigma, grid, xv))
+    return lambda i, V, dBi: (None if bp is None else bp[i] * V[0] * d,
+                              None if sg is None else sg[i] * dBi)
 
 
 def _z(c, grid, xv):
     """Z's step, run as process 1 beside Y as process 0, whose row Y_i it
-    reads at node i."""
+    reads at node i; without the terms whose b', b'' or sigma' is zero on
+    the whole path."""
     d = grid.delta
-    bp = _on_path(c.db, grid, xv)
-    bpp = _on_path(c.d2b, grid, xv)
-    sp2 = 2.0 * _on_path(c.dsigma, grid, xv)
-    return lambda i, V, dBi: ((bp[i] * V[1] + bpp[i] * V[0] ** 2) * d,
-                              sp2[i] * V[0] * dBi)
+    bp = _unless_zero(_on_path(c.db, grid, xv))
+    bpp = _unless_zero(_on_path(c.d2b, grid, xv))
+    sp2 = _unless_zero(2.0 * _on_path(c.dsigma, grid, xv))
+
+    def step(i, V, dBi):
+        if bpp is None:
+            drift = None if bp is None else bp[i] * V[1] * d
+        elif bp is None:
+            drift = bpp[i] * V[0] ** 2 * d
+        else:
+            drift = (bp[i] * V[1] + bpp[i] * V[0] ** 2) * d
+        if sp2 is None:
+            return drift, None
+        noise = sp2[i] * V[0]
+        noise *= dBi
+        return drift, noise
+    return step
 
 
 def _diverged(what: str, node: int, path: int) -> DivergenceError:

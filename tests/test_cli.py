@@ -811,3 +811,28 @@ def test_check_battery_compare(tmp_path, monkeypatch, got, want, expected):
     (tmp_path / "got.csv").write_text(got)
     (tmp_path / "want.csv").write_text(want)
     assert compare(tmp_path / "got.csv", tmp_path / "want.csv") == expected
+
+
+def test_check_battery_runs_only_the_named_jobs(tmp_path, monkeypatch, capsys):
+    module = _check_battery(monkeypatch)
+    ran = []
+
+    def fake_main(argv):
+        ran.append(pathlib.Path(argv[2]).name)
+        return 0
+
+    monkeypatch.setattr(module, "main", fake_main)
+    module.check(tmp_path, {"rate_scan_multiplicative.json", "thm2_multiplicative.json"})
+    # in battery order, whatever order the names came in
+    assert ran == ["rate_scan_multiplicative.json", "thm2_multiplicative.json"]
+
+
+def test_check_battery_refuses_an_unknown_config():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / "check_battery.py"),
+                           "thm2_multiplicative.json", "nope.json"],
+                          capture_output=True, text=True, env=env, cwd=REPO)
+    assert proc.returncode == 2
+    assert "unknown config nope.json" in proc.stderr
+    assert proc.stdout == ""

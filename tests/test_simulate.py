@@ -410,6 +410,10 @@ def _volterra_oracle(c, H, g, x0, eps, dB):
     # independent check of the telescoped engines and DZ weights
     ("trig", {"kappa": 0.8}),
     ("multiplicative", {}),
+    # steps without terms: additive-unit drops X's drift and every Z term,
+    # linear-growth drops Z's b'' term alone
+    ("additive-unit", {}),
+    ("linear-growth", {"a": 0.7}),
 ])
 def test_kernel_engines_match_pointwise_oracle(name, params):
     g = TimeGrid(T=1.0, N=8)
@@ -433,6 +437,32 @@ def test_kernel_engines_match_pointwise_oracle(name, params):
     out = sim.coupled_terminal_samples(c, x, D, (eps,), M, seed, with_dzdy=True)
     np.testing.assert_allclose(out["dzdy"][8], (oDZ @ oD[:, 8]) * g.delta, **tol)
     np.testing.assert_allclose(out["Z"][8], oZ[:, 8], **tol)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name,params", [("multiplicative", {}),
+                                         ("fbm-additive", {"H": 0.7})])
+def test_zero_drift_by_identity_matches_the_full_step(name, params, threads):
+    # b is the declared zero function, so X's step drops its drift term; a
+    # zero lambda in its place takes the full step, and every number agrees
+    g = TimeGrid(T=1.0, N=16)
+    c = make_preset(name, **params)
+    full = dataclasses.replace(c, b=lambda t, s, x: np.zeros(np.shape(x)))
+    V, dB = np.ones((1, 3)), np.full(3, 0.5)
+    assert sim._x(c, g, 0.2)(0, V, dB)[0] is None
+    assert sim._x(full, g, 0.2)(0, V, dB)[0] is not None
+    M, seed, sweep = sim._CHUNK_ROWS + 37, 13, (0.2, 0.1)
+    lean, ref = (sim.coupled_terminal_samples(cs, *_solved(cs, g, 1.0), sweep, M, seed,
+                                              observe=(5, 11), with_dzdy=True,
+                                              threads=threads)
+                 for cs in (c, full))
+    for key in ("X", "Xt"):
+        for eps in sweep:
+            for j, col in ref[key][eps].items():
+                assert np.array_equal(lean[key][eps][j], col), (key, eps, j)
+    for key in ("Y", "Z", "dzdy"):
+        for j, col in ref[key].items():
+            assert np.array_equal(lean[key][j], col), (key, j)
 
 
 def test_divergence_names_first_node_then_first_path():
@@ -601,10 +631,11 @@ def test_driver_runs_no_derivative_solve(monkeypatch, name, params):
 @pytest.mark.filterwarnings("error")
 def test_driver_divergent_field_raises_without_warnings():
     # x0 = 1e160 overflows the DZ weights, which the driver builds before any
-    # chunk; the stage order still names Z first, and no RuntimeWarning leaks
+    # chunk; Z stays finite, as b'' is identically zero and its Y^2 term is
+    # dropped, so the stage order names DZ, and no RuntimeWarning leaks
     g = TimeGrid(T=1.0, N=16)
     c, x, D = _pipeline("multiplicative", g, 1e160)
-    with pytest.raises(DivergenceError, match=r"^Z diverged at path 0, node 2$"):
+    with pytest.raises(DivergenceError, match=r"^DZ diverged at path 0, node 16$"):
         sim.coupled_terminal_samples(c, x, D, (0.5,), 300, 6, with_dzdy=True)
 
 
@@ -767,7 +798,8 @@ def test_driver_checks_every_kernel_branch_node():
     ("telescoping", "X", 2707, 8),
     ("kernel", "X", 2707, 8),
     ("y-before-z", "Y", 0, 3),
-    ("z-only", "Z", 0, 2),
+    ("z-only", "DZ", 0, 16),
+    ("z-d2b", "Z", 0, 2),
 ])
 def test_driver_locates_divergence_without_whole_paths(monkeypatch, case, what, path, node):
     g = TimeGrid(T=1.0, N=16)
@@ -779,6 +811,11 @@ def test_driver_locates_divergence_without_whole_paths(monkeypatch, case, what, 
         M, seed = sim._CHUNK_ROWS + 37, 7
     elif case == "z-only":
         c, x, D = _pipeline("multiplicative", g, 1e160)
+        M, seed = 300, 6
+    elif case == "z-d2b":
+        # a nonzero b'' keeps Z's Y^2 term, which overflows at node 2
+        base, x, D = _pipeline("multiplicative", g, 1e160)
+        c = dataclasses.replace(base, d2b=lambda t, s, x: np.full(np.shape(x), 1.0))
         M, seed = 300, 6
     else:
         c = dataclasses.replace(base, b=lambda t, s, x: x * np.abs(x) ** 30,
