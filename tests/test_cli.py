@@ -813,7 +813,7 @@ def test_check_battery_compare(tmp_path, monkeypatch, got, want, expected):
     assert compare(tmp_path / "got.csv", tmp_path / "want.csv") == expected
 
 
-def test_check_battery_runs_only_the_named_jobs(tmp_path, monkeypatch, capsys):
+def test_check_battery_runs_only_the_named_jobs(tmp_path, monkeypatch):
     module = _check_battery(monkeypatch)
     ran = []
 
@@ -828,8 +828,7 @@ def test_check_battery_runs_only_the_named_jobs(tmp_path, monkeypatch, capsys):
 
 
 def test_check_battery_refuses_an_unknown_config():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / "check_battery.py"),
                            "thm2_multiplicative.json", "nope.json"],
                           capture_output=True, text=True, env=env, cwd=REPO)

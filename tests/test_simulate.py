@@ -439,6 +439,22 @@ def test_kernel_engines_match_pointwise_oracle(name, params):
     np.testing.assert_allclose(out["Z"][8], oZ[:, 8], **tol)
 
 
+def test_z_keeps_its_b1_term_when_only_b2_is_zero():
+    # linear drift with multiplicative noise: b'' is zero, so Z's step drops
+    # b'' Y^2 alone, and its b' Z term moves Z here, as sigma' = 1
+    g = TimeGrid(T=1.0, N=8)
+    m = make_preset("multiplicative")
+    c = dataclasses.replace(make_preset("linear-growth", a=0.7),
+                            sigma=m.sigma, dsigma=m.dsigma)
+    x, D = _solved(c, g, 1.0)
+    batch = sim.sample_brownian(5, g, 91)
+    _, _, _, oY, oZ, _ = _volterra_oracle(c, 0.5, g, 1.0, 0.2, batch.increments)
+    Y = sim.simulate_Y_euler(c, g, x, batch)
+    Z = sim.simulate_Z(c, g, x, Y, batch)
+    assert np.abs(oZ[:, 8]).min() > 1e-3
+    np.testing.assert_allclose(Z.values, oZ, rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name,params", [("multiplicative", {}),
                                          ("fbm-additive", {"H": 0.7})])
