@@ -2,6 +2,9 @@
 """Pretty-print the CSV artifacts under one or more output directories.
 
     python3 scripts/summarize.py out/rate-scan-trig out/thm2-trig
+
+An argument that is not a directory holding at least one of the CSVs below
+gets one line on stderr, after the others are printed, and exit code 2.
 """
 import csv
 import pathlib
@@ -41,12 +44,18 @@ def run(args):
     if not args:
         print(__doc__.strip())
         return 2
+    missing = []
     for base in args:
-        for name in INTERESTING:
-            path = pathlib.Path(base) / name
-            if path.exists():
-                show(path)
-    return 0
+        paths = [pathlib.Path(base) / name for name in INTERESTING]
+        paths = [p for p in paths if p.exists()]
+        for path in paths:
+            show(path)
+        if not paths:
+            missing.append(base)
+    for base in missing:
+        print("summarize: %s: no directory holding any of %s"
+              % (base, ", ".join(INTERESTING)), file=sys.stderr)
+    return 2 if missing else 0
 
 
 if __name__ == "__main__":

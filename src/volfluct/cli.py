@@ -11,6 +11,16 @@ with 17 significant digits plus a manifest echoing the resolved config.
 Exit codes: 0 success, 2 config error (also a run whose arrays cannot be
 allocated), 3 numerical divergence, 4 gate failure under --assert.
 VF_THREADS caps simulation workers and must not change any output byte.
+
+`main` calls `gc.freeze()` on every way out, argparse's SystemExit
+included.  The objects alive then, some 40,000 of them mostly from numpy
+and scipy.special, move to the permanent generation, which the
+interpreter's full collections at exit skip; those collections cost
+50-70 ms per process and run no volfluct code.  An in-process caller (the
+tests, scripts/run_all.py, scripts/check_battery.py) keeps a working
+collector for objects created after the call, but cycles among objects
+alive when `main` returns are never collected (`gc.unfreeze()` hands
+them back).
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -41,6 +52,9 @@ from .stats import (GATE_SE, distance_report, parse_test_function,
                     rate_fit, rms_with_se, thm2_ell, thm2_r, thm2_report)
 
 _SNAP_TOL = 1e-9
+# past this, numpy refuses an (M,) float64 array by its shape, before any
+# allocation, with a ValueError instead of a MemoryError
+_MAX_M = np.iinfo(np.intp).max // 8
 
 
 class ConfigError(ValueError):
@@ -133,12 +147,16 @@ def load_config(path: str, out_override: Optional[str] = None,
                 seed_override: Optional[int] = None) -> ExperimentConfig:
     """Parse and validate a JSON config, applying CLI overrides."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError("config file: %s" % exc) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config file: not valid JSON (%s)" % exc) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config file: not valid UTF-8 (%s)" % exc) from exc
+    except RecursionError as exc:
+        raise ConfigError("config file: nested too deeply") from exc
     _require(isinstance(doc, dict), "config file: top level must be an object")
 
     unknown = sorted(set(doc) - set(_CONVERTERS))
@@ -168,6 +186,7 @@ def load_config(path: str, out_override: Optional[str] = None,
 def _check_draw(cfg: ExperimentConfig) -> None:
     """M and seed, which rate-scan, thm2 and kernel-check read."""
     _require(cfg.M >= 100, "M: must be at least 100, got %d" % cfg.M)
+    _require(cfg.M <= _MAX_M, "M: must be at most %d, got %d" % (_MAX_M, cfg.M))
     _require(0 <= cfg.seed < 2 ** 64, "seed: must fit in uint64")
 
 
@@ -575,38 +594,44 @@ def _threads_from_env() -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="volfluct",
-        description="small-noise stochastic Volterra equation laboratory")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, runner in _RUNNERS.items():
-        p = sub.add_parser(name, help=runner.__doc__)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--assert", dest="check", action="store_true",
-                       help="exit 4 when an acceptance gate fails")
-    args = parser.parse_args(argv)
-
+    """Run one subcommand and return its exit code.  Freezes the garbage
+    collector on the way out: objects alive then are never collected."""
     try:
-        cfg = load_config(args.config, out_override=args.out,
-                          seed_override=args.seed)
-        threads = _threads_from_env()
-        failures = _RUNNERS[args.command](cfg, threads=threads)
-    except (ConfigError, MemoryError) as exc:
-        # a MemoryError: the config asks for arrays this machine cannot hold
-        print("config error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
-        return 2
-    except (DivergenceError, ConvergenceError) as exc:
-        print("numerical divergence: %s" % exc, file=sys.stderr)
-        return 3
+        parser = argparse.ArgumentParser(
+            prog="volfluct",
+            description="small-noise stochastic Volterra equation laboratory")
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, runner in _RUNNERS.items():
+            p = sub.add_parser(name, help=runner.__doc__)
+            p.add_argument("--config", required=True, help="JSON config path")
+            p.add_argument("--out", default=None, help="output directory")
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
+            p.add_argument("--assert", dest="check", action="store_true",
+                           help="exit 4 when an acceptance gate fails")
+        args = parser.parse_args(argv)
 
-    if args.check and failures:
-        for msg in failures:
-            print("assert failed: %s" % msg, file=sys.stderr)
-        return 4
-    return 0
+        try:
+            cfg = load_config(args.config, out_override=args.out,
+                              seed_override=args.seed)
+            threads = _threads_from_env()
+            failures = _RUNNERS[args.command](cfg, threads=threads)
+        except (ConfigError, MemoryError) as exc:
+            # a MemoryError: the config asks for arrays this machine cannot hold
+            print("config error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
+            return 2
+        except (DivergenceError, ConvergenceError) as exc:
+            print("numerical divergence: %s" % exc, file=sys.stderr)
+            return 3
+
+        if args.check and failures:
+            for msg in failures:
+                print("assert failed: %s" % msg, file=sys.stderr)
+            return 4
+        return 0
+    finally:
+        # every way out, SystemExit included; see the module docstring
+        gc.freeze()
 
 
 if __name__ == "__main__":

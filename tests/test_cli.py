@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import importlib.util
 import json
 import math
@@ -333,6 +334,19 @@ def test_allocation_failure_exits_2(tmp_path, capsys, monkeypatch):
         "(1000000000000,) and data type float64"]
 
 
+@pytest.mark.parametrize("command", ["rate-scan", "thm2"])
+def test_oversized_m_exits_2_before_allocating(tmp_path, capsys, command):
+    # past intp.max // 8, numpy refuses an (M,) float64 array by its shape
+    # with a ValueError; _check_draw refuses M first, so nothing is allocated
+    cfg = _cfg(tmp_path, preset="trig", N=16, M=1e20, epsilons=[0.4, 0.2, 0.1])
+    out = tmp_path / "o"
+    assert _run([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: M: must be at most %d, got %d"
+        % (np.iinfo(np.intp).max // 8, 10 ** 20)]
+    assert not out.exists()
+
+
 def test_missing_and_malformed_config_files(tmp_path, capsys):
     assert _run(["limit", "--config", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -340,6 +354,20 @@ def test_missing_and_malformed_config_files(tmp_path, capsys):
     assert _run(["limit", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "JSON" in err
+
+
+@pytest.mark.parametrize("content", [
+    b'{"preset": "trig\xff"}',                                 # not UTF-8
+    b'{"x0": ' + b"[" * 200000 + b"]" * 200000 + b"}",          # too deep to parse
+], ids=["not-utf8", "nested"])
+def test_unreadable_config_files_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert _run(["limit", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config file: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_vf_threads_validation(tmp_path, capsys, monkeypatch):
@@ -672,6 +700,18 @@ def test_divergent_solver_prints_one_line(tmp_path, capfd, preset, params,
 _QUADRATURE_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.sparse",
                        "scipy.linalg")
 
+def _fresh_interpreter(code, args):
+    """Run code in a fresh interpreter, as the battery and the benchmark
+    start each job, and return the JSON on its last stdout line."""
+    src = os.path.dirname(os.path.dirname(volfluct.__file__))
+    env = dict(os.environ, VF_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code] + args, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 _COLD_START = """
 import json, sys
 from volfluct.cli import main
@@ -686,20 +726,12 @@ print(json.dumps({"codes": codes, "loaded": loaded,
 
 
 def test_simulation_commands_do_not_import_quadrature(tmp_path):
-    # a fresh interpreter, as the battery and the benchmark start each job
-    args = [_cfg(tmp_path, "thm2.json", preset="fbm-trig", H=0.7, N=16, M=200,
+    doc = _fresh_interpreter(_COLD_START, [_cfg(tmp_path, "thm2.json", preset="fbm-trig", H=0.7, N=16, M=200,
                  epsilons=[0.2, 0.1]),
             _cfg(tmp_path, "rate.json", preset="trig", N=16, M=200),
             _cfg(tmp_path, "kc.json", N=16, M=200, H_list=[0.7], t_list=[1.0],
                  cov_pairs=[[1.0, 0.5]]),
-            str(tmp_path / "o")]
-    src = os.path.dirname(os.path.dirname(volfluct.__file__))
-    env = dict(os.environ, VF_THREADS="1", PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _COLD_START] + args, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout.splitlines()[-1])
+            str(tmp_path / "o")])
     assert doc["codes"] == [0, 0, 0]
     assert doc["loaded"] == []
     # the lazy import still serves kernel-check's quadrature
@@ -739,14 +771,7 @@ def test_set_up_does_not_import_scipy_special(tmp_path, last):
                          N=16, M=200, epsilons=[0.1]),
             "fbm": _cfg(tmp_path, "fbm.json", preset="fbm-trig", H=0.7,
                         N=16, M=200)}[last]
-    src = os.path.dirname(os.path.dirname(volfluct.__file__))
-    env = dict(os.environ, VF_THREADS="1", PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _SET_UP, trig, mult, then,
-                           str(tmp_path / "o")], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout.splitlines()[-1])
+    doc = _fresh_interpreter(_SET_UP, [trig, mult, then, str(tmp_path / "o")])
     assert doc["codes"] == [0, 0]
     assert doc["loaded"] == []
     # the first draw, or the fBm kernel's c_H and hyp2f1, loads it (and
@@ -755,8 +780,65 @@ def test_set_up_does_not_import_scipy_special(tmp_path, last):
 
 
 # ---------------------------------------------------------------------------
+# exit-time garbage collection
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command,doc,code", [
+    ("limit", {"N": 16}, 0),
+    ("limit", {"N": 1}, 2),
+    # the x0 = 1e160 divergence config of the driver tests
+    ("thm2", {"preset": "multiplicative", "x0": 1e160, "N": 16, "M": 300,
+              "epsilons": [0.5]}, 3),
+    ("rate-scan", {"N": 16}, 4),
+], ids=["ok", "config-error", "divergence", "gate-failure"])
+def test_main_freezes_the_collector_on_every_exit(tmp_path, monkeypatch,
+                                                  command, doc, code):
+    # a stand-in rate-scan reports one failed gate, so --assert exits 4
+    monkeypatch.setitem(cli._RUNNERS, "rate-scan",
+                        lambda cfg, threads: ["stand-in gate"])
+    gc.unfreeze()
+    assert _run([command, "--config", _cfg(tmp_path, **doc),
+                 "--out", str(tmp_path / "o"), "--assert"]) == code
+    assert gc.get_freeze_count() > 0
+
+
+def test_main_freezes_the_collector_when_argparse_exits():
+    gc.unfreeze()
+    with pytest.raises(SystemExit):
+        main(["thm2"])                      # --config is required
+    assert gc.get_freeze_count() > 0
+
+
+_EXIT_STATE = """
+import gc, json, sys
+from volfluct.cli import main
+code = main(["thm2", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"code": code, "unfrozen": len(gc.get_objects()),
+                  "frozen": gc.get_freeze_count(),
+                  "special": "scipy.special" in sys.modules}))
+"""
+
+
+def test_exit_leaves_almost_nothing_for_the_collector(tmp_path):
+    # thm2 draws, so scipy.special and its ~40,000 objects are loaded; the
+    # interpreter's collections at exit pass over the unfrozen ones only
+    cfg = _cfg(tmp_path, preset="trig", N=16, M=200, epsilons=[0.2, 0.1])
+    doc = _fresh_interpreter(_EXIT_STATE, [cfg, str(tmp_path / "o")])
+    assert doc["code"] == 0 and doc["special"]
+    assert doc["unfrozen"] < 0.01 * doc["frozen"]
+
+
+# ---------------------------------------------------------------------------
 # scripts/summarize.py
 # ---------------------------------------------------------------------------
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_summarize_prints_header_of_empty_csv(tmp_path, capsys):
@@ -765,16 +847,30 @@ def test_summarize_prints_header_of_empty_csv(tmp_path, capsys):
     out = tmp_path / "o"
     assert _run(["kernel-check", "--config", cfg, "--out", str(out)]) == 0
     assert len((out / "kernel.csv").read_text().splitlines()) == 1
-    spec = importlib.util.spec_from_file_location(
-        "summarize", REPO / "scripts" / "summarize.py")
-    summarize = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(summarize)
+    summarize = _load_script("summarize")
     capsys.readouterr()
     assert summarize.run([str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "== %s" % (out / "kernel.csv")
     assert lines[1].split() == ["kind", "H", "t", "s", "value", "target", "z"]
     assert len(lines) == 2
+
+
+def test_summarize_reports_each_path_without_artifacts(tmp_path, capsys):
+    cfg = _cfg(tmp_path, N=16)
+    out = tmp_path / "o"
+    assert _run(["limit", "--config", cfg, "--out", str(out)]) == 0
+    summarize = _load_script("summarize")
+    capsys.readouterr()
+    typo, empty = tmp_path / "typo", tmp_path / "empty"
+    empty.mkdir()
+    # a file, a missing path and an empty directory each get one line
+    assert summarize.run([cfg, str(typo), str(out), str(empty)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "== %s" % (out / "variance.csv")
+    err = captured.err.splitlines()
+    assert [line.split(": ")[1] for line in err] == [cfg, str(typo), str(empty)]
+    assert all(line.startswith("summarize: ") for line in err)
 
 
 # ---------------------------------------------------------------------------
@@ -784,11 +880,7 @@ def test_summarize_prints_header_of_empty_csv(tmp_path, capsys):
 
 def _check_battery(monkeypatch):
     monkeypatch.syspath_prepend(str(REPO / "scripts"))  # for its run_all import
-    spec = importlib.util.spec_from_file_location(
-        "check_battery", REPO / "scripts" / "check_battery.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_script("check_battery")
 
 
 @pytest.mark.parametrize("got,want,expected", [
