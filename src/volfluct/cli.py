@@ -595,7 +595,8 @@ def _threads_from_env() -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand and return its exit code.  Freezes the garbage
-    collector on the way out: objects alive then are never collected."""
+    collector on the way out, so cycles among the objects alive then are
+    never collected; see the module docstring."""
     try:
         parser = argparse.ArgumentParser(
             prog="volfluct",

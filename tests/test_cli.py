@@ -700,6 +700,7 @@ def test_divergent_solver_prints_one_line(tmp_path, capfd, preset, params,
 _QUADRATURE_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.sparse",
                        "scipy.linalg")
 
+
 def _fresh_interpreter(code, args):
     """Run code in a fresh interpreter, as the battery and the benchmark
     start each job, and return the JSON on its last stdout line."""
@@ -726,12 +727,13 @@ print(json.dumps({"codes": codes, "loaded": loaded,
 
 
 def test_simulation_commands_do_not_import_quadrature(tmp_path):
-    doc = _fresh_interpreter(_COLD_START, [_cfg(tmp_path, "thm2.json", preset="fbm-trig", H=0.7, N=16, M=200,
+    args = [_cfg(tmp_path, "thm2.json", preset="fbm-trig", H=0.7, N=16, M=200,
                  epsilons=[0.2, 0.1]),
             _cfg(tmp_path, "rate.json", preset="trig", N=16, M=200),
             _cfg(tmp_path, "kc.json", N=16, M=200, H_list=[0.7], t_list=[1.0],
                  cov_pairs=[[1.0, 0.5]]),
-            str(tmp_path / "o")])
+            str(tmp_path / "o")]
+    doc = _fresh_interpreter(_COLD_START, args)
     assert doc["codes"] == [0, 0, 0]
     assert doc["loaded"] == []
     # the lazy import still serves kernel-check's quadrature
