@@ -9,7 +9,8 @@ Config is a single JSON document; unknown keys are rejected so that a
 misspelled sweep cannot silently invalidate a rate fit.  Outputs are CSV
 with 17 significant digits plus a manifest echoing the resolved config.
 Exit codes: 0 success, 2 config error (also a run whose arrays cannot be
-allocated), 3 numerical divergence, 4 gate failure under --assert.
+allocated), 3 numerical divergence (also a Python float overflow), 4 gate
+failure under --assert.  A config error past 240 characters is cut in its middle.
 VF_THREADS caps simulation workers and must not change any output byte.
 
 `main` calls `gc.freeze()` on every way out, argparse's SystemExit
@@ -619,10 +620,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             failures = _RUNNERS[args.command](cfg, threads=threads)
         except (ConfigError, MemoryError) as exc:
             # a MemoryError: the config asks for arrays this machine cannot hold
-            print("config error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
+            msg = str(exc) or "out of memory"
+            if len(msg) > 240:  # only an echoed value makes it so long: cut its middle
+                msg = "%s ...[%d characters]... %s" % (msg[:160], len(msg) - 220, msg[-60:])
+            print("config error: %s" % msg, file=sys.stderr)
             return 2
         except (DivergenceError, ConvergenceError) as exc:
             print("numerical divergence: %s" % exc, file=sys.stderr)
+            return 3
+        except OverflowError:  # Python float arithmetic, where numpy would give inf
+            print("numerical divergence: %s: float overflow" % args.command, file=sys.stderr)
             return 3
 
         if args.check and failures:

@@ -14,8 +14,8 @@ of earlier processes, which is how Z reads Y.  R gives D (cell i scaled by its f
 sigma_i kick_i, the seed on the diagonal), the Euler tangent of Y and
 the DZ weight that ``simulate`` pairs with, so no dense D is formed.
 The first non-finite node j >= 1, then the first path in it, names where
-a run blew up; the engine finds it for each process in the rows it
-keeps (every row on the kernel branch).
+a run blew up; the engine finds it for each process, whichever rows it
+keeps (``_volterra`` says how).
 
 Each step builder decides once, when it builds the step, which of its
 terms are identically zero, and the step returns None for them: the
@@ -162,52 +162,55 @@ def _volterra(K: Optional[np.ndarray], base: float, dBt: np.ndarray,
     copied into ``keep[p][j]`` when that key exists.
 
     Returns, per process, (node, path) of the first non-finite entry of
-    the first non-finite checked row j >= 1, or None.  The checked rows
-    are the kept ones, and on the kernel branch every row; a non-finite
-    value of the telescoping sum always reaches node N, so keeping it
-    misses no divergence.  Overflow is expected on a diverging run and
+    the first non-finite row j >= 1, or None, whatever ``keep`` names.
+    The kernel branch checks every row in its one pass.  The telescoping
+    branch checks V_N alone, finite only if every row is (inf or NaN plus
+    anything stays non-finite); only when some process's V_N is not are
+    the same steps run again on the same increments, keeping nothing and
+    checking every node.  Overflow is expected on a diverging run and
     reported this way.
     """
     N, M = dBt.shape
-    V = np.empty((len(steps), M))
-    V[...] = base
-    rows = list(V)  # one view per process, updated in place
-    procs = list(enumerate(zip(steps, rows, keep)))[::-1]
-    bad: List[Optional[Tuple[int, int]]] = [None] * len(steps)
+    P = len(steps)
+    if K is not None:
+        Kt = np.ascontiguousarray(K.T)
+        F = np.empty((P, N, M))  # each process's cell history
     with np.errstate(over="ignore", invalid="ignore"):
-        if K is not None:
-            Kt = np.ascontiguousarray(K.T)
-            F = np.empty((len(steps), N, M))  # each process's cell history
-        for j in range(N + 1):
-            for p, (step, Vp, _) in procs if j else ():
-                drift, noise = step(j - 1, rows, dBt[j - 1])
-                if K is None:
-                    if drift is not None:
-                        Vp += drift
-                    if noise is not None:
-                        Vp += noise
-                    continue
-                Fj = F[p, j - 1]
-                if drift is None:
-                    Fj[...] = 0.0 if noise is None else noise
-                elif noise is None:
-                    Fj[...] = drift
-                else:
-                    np.add(drift, noise, out=Fj)
-                np.dot(Kt[j, :j], F[p, :j], out=Vp)
-                if base:
-                    Vp += base
-            for p, (_, Vp, kept) in procs:
-                dst = kept.get(j)
-                if dst is not None:
-                    dst[...] = Vp
-                elif K is None:
-                    continue  # neither kept nor checked
-                if j and bad[p] is None:
-                    ok = np.isfinite(Vp)
-                    if not ok.all():
-                        bad[p] = j, int(np.argmin(ok))
-    return bad
+        for again in (False, True):
+            every = again or K is not None  # check every node, not node N only
+            V = np.full((P, M), base, dtype=float)
+            rows = list(V)  # one view per process, updated in place
+            procs = list(enumerate(zip(steps, rows, [{}] * P if again else keep)))[::-1]
+            bad: List[Optional[Tuple[int, int]]] = [None] * P
+            for j in range(N + 1):
+                for p, (step, Vp, _) in procs if j else ():
+                    drift, noise = step(j - 1, rows, dBt[j - 1])
+                    if K is None:
+                        if drift is not None:
+                            Vp += drift
+                        if noise is not None:
+                            Vp += noise
+                        continue
+                    Fj = F[p, j - 1]
+                    if drift is None:
+                        Fj[...] = 0.0 if noise is None else noise
+                    elif noise is None:
+                        Fj[...] = drift
+                    else:
+                        np.add(drift, noise, out=Fj)
+                    np.dot(Kt[j, :j], F[p, :j], out=Vp)
+                    if base:
+                        Vp += base
+                for p, (_, Vp, kept) in procs:
+                    dst = kept.get(j)
+                    if dst is not None:
+                        dst[...] = Vp
+                    if j and bad[p] is None and (every or j == N):
+                        ok = np.isfinite(Vp)
+                        if not ok.all():
+                            bad[p] = j, int(np.argmin(ok))
+            if every or not any(bad):
+                return bad
 
 
 def _node_diverged(what: str, grid: TimeGrid, j: int) -> DivergenceError:

@@ -18,10 +18,10 @@ chunks over the whole eps sweep, and returns X, the fluctuation
 X-tilde = (X_eps - x) / eps, the Gaussian limit Y, the second-order
 correction Z and the terminal Malliavin pairing of DZ, at the requested
 nodes only.  Each chunk is drawn once, into a buffer that every engine
-reads.  The engine keeps and checks only the nodes the driver reads: X
-at each eps writes its observed nodes into the output columns, and Y
-and Z run as one call of two processes, Z's step reading Y_i from the
-shared state, so no Y row outlives its step.  The pairing is one number per path and linear
+reads.  The engine keeps only the nodes the driver reads: X at each
+eps writes its observed nodes into the output columns, and Y and Z run
+as one call of two processes, Z's step reading Y_i from the shared
+state, so no Y row outlives its step.  The pairing is one number per path and linear
 in its increments: DZ_T is linear in (Y, dB) and Euler Y is linear in
 dB, so the driver reads one vector l off the field once per call (the
 DZ closed form along D[:, N] = R[N] sigma kick, its Y term pulled
@@ -44,11 +44,11 @@ X, Y and Z run on the time-major Volterra engine of ``deterministic``,
 which also solves x and R: g is evaluated once per path and step, and
 the Volterra convolution is resummed as one mat-vec against a column of
 the kernel matrix K[i, j] = k(t_j, s_i*) of the preset's coefficients
-k(t, s) g(x).  State-only presets (k = 1) have no kernel matrix, and
-the same engine telescopes the sum into an O(N) recursion.  The engine
-checks each row it keeps (every row on the kernel branch), so a
-divergence is named by its first non-finite node, then its first path,
-in one place.  Each step leaves out the terms that are identically
+k(t, s) g(x).  State-only presets (k = 1) have no kernel matrix, and the
+same engine telescopes the sum into an O(N) recursion.  The engine names
+each process's first non-finite node, then its first path, in one place,
+whichever nodes its caller keeps; each driver stage reports that (node,
+path) as it is.  Each step leaves out the terms that are identically
 zero, as ``deterministic`` describes: Y's and Z's coefficients on the
 limit path by value, X's drift when b is ``kernels._zero_coeff``.  On
 additive-unit, multiplicative, linear-growth and fbm-additive this drops
@@ -360,11 +360,9 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     ``threads``: the chunk grid is fixed and each chunk fills its own
     rows.  All chunks run before a divergence is raised as the
     whole-batch calls meet it: first by stage (X at the first eps, Y, Z,
-    DZ, X at each later eps), then node, path.  A chunk stage whose
-    checked rows are not all finite is run again from its increments,
-    keeping every node into one scratch row, and so checking every one,
-    to find its first node and path; Z's run again carries Y beside it,
-    so locating a divergence forms no whole-path array.
+    DZ, X at each later eps), then node, path.  Each engine stage reports
+    its first bad node and path itself, so locating a divergence forms no
+    whole-path array.
     """
     grid = x.grid
     if D.grid != grid:
@@ -399,29 +397,13 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
     def kept(process: dict, m0: int, m1: int) -> Dict[int, np.ndarray]:
         return {j: process[j][m0:m1] for j in observe}
 
-    def run_chunk(rows: Tuple[int, int]):
-        """Fill rows m0:m1; return the chunk's first divergence as
-        (stage, node, path, name), or None."""
-        m0, m1 = rows
-        if not hasattr(local, "dBt"):  # this worker's workspace, kept across chunks
-            local.dBt = np.empty((N, width))
-        # one time-major draw per chunk, shared by every engine and the pairing
-        dBt = _draw(seed, grid, m0, m1, local.dBt[:, :m1 - m0])
-
-        def located(stage: int, name: str, base: float, steps: list):
-            # a failed stage's first bad row, from a fresh run that keeps
-            # every node into one scratch row and so checks every one
-            every = dict.fromkeys(range(N + 1), np.empty(m1 - m0))
-            j, m = _volterra(K, base, dBt, steps, [every] * len(steps))[-1]
-            return stage, j, m0 + m, name
-
-        stage = 0  # stages count in the order the whole-batch calls meet them
+    def stages(m0: int, m1: int, dBt: np.ndarray):
+        """(name, bad) per stage of rows m0:m1, in the order the whole-batch
+        calls meet them, ``bad`` the engine's chunk-relative (node, path)
+        or None; a stage's outputs are filled as its successor is asked for."""
         for k, eps in enumerate(epsilons):
-            stage += 1
             Xk = kept(out["X"][eps], m0, m1)
-            X = [_x(c, grid, float(eps))]
-            if _volterra(K, x.x0, dBt, X, [Xk])[0]:
-                return located(stage, "X", x.x0, X)
+            yield "X", _volterra(K, x.x0, dBt, [_x(c, grid, float(eps))], [Xk])[0]
             for j, Xj in Xk.items():
                 Xt = out["Xt"][eps][j][m0:m1]
                 np.subtract(Xj, x.values[j], out=Xt)
@@ -430,20 +412,26 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
                 # one run of the pair: Z's step i reads Y_i from the state
                 y_bad, z_bad = _volterra(K, 0.0, dBt, yz, [kept(out["Y"], m0, m1),
                                                            kept(out["Z"], m0, m1)])
-                stage += 1
-                if y_bad:
-                    return located(stage, "Y", 0.0, yz[:1])
-                stage += 1
-                if z_bad:
-                    return located(stage, "Z", 0.0, yz)
+                yield "Y", y_bad
+                yield "Z", z_bad
                 if with_dzdy:
-                    stage += 1
                     with np.errstate(over="ignore", invalid="ignore"):
                         dzdy = (ell @ dBt) * grid.delta
-                    bad = ~np.isfinite(dzdy)
-                    if bad.any():
-                        return stage, N, m0 + int(np.argmax(bad)), "DZ"
+                    ok = np.isfinite(dzdy)
+                    yield "DZ", None if ok.all() else (N, int(np.argmin(ok)))
                     out["dzdy"][N][m0:m1] = dzdy
+
+    def run_chunk(rows: Tuple[int, int]):
+        """Fill rows m0:m1; return the chunk's first divergence as
+        (stage, node, path, name), or None."""
+        m0, m1 = rows
+        if not hasattr(local, "dBt"):  # this worker's workspace, kept across chunks
+            local.dBt = np.empty((N, width))
+        # one time-major draw per chunk, shared by every engine and the pairing
+        dBt = _draw(seed, grid, m0, m1, local.dBt[:, :m1 - m0])
+        for stage, (name, bad) in enumerate(stages(m0, m1, dBt)):
+            if bad:
+                return stage, bad[0], m0 + bad[1], name
         return None
 
     if threads == 1:

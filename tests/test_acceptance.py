@@ -27,9 +27,12 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 SEED = 12345
 SWEEP = [0.4, 0.2, 0.1, 0.05]
 C5_EPS = 0.05
+# outputs are thread-invariant; more workers than cores only add GIL
+# hand-offs and system time (ROADMAP item 6)
+THREADS = min(4, os.cpu_count() or 1)
 
 
-def _run_cli(args, threads="4"):
+def _run_cli(args, threads=str(THREADS)):
     old = os.environ.get("VF_THREADS")
     os.environ["VF_THREADS"] = threads
     try:
@@ -99,12 +102,9 @@ def thm2_m1e6():
         x = solve_deterministic_limit(c, grid, 1.0)
         D = solve_derivative_field(c, grid, x)
         varY = float(variance_of_Y(D, grid).values[N])
-        # outputs are thread-invariant; more workers than cores only add
-        # GIL hand-offs (ROADMAP item 6)
         s = sim.coupled_terminal_samples(c, x, D, (eps, eps / 2.0),
                                          1000000, SEED, observe=(N,),
-                                         with_dzdy=True,
-                                         threads=min(4, os.cpu_count() or 1))
+                                         with_dzdy=True, threads=THREADS)
         outs[preset] = dict(
             Y=s["Y"][N], Xt=s["Xt"][eps][N], Xt_half=s["Xt"][eps / 2.0][N],
             delta=s["Z"][N] * s["Y"][N] - s["dzdy"][N], varY=varY)

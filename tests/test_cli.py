@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -356,6 +357,21 @@ def test_missing_and_malformed_config_files(tmp_path, capsys):
     assert "config error" in err and "JSON" in err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("x0", "a" * 200000), ("preset", ["x"] * 50000)], ids=["x0", "preset"])
+def test_long_echoed_values_leave_one_short_line(tmp_path, capsys, field, value):
+    # the rejected value is echoed, but cut in the middle, so the line is
+    # bounded and still names the field
+    cfg = _cfg(tmp_path, N=16, **{field: value})
+    out = tmp_path / "o"
+    assert _run(["limit", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and len(err) < 300
+    assert err.startswith("config error: %s: must be a" % field)
+    assert "characters]..." in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content", [
     b'{"preset": "trig\xff"}',                                 # not UTF-8
     b'{"x0": ' + b"[" * 200000 + b"]" * 200000 + b"}",          # too deep to parse
@@ -690,6 +706,21 @@ def test_divergent_solver_prints_one_line(tmp_path, capfd, preset, params,
     cfg = _cfg(tmp_path, preset=preset, params=params, N=16, M=200, **H)
     assert _run(["limit", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert capfd.readouterr().err.splitlines() == ["numerical divergence: " + message]
+
+
+def test_kernel_check_huge_horizon_exits_3(tmp_path, capsys):
+    # a Python float power of the horizon overflows where numpy would give
+    # inf; that is a divergence, not a traceback
+    doc = dict(N=8, M=100, H_list=[0.7])
+    cfg = _cfg(tmp_path, T=1e300, t_list=[1e300], cov_pairs=[[1e300, 5e299]], **doc)
+    assert _run(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical divergence: kernel-check: float overflow"]
+    cfg = _cfg(tmp_path, T=1e200, t_list=[1e200], cov_pairs=[[1e200, 5e199]], **doc)
+    with warnings.catch_warnings():
+        # the covariance sums of squares overflow to inf in numpy, which warns
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _run(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 # ---------------------------------------------------------------------------

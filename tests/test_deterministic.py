@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import dense_D
 from volfluct.kernels import (fbm_kernel_matrix, fbm_kernel_params,
@@ -47,26 +47,51 @@ def _marked_runs(draw):
 
 
 @given(_marked_runs())
+@example((np.array([[[-np.inf], [np.inf]]]), [set()], False))
 def test_engine_finds_the_first_bad_checked_row(run):
     F, kept, kernel = run
     P, N, M = F.shape
     # process p's cell i is F[p, i]; under the unit kernel, as when
     # telescoping, node j sums cells i < j, so both branches give the rows
-    # W (exact: the finite cells are small integers); the kernel branch
-    # checks every row, the telescoping branch only the kept ones
+    # W (exact: the finite cells are small integers) and name W's first
+    # bad row, whatever is kept
     K = np.triu(np.ones((N, N + 1)), 1) if kernel else None
     W = np.zeros((P, N + 1, M))
-    W[:, 1:] = np.cumsum(F, axis=1)
+    with np.errstate(invalid="ignore"):  # -inf + inf is NaN, as in the engine
+        W[:, 1:] = np.cumsum(F, axis=1)
     steps = [lambda i, V, dBi, p=p: (F[p, i], 0.0) for p in range(P)]
     keep = [{j: np.empty(M) for j in kept[p]} for p in range(P)]
     bad = _volterra(K, 0.0, np.zeros((N, M)), steps, keep)
     for p in range(P):
-        checked = W[p].copy()
-        if not kernel:
-            checked[[j for j in range(N + 1) if j not in kept[p]]] = 0.0
-        assert bad[p] == _first_nonfinite(checked.T)
+        assert bad[p] == _first_nonfinite(W[p].T)
         for j in kept[p]:
             np.testing.assert_array_equal(keep[p][j], W[p, j])
+
+
+@pytest.mark.parametrize("bad_cell", [None, (2, 1)])
+def test_telescoping_engine_runs_again_only_after_a_bad_terminal_node(bad_cell):
+    # process 0 is finite, process 1 has an inf cell when bad_cell is set;
+    # each step counts its calls and doubles its cells once past N calls,
+    # so a row that a second pass copied into keep would show
+    N, M = 6, 3
+    F = np.ones((2, N, M))
+    if bad_cell:
+        F[(1,) + bad_cell] = np.inf
+    calls = [0, 0]
+
+    def step(p):
+        def f(i, V, dBi):
+            calls[p] += 1
+            return (1 + (calls[p] > N)) * F[p, i], None
+        return f
+
+    keep = [{j: np.empty(M) for j in range(N + 1)} for _ in range(2)]
+    bad = _volterra(None, 0.0, np.zeros((N, M)), [step(0), step(1)], keep)
+    assert calls == ([N, N] if bad_cell is None else [2 * N, 2 * N])
+    assert bad == [None, None if bad_cell is None else (3, 1)]
+    for p in range(2):
+        for j in range(N + 1):
+            np.testing.assert_array_equal(keep[p][j], F[p, :j].sum(axis=0))
 
 
 def test_time_grid_validation():
