@@ -7,12 +7,13 @@ squared L2 norm of a derivative row.
 
 x, R and the processes X, Y and Z of ``simulate`` all run on the one
 Volterra engine ``_volterra`` defined here, one call per run: x as one
-noiseless path, R as the Y step with unit noise on unit increments, one
-path per theta-cell, kept straight into R.  A call can run several
-coupled processes on one state, each step reading its own row and those
-of earlier processes, which is how Z reads Y.  R gives D (cell i scaled by its forcing
-sigma_i kick_i, the seed on the diagonal), the Euler tangent of Y and
-the DZ weight that ``simulate`` pairs with, so no dense D is formed.
+noiseless path of X's own step ``_x`` at eps = 0, R as the Y step with
+unit noise on unit increments, one path per theta-cell, kept straight
+into R.  A call can run several coupled processes on one state, each
+step reading its own row and those of earlier processes, which is how Z
+reads Y.  R gives D (cell i scaled by its forcing sigma_i kick_i, the
+seed on the diagonal), the Euler tangent of Y and the DZ weight that
+``simulate`` pairs with, so no dense D is formed.
 The first non-finite node j >= 1, then the first path in it, names where
 a run blew up; the engine finds it for each process, whichever rows it
 keeps (``_volterra`` says how).
@@ -23,10 +24,11 @@ engine adds only the terms it receives.  A coefficient on the limit path
 (b', b'', sigma', sigma) is zero by value, when no entry is nonzero; the
 drift b of x and X is zero by identity, when it is the presets' declared
 zero function ``kernels._zero_coeff`` (any other callable keeps its
-term).  This touches additive-unit, multiplicative, linear-growth and
-fbm-additive; trig and fbm-trig keep every term.  As V + 0.0 == V for
-every finite V, no finite number moves.  Only a diverging run can
-differ: a dropped term no longer turns 0 * inf into NaN.
+term), and X's noise at eps = 0, which is how x has none.  This touches
+additive-unit, multiplicative, linear-growth and fbm-additive; trig and
+fbm-trig keep every term.  As V + 0.0 == V for every finite V, no
+finite number moves.  Only a diverging run can differ: a dropped term no
+longer turns 0 * inf into NaN.
 
 All solvers share one discretization: explicit (left-point) rule in the
 state argument, kernel arguments evaluated at cell midpoints
@@ -213,6 +215,24 @@ def _volterra(K: Optional[np.ndarray], base: float, dBt: np.ndarray,
                 return bad
 
 
+def _x(c: CoefficientSet, grid: TimeGrid, eps: float):
+    """X's step at eps, run as process 0; it has no drift term when b is
+    the declared zero function ``kernels._zero_coeff``, and no noise term
+    at eps = 0, where it steps the limit path x."""
+    t, s, d = grid.nodes, grid.midpoints, grid.delta
+    b = None if c.b is _zero_coeff else c.b
+    sigma = c.sigma if eps else None
+
+    def step(i, V, dBi):
+        drift = None if b is None else b(t[i + 1], s[i], V[0]) * d
+        if sigma is None:
+            return drift, None
+        noise = eps * sigma(t[i + 1], s[i], V[0])
+        noise *= dBi
+        return drift, noise
+    return step
+
+
 def _node_diverged(what: str, grid: TimeGrid, j: int) -> DivergenceError:
     """A deterministic solve's divergence, named by its first bad node."""
     return DivergenceError("%s diverged at node %d (t=%.6g)" % (what, j, grid.nodes[j]),
@@ -224,19 +244,15 @@ def solve_deterministic_limit(c: CoefficientSet, grid: TimeGrid, x0: float) -> L
 
     x_{t_j} = x0 + sum_{i<j} b(t_j, s_i*, x_{t_i}) delta,
 
-    as one noiseless path of the engine that runs X.  Without a kernel the
-    sum telescopes with X's update order, so a zero-diffusion simulation
-    reproduces this path bit for bit.  A preset whose b is the declared
-    zero function ``kernels._zero_coeff`` has no drift term, and the path
-    stays at x0.  A non-finite value raises at its first node.
+    as one noiseless path of the engine: X's own step at eps = 0.  Without
+    a kernel the sum telescopes with X's update order, so a zero-diffusion
+    simulation reproduces this path bit for bit.  A preset whose b is the
+    declared zero function ``kernels._zero_coeff`` has no drift term, and
+    the path stays at x0.  A non-finite value raises at its first node.
     """
-    t, s, d = grid.nodes, grid.midpoints, grid.delta
     x = np.empty(grid.N + 1)
-    b = None if c.b is _zero_coeff else c.b
     bad, = _volterra(c.on_grid(grid), float(x0), np.zeros((grid.N, 1)),
-                     [lambda i, V, _: (None if b is None else b(t[i + 1], s[i], V[0]) * d,
-                                       None)],
-                     [dict(enumerate(x[:, None]))])
+                     [_x(c, grid, 0.0)], [dict(enumerate(x[:, None]))])
     if bad:
         raise _node_diverged("limit path", grid, bad[0])
     return LimitPath(values=x, grid=grid)

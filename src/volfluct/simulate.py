@@ -67,9 +67,9 @@ import numpy as np
 # the solve_* names are not called here; perfbench/traced.py patches them
 # on this module, so they stay importable until that tracer is re-pointed
 from .deterministic import (DerivativeField, DivergenceError, LimitPath,  # noqa: F401
-                            TimeGrid, _on_path, _unless_zero, _volterra,
+                            TimeGrid, _on_path, _unless_zero, _volterra, _x,
                             solve_derivative_field, solve_deterministic_limit)
-from .kernels import CoefficientSet, _zero_coeff
+from .kernels import CoefficientSet
 
 _CHUNK_ROWS = 2048
 # the driver draws each chunk in row blocks of about 512 KiB (256 rows at
@@ -152,19 +152,6 @@ def sample_brownian(M: int, grid: TimeGrid, seed: int) -> BrownianBatch:
         raise ValueError("seed must fit in 64 bits")
     return BrownianBatch(M=M, grid=grid, seed=seed,
                          increments=_draw(seed, grid, 0, M, np.empty((grid.N, M))).T)
-
-
-def _x(c, grid, eps):
-    """X's step at eps, run as process 0; it has no drift term when b is
-    the declared zero function ``kernels._zero_coeff``."""
-    t, s, d = grid.nodes, grid.midpoints, grid.delta
-    b = None if c.b is _zero_coeff else c.b
-
-    def step(i, V, dBi):
-        noise = eps * c.sigma(t[i + 1], s[i], V[0])
-        noise *= dBi
-        return None if b is None else b(t[i + 1], s[i], V[0]) * d, noise
-    return step
 
 
 def _y(c, grid, xv):

@@ -8,7 +8,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -570,6 +569,43 @@ def test_thm2_assert_without_halving_pair_gates_last_eps(tmp_path,
     assert "eps=0.3" not in err
 
 
+def test_thm2_assert_degenerate_messages(tmp_path, capsys):
+    # one failure per (eps, phi) cell, eps first, then phi
+    cfg = _cfg(tmp_path, preset="multiplicative", x0=0.0, N=16, M=200,
+               epsilons=[0.25, 0.125], test_functions=["cos", "tanh"])
+    out = tmp_path / "o"
+    assert _run(["thm2", "--config", cfg, "--out", str(out), "--assert"]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "assert failed: phi=%s eps=%s: degenerate Var(Y_T)" % (phi, eps)
+        for eps in ("0.25", "0.125") for phi in ("cos", "tanh")]
+    assert [r["status"] for r in _read_csv(out / "thm2.csv")] == ["degenerate"] * 4
+
+
+@pytest.mark.parametrize("epsilons,label,richardson", [
+    ([0.2, 0.1], "|2 lhs(eps/2) - lhs(eps) - rhs|", True),
+    ([0.3, 0.2], "|lhs-rhs|", False),
+])
+def test_thm2_assert_messages_two_phi(tmp_path, monkeypatch, capsys, epsilons,
+                                      label, richardson):
+    # every gated report fails; its messages come in phi order, each
+    # formatted from the report that the gate read: a Richardson report
+    # made after the rows, or the last eps's rows themselves
+    reports = []
+    shifted = _off_by(cli.thm2_report, 10.0)
+    monkeypatch.setattr(cli, "thm2_report",
+                        lambda *a: reports.append(shifted(*a)) or reports[-1])
+    cfg = _cfg(tmp_path, preset="trig", N=16, M=300, epsilons=epsilons,
+               test_functions=["cos", "tanh"])
+    out = tmp_path / "o"
+    assert _run(["thm2", "--config", cfg, "--out", str(out), "--assert"]) == 4
+    cells = [(phi, eps) for eps in epsilons for phi in ("cos", "tanh")]
+    gate = [("cos", 0.2), ("tanh", 0.2)]
+    assert [(r.phi, r.epsilon) for r in reports] == cells + (gate if richardson else [])
+    assert capsys.readouterr().err.splitlines() == [
+        "assert failed: phi=%s eps=0.2: %s=%.3g exceeds 3*SE=%.3g"
+        % (r.phi, label, r.gap, 3.0 * r.combined_se) for r in reports[-2:]]
+
+
 def test_largest_bootstrap_seed_wraps(tmp_path):
     # this seed gives node 8's Kolmogorov bootstrap the sub-seed 2**64 - 1,
     # so the TV bootstrap's seed + 1 wraps to 0
@@ -717,10 +753,21 @@ def test_kernel_check_huge_horizon_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "numerical divergence: kernel-check: float overflow"]
     cfg = _cfg(tmp_path, T=1e200, t_list=[1e200], cov_pairs=[[1e200, 5e199]], **doc)
-    with warnings.catch_warnings():
-        # the covariance sums of squares overflow to inf in numpy, which warns
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert _run(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    # the covariance sums of squares overflow to inf, silently
+    assert _run(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_kernel_check_nan_se_fails_the_covariance_gate(tmp_path, capsys):
+    # the sums of squares overflow, so the covariance SE is NaN: its z is
+    # NaN and the gate fails rather than pass on a z of 0
+    cfg = _cfg(tmp_path, T=1e200, t_list=[1e200], cov_pairs=[[1e200, 5e199]],
+               N=8, M=100, H_list=[0.7])
+    out = tmp_path / "o"
+    assert _run(["kernel-check", "--config", cfg, "--out", str(out), "--assert"]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "assert failed: covariance H=0.7 (t=1e+200, s=5e+199): |z|=nan > 3"]
+    cov, = [r for r in _read_csv(out / "kernel.csv") if r["kind"] == "covariance"]
+    assert math.isnan(float(cov["se"])) and math.isnan(float(cov["z"]))
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,26 @@ def test_sigma_zero_reproduces_limit_bitwise():
         X.values, np.broadcast_to(x.values, X.values.shape))
 
 
+@pytest.mark.parametrize("name,params", [("trig", {}), ("linear-growth", {"a": 0.8}),
+                                         ("multiplicative", {}), ("fbm-trig", {"H": 0.7})])
+def test_limit_path_is_x_step_at_zero_eps(name, params):
+    # the limit runs X's own step at eps = 0, which has no noise term; X
+    # with sigma a zero lambda keeps its noise term, adds zeros and lands
+    # on the limit path, bit for bit where the engine telescopes; the
+    # kernel branch's mat-vec over 7 paths differs from the one over 1
+    g = TimeGrid(T=1.0, N=32)
+    c = make_preset(name, **params)
+    assert sim._x(c, g, 0.0)(0, np.ones((1, 3)), None)[1] is None
+    quiet = dataclasses.replace(c, sigma=lambda t, s, x: np.zeros(np.shape(x)))
+    x = solve_deterministic_limit(c, g, 1.3)
+    X = sim.simulate_X(quiet, g, 1.3, 0.3, sim.sample_brownian(7, g, 99)).values
+    want = np.broadcast_to(x.values, X.shape)
+    if c.kernel is None:
+        np.testing.assert_array_equal(X, want)
+    else:
+        np.testing.assert_allclose(X, want, rtol=1e-14, atol=0.0)
+
+
 def test_additive_unit_is_shifted_brownian():
     g = TimeGrid(T=1.0, N=32)
     c = make_preset("additive-unit")
