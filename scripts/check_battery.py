@@ -6,10 +6,11 @@ Each job of ``run_all.JOBS`` runs with ``--out`` pointed at a fresh
 directory, so the committed artifacts are never touched.  Each CSV prints
 ``identical`` when its bytes equal the committed file, else the largest
 difference of its numeric cells relative to the committed value
-(absolute where that value is 0).  The exit code is 0 when every job
-exits 0, every committed CSV is produced and every cell is within the
-golden tolerance of the acceptance tests (relative 1e-9 plus absolute
-1e-12, text cells equal), and 1 otherwise.  Config file names as
+(absolute where that value is 0); a CSV that a job writes but ``out/``
+does not hold prints ``not in out/``.  The exit code is 0 when every job
+exits 0, produces exactly the committed CSVs and keeps every cell within
+the golden tolerance of the acceptance tests (relative 1e-9 plus
+absolute 1e-12, text cells equal), and 1 otherwise.  Config file names as
 arguments check only those jobs; an unknown name exits 2.  Run it from
 the repository root:
 
@@ -65,7 +66,8 @@ def check(tmp, names=()):
         rc = main([command, "--config", str(cfg), "--out", str(fresh)])
         print("%-13s %-30s exit %d" % (command, name, rc))
         good = good and rc == 0
-        for want in sorted(committed.glob("*.csv")):
+        wanted = sorted(committed.glob("*.csv"))
+        for want in wanted:
             got = fresh / want.name
             if not got.exists():
                 print("  %-14s missing" % want.name)
@@ -77,6 +79,9 @@ def check(tmp, names=()):
                 print("  %-14s max rel diff %.3g%s"
                       % (want.name, worst, "" if ok else "  OUTSIDE TOLERANCE"))
                 good = good and ok
+        for extra in sorted({p.name for p in fresh.glob("*.csv")} - {p.name for p in wanted}):
+            print("  %-14s not in out/" % extra)
+            good = False
     return good
 
 

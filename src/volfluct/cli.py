@@ -474,6 +474,14 @@ def run_thm2(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     return failures
 
 
+def _ratio(num: float, den: float) -> float:
+    """num / den, NaN for a NaN den; for den = 0, 0 when num is 0 too, else
+    +-inf with num's sign."""
+    if den:
+        return num / den
+    return 0.0 if num == 0.0 else math.copysign(math.inf, num)
+
+
 def run_kernel_check(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     """fBm kernel mass identity, synthesized covariance, variance bound"""
     _check_draw(cfg)
@@ -513,8 +521,9 @@ def run_kernel_check(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
         margin = []
         if H > 0.5 + 1e-6:
             cstar = variance_lower_bound_const(p, sigma0)
-            var_path = (grid.delta * (sigma0 * Kmat) ** 2).sum(axis=0)
-            margins = var_path[1:] - 0.5 * cstar * grid.nodes[1:] ** (2.0 * H)
+            with np.errstate(over="ignore", invalid="ignore"):
+                var_path = (grid.delta * (sigma0 * Kmat) ** 2).sum(axis=0)
+                margins = var_path[1:] - 0.5 * cstar * grid.nodes[1:] ** (2.0 * H)
             worst = int(np.argmin(margins))
             value = float(margins[worst])
             margin.append(["varmargin", H, grid.nodes[worst + 1], "",
@@ -542,28 +551,26 @@ def run_kernel_check(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     for H, (mass, _, margin), total, sq in zip(cfg.H_list, parts, sums, sqs):
         rows += mass
         for k, ((t, s), (ja, jb)) in enumerate(zip(cfg.cov_pairs, pair_nodes)):
-            target = fbm_covariance(H, grid.nodes[ja], grid.nodes[jb])
             with np.errstate(over="ignore", invalid="ignore"):
+                target = fbm_covariance(H, grid.nodes[ja], grid.nodes[jb])
                 mean = total[k] / cfg.M
                 svar = (sq[k] - cfg.M * mean * mean) / (cfg.M - 1)
                 se = math.sqrt(max(svar, 0.0) / cfg.M)
                 err = mean - target
-                if se:  # NaN for a NaN SE
-                    z = err / se
-                else:  # +-inf for a nonzero error over a zero SE
-                    z = 0.0 if err == 0.0 else math.copysign(math.inf, err)
+                z = _ratio(err, se)
             rows.append(["covariance", H, t, s, mean, target, err, se, z])
         rows += margin
 
+    # each gate fails unless its value is inside its bound, so NaN fails
     failures: List[str] = []
     for kind, H, t, s, value, target, err, _, z in rows:
-        if kind == "l2mass" and abs(err) / target > 1e-3:
+        if kind == "l2mass" and not abs(_ratio(err, target)) <= 1e-3:
             failures.append("l2mass H=%g t=%g: relative error %.3g > 1e-3"
-                            % (H, t, abs(err) / target))
+                            % (H, t, abs(_ratio(err, target))))
         elif kind == "covariance" and not abs(z) <= 3.0:
             failures.append("covariance H=%g (t=%g, s=%g): |z|=%.2f > 3"
                             % (H, t, s, abs(z)))
-        elif kind == "varmargin" and value < 0.0:
+        elif kind == "varmargin" and not value >= 0.0:
             failures.append("varmargin H=%g: minimum margin %.3g < 0"
                             % (H, value))
 

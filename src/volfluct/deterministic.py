@@ -5,15 +5,23 @@ D_theta Y_t of the Gaussian fluctuation limit as its resolvent R and
 per-cell vectors, and the variance profile Var(Y_t) obtained as the
 squared L2 norm of a derivative row.
 
-x, R and the processes X, Y and Z of ``simulate`` all run on the one
-Volterra engine ``_volterra`` defined here, one call per run: x as one
-noiseless path of X's own step ``_x`` at eps = 0, R as the Y step with
-unit noise on unit increments, one path per theta-cell, kept straight
-into R.  A call can run several coupled processes on one state, each
-step reading its own row and those of earlier processes, which is how Z
-reads Y.  R gives D (cell i scaled by its forcing sigma_i kick_i, the
-seed on the diagonal), the Euler tangent of Y and the DZ weight that
-``simulate`` pairs with, so no dense D is formed.
+This module knows the equations: the engine, the steps of X, Y and Z
+(``_x``, ``_y``, ``_z``) and the readers of the field; ``simulate`` draws
+increments and drives chunks through them.  x, R, X, Y and Z all run on
+the one Volterra engine ``_volterra``, one call per run: x as one
+noiseless path of X's step at eps = 0, R as Y's step with unit sigma on
+unit increments, one path per theta-cell, kept straight into R.  A call
+can run several coupled processes on one state, each step reading its
+own row and those of earlier processes, which is how Z reads Y.  With a
+kernel each node is one mat-vec of K[i, j] = k(t_j, s_i*) against the
+cell rows; state-only presets (k = 1) telescope to an O(N) recursion.
+R gives D (cell i scaled by its forcing sigma_i kick_i, the seed on the
+diagonal), which only this module's readers unpack: ``variance_of_Y``
+and the DZ closed form ``_dz_weights``, so no dense D is formed.  DZ_T
+is linear in (Y, dB) and Euler Y in dB, so DZ's pairing with D[:, N] is
+one vector l, sum_i DZ[m, i] D[i, N] = l @ dB[m] (``_pairing``: the
+closed form along D[:, N] = R[N] sigma kick, its Y term pulled through
+the Euler tangent C = R diag(sigma)); the driver reads l once per call.
 The first non-finite node j >= 1, then the first path in it, names where
 a run blew up; the engine finds it for each process, whichever rows it
 keeps (``_volterra`` says how).
@@ -39,13 +47,14 @@ consumers operate on the same grid.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import CoefficientSet, _zero_coeff
+from .kernels import CoefficientSet, _unit_coeff, _zero_coeff
 
 _MAX_STEPS = 4096
 
@@ -233,6 +242,40 @@ def _x(c: CoefficientSet, grid: TimeGrid, eps: float):
     return step
 
 
+def _y(c, grid, xv):
+    """Y's step along the limit path ``xv``, run as process 0, without the
+    terms whose b' or sigma is zero on the whole path."""
+    d = grid.delta
+    bp = _unless_zero(_on_path(c.db, grid, xv))
+    sg = _unless_zero(_on_path(c.sigma, grid, xv))
+    return lambda i, V, dBi: (None if bp is None else bp[i] * V[0] * d,
+                              None if sg is None else sg[i] * dBi)
+
+
+def _z(c, grid, xv):
+    """Z's step, run as process 1 beside Y as process 0, whose row Y_i it
+    reads at node i; without the terms whose b', b'' or sigma' is zero on
+    the whole path."""
+    d = grid.delta
+    bp = _unless_zero(_on_path(c.db, grid, xv))
+    bpp = _unless_zero(_on_path(c.d2b, grid, xv))
+    sp2 = _unless_zero(2.0 * _on_path(c.dsigma, grid, xv))
+
+    def step(i, V, dBi):
+        if bpp is None:
+            drift = None if bp is None else bp[i] * V[1] * d
+        elif bp is None:
+            drift = bpp[i] * V[0] ** 2 * d
+        else:
+            drift = (bp[i] * V[1] + bpp[i] * V[0] ** 2) * d
+        if sp2 is None:
+            return drift, None
+        noise = sp2[i] * V[0]
+        noise *= dBi
+        return drift, noise
+    return step
+
+
 def _node_diverged(what: str, grid: TimeGrid, j: int) -> DivergenceError:
     """A deterministic solve's divergence, named by its first bad node."""
     return DivergenceError("%s diverged at node %d (t=%.6g)" % (what, j, grid.nodes[j]),
@@ -261,17 +304,17 @@ def solve_deterministic_limit(c: CoefficientSet, grid: TimeGrid, x0: float) -> L
 def solve_derivative_field(c: CoefficientSet, grid: TimeGrid, x: LimitPath) -> DerivativeField:
     """Solve
     D[i, j] = sigma(t_j, theta_i*, x_i) + sum_{i<=k<j} b'(t_j, s_k*, x_k) D[i, k] delta
-    through the resolvent R: one run of the Y engine with unit noise on
-    unit increments, step (b'_k V_k delta, dB_k), one path per cell, so
-    R[j, i] is the response at node j to a unit forcing in cell i.  D's
-    row i is linear in its cell-i forcing sigma_i kick_i, with the k = i
-    term kick_i = 1 + delta b'_i K[i, i+1] (K = 1 without a kernel), so
+    through the resolvent R: one run of Y's own step ``_y`` with unit
+    sigma on unit increments, one path per cell, so R[j, i] is the
+    response at node j to a unit forcing in cell i.  D's row i is linear
+    in its cell-i forcing sigma_i kick_i, with the k = i term
+    kick_i = 1 + delta b'_i K[i, i+1] (K = 1 without a kernel), so
     D[i, j] = R[j, i] sigma_i kick_i for j > i; the diagonal is the seed
     sigma(t_{i+1}, theta_i*, x_i) K[i, i+1], which for time-independent
     sigma is the defining sigma(t_i, theta_i*, x_i) and keeps fractional
     kernel arguments inside their s < t domain.  Only here are kick and
     seed set.  Where b' is zero on the whole path (additive-unit,
-    multiplicative, fbm-additive) the step has no drift term.  A
+    multiplicative, fbm-additive) Y's step has no drift term.  A
     non-finite D[i, j], j > i, raises at its first node j.
     """
     if x.grid != grid:
@@ -285,10 +328,8 @@ def solve_derivative_field(c: CoefficientSet, grid: TimeGrid, x: LimitPath) -> D
         sg = _on_path(c.sigma, grid, x.values)
         kick, seed = 1.0 + d * bp * K1, sg * K1
         f = sg * kick
-        lin = _unless_zero(bp)
-        _volterra(K, 0.0, np.eye(N),
-                  [lambda i, V, dBi: (None if lin is None else lin[i] * V[0] * d, dBi)],
-                  [dict(enumerate(R))])
+        y_unit = _y(dataclasses.replace(c, sigma=_unit_coeff), grid, x.values)
+        _volterra(K, 0.0, np.eye(N), [y_unit], [dict(enumerate(R))])
         # |R[j, i] f[i]| <= max|R| max|f|, so a finite bound proves every
         # product finite; only otherwise are the rows scanned
         if not np.isfinite(np.maximum(R.max(), -R.min()) * np.abs(f).max()):
@@ -316,3 +357,45 @@ def variance_of_Y(D: DerivativeField, grid: TimeGrid) -> VariancePath:
             "variance overflowed at node %d (t=%.6g)" % (j, grid.nodes[j]),
             node=j)
     return VariancePath(values=values, grid=grid)
+
+
+def _dz_weights(c, grid, xv, D, V):
+    """Weights (a, b) of the DZ closed form paired with the direction V:
+    sum_i V[i] DZ[m, i] = Y[m, :N] @ a + dB[m] @ b, for V of shape (N,) or
+    a stack (P, N) of directions, giving (P, N) weights.  ``D`` is the
+    run's derivative field: its resolvent R, forcing sigma kick and seed.
+
+    Row i of DZ solves the linear Volterra equation
+      DZ[i, j] = K[i, j] S_i + sum_{i<=k<j} K[k, j] (delta b'_k DZ[i, k]
+                 + D[i, k] (2 b''_k Y_k delta + 2 sigma'_k dB_k)),
+    seeded DZ[i, i] = K[i, i+1] S_i with S_i = 2 sigma'_i Y_i (primes are
+    the state functions g at x_k; K = 1 without a kernel).  Its b' operator
+    is the resolvent's: with w = R[N], the response of node N to a unit
+    forcing in cell k,
+      DZ[i, N] = S_i lead_i
+                 + sum_{k>=i} D[i, k] (2 b''_k Y_k delta + 2 sigma'_k dB_k) w_k,
+    lead_i = w_i kick_i, the k = i term of the field.  Without a kernel
+    w_k = G_{k+1} and lead_k = G_k, with G_k = prod_{l=k}^{N-1} (1 + delta b'_l).
+    With u = V triu(D[:, :N]) = (V sigma kick) R[:N]^T + V seed (diagonal
+    seed included), a = 2 sigma' lead V + 2 delta b'' w u and
+    b = 2 sigma' w u.  An overflow leaves non-finite weights without a
+    numpy warning; the caller reports it as a divergence.
+    """
+    N = grid.N
+    w = D.R[N]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sp = _on_path(c.dsigma, grid, xv)
+        wu = w * ((V * (D.sigma * D.kick)) @ D.R[:N].T + V * D.seed)
+        return (2.0 * sp * w * D.kick * V + 2.0 * grid.delta * _on_path(c.d2b, grid, xv) * wu,
+                2.0 * sp * wu)
+
+
+def _pairing(c, grid, xv, D):
+    """The vector l with sum_i DZ[m, i] D[i, N] = l @ dB[m]: the DZ
+    weights (a, b) along V = D[:, N] = R[N] sigma kick, with a's Y term
+    pulled through the Euler tangent C = R diag(sigma), since Euler Y is
+    linear in the increments, Y_j = C[j] @ dB."""
+    N = grid.N
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = _dz_weights(c, grid, xv, D, D.R[N] * (D.sigma * D.kick))
+        return (a @ D.R[:N]) * D.sigma + b

@@ -1,4 +1,4 @@
-"""Monte Carlo engines for the small-noise Volterra system.
+"""Monte Carlo draws and drivers for the small-noise Volterra system.
 
 Brownian increments come from a counter-based generator (Philox): the
 increment of path m at step i is a pure function of (seed, m, i), so
@@ -21,16 +21,14 @@ nodes only.  Each chunk is drawn once, into a buffer that every engine
 reads.  The engine keeps only the nodes the driver reads: X at each
 eps writes its observed nodes into the output columns, and Y and Z run
 as one call of two processes, Z's step reading Y_i from the shared
-state, so no Y row outlives its step.  The pairing is one number per path and linear
-in its increments: DZ_T is linear in (Y, dB) and Euler Y is linear in
-dB, so the driver reads one vector l off the field once per call (the
-DZ closed form along D[:, N] = R[N] sigma kick, its Y term pulled
-through the Euler tangent C = R diag(sigma)) and each chunk's pairing
-is one gemv, l @ dB; the driver runs no engine outside its chunks, and
-the (M, N) DZ rows are never formed.  Each worker thread keeps one workspace
-across its chunks, the (N, rows) increment block, with or without the
-pairing; on the kernel branch the Y and Z run adds one (N, rows) cell
-history per process.  Chunks run in parallel without affecting any number.
+state, so no Y row outlives its step.  The pairing of DZ is one gemv
+per chunk, l @ dB, with the vector l of ``deterministic._pairing`` read
+off the field once per call; the driver runs no engine outside its
+chunks, and the (M, N) DZ rows are never formed.  Each worker thread
+keeps one workspace across its chunks, the (N, rows) increment block,
+with or without the pairing; on the kernel branch the Y and Z run adds
+one (N, rows) cell history per process.  Chunks run in parallel without
+affecting any number.
 
 The whole-batch calls run the same engines on one increment batch:
 ``sample_brownian`` (the M x N increment table, the transpose of one
@@ -40,19 +38,10 @@ time-major draw), ``simulate_X`` (X_eps by an explicit Euler rule),
 ``simulate_DZ_terminal`` (the terminal Malliavin rows D_theta Z_T, from a
 closed form); each keeps every node.
 
-X, Y and Z run on the time-major Volterra engine of ``deterministic``,
-which also solves x and R: g is evaluated once per path and step, and
-the Volterra convolution is resummed as one mat-vec against a column of
-the kernel matrix K[i, j] = k(t_j, s_i*) of the preset's coefficients
-k(t, s) g(x).  State-only presets (k = 1) have no kernel matrix, and the
-same engine telescopes the sum into an O(N) recursion.  The engine names
-each process's first non-finite node, then its first path, in one place,
-whichever nodes its caller keeps; each driver stage reports that (node,
-path) as it is.  Each step leaves out the terms that are identically
-zero, as ``deterministic`` describes: Y's and Z's coefficients on the
-limit path by value, X's drift when b is ``kernels._zero_coeff``.  On
-additive-unit, multiplicative, linear-growth and fbm-additive this drops
-work without moving a finite number; trig and fbm-trig keep every term.
+This module draws and drives: X, Y and Z run on the time-major engine
+and the steps of ``deterministic``, which holds the equations, the terms
+each step leaves out and the first-bad-row rule; each driver stage
+reports the engine's (node, path) as it is.
 """
 
 from __future__ import annotations
@@ -67,7 +56,7 @@ import numpy as np
 # the solve_* names are not called here; perfbench/traced.py patches them
 # on this module, so they stay importable until that tracer is re-pointed
 from .deterministic import (DerivativeField, DivergenceError, LimitPath,  # noqa: F401
-                            TimeGrid, _on_path, _unless_zero, _volterra, _x,
+                            TimeGrid, _dz_weights, _pairing, _volterra, _x, _y, _z,
                             solve_derivative_field, solve_deterministic_limit)
 from .kernels import CoefficientSet
 
@@ -154,82 +143,9 @@ def sample_brownian(M: int, grid: TimeGrid, seed: int) -> BrownianBatch:
                          increments=_draw(seed, grid, 0, M, np.empty((grid.N, M))).T)
 
 
-def _y(c, grid, xv):
-    """Y's step along the limit path ``xv``, run as process 0, without the
-    terms whose b' or sigma is zero on the whole path."""
-    d = grid.delta
-    bp = _unless_zero(_on_path(c.db, grid, xv))
-    sg = _unless_zero(_on_path(c.sigma, grid, xv))
-    return lambda i, V, dBi: (None if bp is None else bp[i] * V[0] * d,
-                              None if sg is None else sg[i] * dBi)
-
-
-def _z(c, grid, xv):
-    """Z's step, run as process 1 beside Y as process 0, whose row Y_i it
-    reads at node i; without the terms whose b', b'' or sigma' is zero on
-    the whole path."""
-    d = grid.delta
-    bp = _unless_zero(_on_path(c.db, grid, xv))
-    bpp = _unless_zero(_on_path(c.d2b, grid, xv))
-    sp2 = _unless_zero(2.0 * _on_path(c.dsigma, grid, xv))
-
-    def step(i, V, dBi):
-        if bpp is None:
-            drift = None if bp is None else bp[i] * V[1] * d
-        elif bp is None:
-            drift = bpp[i] * V[0] ** 2 * d
-        else:
-            drift = (bp[i] * V[1] + bpp[i] * V[0] ** 2) * d
-        if sp2 is None:
-            return drift, None
-        noise = sp2[i] * V[0]
-        noise *= dBi
-        return drift, noise
-    return step
-
-
 def _diverged(what: str, node: int, path: int) -> DivergenceError:
     return DivergenceError("%s diverged at path %d, node %d" % (what, path, node),
                            node=node, path=path)
-
-
-def _dz_weights(c, grid, xv, D, V):
-    """Weights (a, b) of the DZ closed form paired with the direction V:
-    sum_i V[i] DZ[m, i] = Y[m, :N] @ a + dB[m] @ b, for V of shape (N,) or
-    a stack (P, N) of directions, giving (P, N) weights.  ``D`` is the
-    run's derivative field: its resolvent R, forcing sigma kick and seed.
-
-    Row i of DZ solves the linear Volterra equation
-      DZ[i, j] = K[i, j] S_i + sum_{i<=k<j} K[k, j] (delta b'_k DZ[i, k]
-                 + D[i, k] (2 b''_k Y_k delta + 2 sigma'_k dB_k)),
-    seeded DZ[i, i] = K[i, i+1] S_i with S_i = 2 sigma'_i Y_i (primes are
-    the state functions g at x_k; K = 1 without a kernel).  Its b' operator
-    is the resolvent's: with w = R[N], the response of node N to a unit
-    forcing in cell k,
-      DZ[i, N] = S_i lead_i
-                 + sum_{k>=i} D[i, k] (2 b''_k Y_k delta + 2 sigma'_k dB_k) w_k,
-    lead_i = w_i kick_i, the k = i term of the field.  Without a kernel
-    w_k = G_{k+1} and lead_k = G_k, with G_k = prod_{l=k}^{N-1} (1 + delta b'_l).
-    With u = V triu(D[:, :N]) = (V sigma kick) R[:N]^T + V seed (diagonal
-    seed included), a = 2 sigma' lead V + 2 delta b'' w u and
-    b = 2 sigma' w u.
-    """
-    N = grid.N
-    w = D.R[N]
-    sp = _on_path(c.dsigma, grid, xv)
-    wu = w * ((V * (D.sigma * D.kick)) @ D.R[:N].T + V * D.seed)
-    return (2.0 * sp * w * D.kick * V + 2.0 * grid.delta * _on_path(c.d2b, grid, xv) * wu,
-            2.0 * sp * wu)
-
-
-def _pairing(c, grid, xv, D):
-    """The vector l with sum_i DZ[m, i] D[i, N] = l @ dB[m]: the DZ
-    weights (a, b) along V = D[:, N] = R[N] sigma kick, with a's Y term
-    pulled through the Euler tangent C = R diag(sigma), since Euler Y is
-    linear in the increments, Y_j = C[j] @ dB."""
-    N = grid.N
-    a, b = _dz_weights(c, grid, xv, D, D.R[N] * (D.sigma * D.kick))
-    return (a @ D.R[:N]) * D.sigma + b
 
 
 def _paths(what: str, K, base: float, dBt: np.ndarray, steps: list) -> np.ndarray:
@@ -311,8 +227,9 @@ def simulate_DZ_terminal(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
         raise ValueError("grid mismatch")
     _require_coupled(Y, batch)
     a, b = _dz_weights(c, grid, x.values, D, np.eye(grid.N))  # the closed form at V = I
-    DZ = Y.values[:, :grid.N] @ a.T
-    DZ += batch.increments @ b.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        DZ = Y.values[:, :grid.N] @ a.T
+        DZ += batch.increments @ b.T
     if not np.all(np.isfinite(DZ)):
         raise _diverged("DZ", grid.N, int(np.argmax((~np.isfinite(DZ)).any(axis=1))))
     return DZ
@@ -373,8 +290,7 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
                             "Y": columns(), "Z": columns()}
     if with_dzdy:
         out["dzdy"] = {N: np.empty(M)}
-        with np.errstate(over="ignore", invalid="ignore"):
-            ell = _pairing(c, grid, x.values, D)
+        ell = _pairing(c, grid, x.values, D)
 
     width = min(M, _CHUNK_ROWS)
     local = threading.local()

@@ -92,6 +92,17 @@ def test_limit_rerun_is_byte_identical(tmp_path):
     assert _read_bytes(out, names) == first
 
 
+def test_unwritable_manifest_exits_2(tmp_path, capsys):
+    # a directory where manifest.json should go: the run's CSVs are written,
+    # then the manifest's OSError is a config error on out_dir
+    cfg = _cfg(tmp_path, preset="additive-unit", x0=0.0, N=4)
+    out = tmp_path / "o"
+    (out / "manifest.json").mkdir(parents=True)
+    assert _run(["limit", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: out_dir: [Errno 21] Is a directory: %r\n"
+                                       % str(out / "manifest.json"))
+
+
 def test_manifest_contents(tmp_path):
     cfg = _cfg(tmp_path, preset="additive-unit", x0=0.0, N=4)
     out = tmp_path / "o"
@@ -770,6 +781,56 @@ def test_kernel_check_nan_se_fails_the_covariance_gate(tmp_path, capsys):
     assert math.isnan(float(cov["se"])) and math.isnan(float(cov["z"]))
 
 
+def test_kernel_check_underflowing_mass_passes_its_gate(tmp_path, capsys):
+    # at t = 1e-250 the mass and t^(2H) both underflow to 0: a relative
+    # error of 0/0 is 0, so the gate passes and the row is written
+    cfg = _cfg(tmp_path, t_list=[1e-250], H_list=[0.7], N=8, M=100, cov_pairs=[])
+    out = tmp_path / "o"
+    assert _run(["kernel-check", "--config", cfg, "--out", str(out), "--assert"]) == 0
+    assert capsys.readouterr().err == ""
+    mass, = [r for r in _read_csv(out / "kernel.csv") if r["kind"] == "l2mass"]
+    assert float(mass["value"]) == 0.0 and float(mass["target"]) == 0.0
+
+
+@pytest.mark.parametrize("cov_pairs,messages", [
+    ([], ["varmargin H=0.7: minimum margin nan < 0"]),
+    ([[1e230, 1e230]], ["covariance H=0.7 (t=1e+230, s=1e+230): |z|=nan > 3",
+                        "varmargin H=0.7: minimum margin nan < 0"]),
+], ids=["margin", "margin-and-covariance"])
+def test_kernel_check_nan_margin_fails_its_gate(tmp_path, capsys, cov_pairs, messages):
+    # on a huge horizon the variance margins are inf - inf: a NaN margin
+    # fails the gate, and no numpy warning reaches stderr
+    cfg = _cfg(tmp_path, T=1e230, t_list=[1.0], H_list=[0.7], N=8, M=100,
+               cov_pairs=cov_pairs)
+    assert _run(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--assert"]) == 4
+    assert capsys.readouterr().err.splitlines() == ["assert failed: " + m for m in messages]
+
+
+def _zero_draw(seed, grid, m0, m1, out):
+    out[...] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("name,patch,message", [
+    ("kernel_l2_mass", lambda f: lambda p, t: 1.01 * f(p, t),
+     "l2mass H=0.7 t=1: relative error 0.01 > 1e-3"),
+    ("variance_lower_bound_const", lambda f: lambda p, sigma0: 10.0 * f(p, sigma0),
+     "varmargin H=0.7: minimum margin -1.16 < 0"),
+    ("_draw", lambda f: _zero_draw, "covariance H=0.7 (t=1, s=0.5): |z|=inf > 3"),
+], ids=["l2mass", "varmargin", "covariance"])
+def test_kernel_check_gate_messages(tmp_path, capsys, monkeypatch, name, patch, message):
+    # each gate, forced to fail on its own, prints its one message
+    monkeypatch.setattr(cli, name, patch(getattr(cli, name)))
+    cfg = _cfg(tmp_path, N=8, M=100, H_list=[0.7], t_list=[1.0], cov_pairs=[[1.0, 0.5]])
+    out = tmp_path / "o"
+    assert _run(["kernel-check", "--config", cfg, "--out", str(out), "--assert"]) == 4
+    assert capsys.readouterr().err.splitlines() == ["assert failed: " + message]
+    if name == "_draw":  # zero increments: a zero SE under a nonzero error
+        cov, = [r for r in _read_csv(out / "kernel.csv") if r["kind"] == "covariance"]
+        assert cov["z"] == "-inf"
+
+
 # ---------------------------------------------------------------------------
 # cold start
 # ---------------------------------------------------------------------------
@@ -997,6 +1058,30 @@ def test_check_battery_runs_only_the_named_jobs(tmp_path, monkeypatch):
     module.check(tmp_path, {"rate_scan_multiplicative.json", "thm2_multiplicative.json"})
     # in battery order, whatever order the names came in
     assert ran == ["rate_scan_multiplicative.json", "thm2_multiplicative.json"]
+
+
+def test_check_battery_flags_a_csv_not_in_out(tmp_path, monkeypatch, capsys):
+    # a job that writes the committed CSVs and one more fails on the new one
+    module = _check_battery(monkeypatch)
+    extra = []
+
+    def fake_main(argv):
+        committed = REPO / json.loads(pathlib.Path(argv[2]).read_text())["out_dir"]
+        fresh = pathlib.Path(argv[4])
+        fresh.mkdir(parents=True)
+        for want in committed.glob("*.csv"):
+            (fresh / want.name).write_bytes(want.read_bytes())
+        for name in extra:
+            (fresh / name).write_text("a\n1\n")
+        return 0
+
+    monkeypatch.setattr(module, "main", fake_main)
+    job = {"thm2_multiplicative.json"}
+    assert module.check(tmp_path / "a", job)
+    extra.append("new.csv")
+    assert not module.check(tmp_path / "b", job)
+    assert capsys.readouterr().out.splitlines()[-2:] == ["  thm2.csv       identical",
+                                                         "  new.csv        not in out/"]
 
 
 def test_check_battery_refuses_an_unknown_config():

@@ -10,7 +10,7 @@ from scipy import special
 from conftest import dense_D
 from volfluct import kernels
 from volfluct.kernels import make_preset
-from volfluct.deterministic import (DivergenceError, TimeGrid,
+from volfluct.deterministic import (DivergenceError, TimeGrid, _on_path,
                                     solve_deterministic_limit,
                                     solve_derivative_field, variance_of_Y)
 from volfluct import simulate as sim
@@ -587,7 +587,7 @@ def _dz_weight_recursion(c, grid, xv):
     kernel): the reference for the resolvent's last row."""
     N, d = grid.N, grid.delta
     K = c.on_grid(grid)
-    bp = sim._on_path(c.db, grid, xv)
+    bp = _on_path(c.db, grid, xv)
     r = np.empty(N + 1)
     r[N] = 1.0
     w = np.empty(N)
@@ -610,10 +610,25 @@ def test_euler_y_is_the_tangent_applied_to_the_increments(name, params):
     batch = sim.sample_brownian(5, g, 91)
     Y = sim.simulate_Y_euler(c, g, x, batch)
     assert D.R.shape == (g.N + 1, g.N)
-    C = D.R * sim._on_path(c.sigma, g, x.values)
+    C = D.R * _on_path(c.sigma, g, x.values)
     np.testing.assert_allclose(Y.values, batch.increments @ C.T, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(D.R[g.N], _dz_weight_recursion(c, g, x.values),
                                rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("N", [8, 50])
+@pytest.mark.parametrize("name,params", [("additive-unit", {}), ("multiplicative", {}),
+                                         ("linear-growth", {}), ("trig", {}),
+                                         ("fbm-additive", {"H": 0.7}),
+                                         ("fbm-trig", {"H": 0.3}), ("fbm-trig", {"H": 0.7})])
+def test_resolvent_is_euler_y_with_unit_sigma_on_unit_increments(name, params, N):
+    # the field's resolvent is Y's own step with unit sigma, one path per
+    # cell driven by a unit increment there: R = Y.values.T bit for bit
+    g = TimeGrid(T=1.0, N=N)
+    c, x, D = _pipeline(name, g, 0.7, **params)
+    unit = sim.BrownianBatch(M=N, grid=g, seed=0, increments=np.eye(N))
+    Y = sim.simulate_Y_euler(dataclasses.replace(c, sigma=kernels._unit_coeff), g, x, unit)
+    np.testing.assert_array_equal(Y.values.T, D.R)
 
 
 @pytest.mark.parametrize("name,params", [("multiplicative", {}),
@@ -673,6 +688,20 @@ def test_driver_divergent_field_raises_without_warnings():
     c, x, D = _pipeline("multiplicative", g, 1e160)
     with pytest.raises(DivergenceError, match=r"^DZ diverged at path 0, node 16$"):
         sim.coupled_terminal_samples(c, x, D, (0.5,), 300, 6, with_dzdy=True)
+
+
+def test_whole_batch_dz_divergence_raises_without_warnings():
+    # a huge sigma' overflows the DZ weights and the whole-batch products;
+    # the field readers and the call itself keep numpy's warnings in, so
+    # the one report is the first bad path at the terminal node
+    g = TimeGrid(T=1.0, N=16)
+    c = dataclasses.replace(make_preset("multiplicative"),
+                            dsigma=lambda t, s, x: np.full(np.shape(x), 1e200))
+    x, D = _solved(c, g, 1e150)
+    batch = sim.sample_brownian(50, g, 3)
+    Y = sim.simulate_Y_euler(c, g, x, batch)
+    with pytest.raises(DivergenceError, match=r"^DZ diverged at path 0, node 16$"):
+        sim.simulate_DZ_terminal(c, g, x, Y, D, batch)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])

@@ -74,6 +74,16 @@ def test_tv_histogram_edge_cases():
         st.tv_histogram([0.0, 1.0], [0.0, 1.0], 1)
 
 
+def test_tv_histogram_subnormal_span_matches_linspace_edges():
+    # the pooled span is one subnormal step, so span / bins underflows to 0
+    # and the edges are scaled after dividing, as np.linspace does
+    tiny = 5e-324
+    a, b = np.array([0.0, 0.0, tiny]), np.array([tiny, tiny, 0.0])
+    edges = np.linspace(0.0, tiny, 17)
+    ref = 0.5 * np.abs(np.histogram(a, edges)[0] / 3 - np.histogram(b, edges)[0] / 3).sum()
+    assert st.tv_histogram(a, b, 16) == ref == pytest.approx(1 / 3)
+
+
 def test_freedman_diaconis_floor_and_growth():
     assert st.freedman_diaconis_bins(np.ones(1000)) == 16
     assert st.freedman_diaconis_bins(np.array([0.0, 1.0])) == 16
