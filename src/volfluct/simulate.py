@@ -8,27 +8,28 @@ kernel-check and ``sample_brownian`` alike: it draws row blocks of about
 512 KiB, applies the offset, the normal quantile and the sqrt(delta)
 scale in place, and copies each block straight into a time-major array.
 The normal quantile ``scipy.special.ndtri`` is imported at the first
-draw and ``concurrent.futures`` only when the driver runs more than one
-thread, so importing this module loads neither.
+draw and ``concurrent.futures`` only when a chunk loop runs more than
+one thread, so importing this module loads neither.
+
+``_map_chunks`` is the one chunk loop, for the driver and kernel-check:
+it owns the fixed chunk grid, each worker's draw workspace, the thread
+pool and the chunk order of the results.
 
 ``coupled_terminal_samples`` is the simulation driver.  It takes the
 run's deterministic limit x and derivative field (the resolvent R and
-per-cell sigma, kick and seed), streams M paths in fixed 2048-row
-chunks over the whole eps sweep, and returns X, the fluctuation
+per-cell sigma, kick and seed), streams M paths through the chunk loop
+over the whole eps sweep, and returns X, the fluctuation
 X-tilde = (X_eps - x) / eps, the Gaussian limit Y, the second-order
 correction Z and the terminal Malliavin pairing of DZ, at the requested
-nodes only.  Each chunk is drawn once, into a buffer that every engine
-reads.  The engine keeps only the nodes the driver reads: X at each
-eps writes its observed nodes into the output columns, and Y and Z run
-as one call of two processes, Z's step reading Y_i from the shared
-state, so no Y row outlives its step.  The pairing of DZ is one gemv
-per chunk, l @ dB, with the vector l of ``deterministic._pairing`` read
-off the field once per call; the driver runs no engine outside its
-chunks, and the (M, N) DZ rows are never formed.  Each worker thread
-keeps one workspace across its chunks, the (N, rows) increment block,
-with or without the pairing; on the kernel branch the Y and Z run adds
-one (N, rows) cell history per process.  Chunks run in parallel without
-affecting any number.
+nodes only.  Every engine reads the chunk's one draw, and keeps only
+the nodes the driver reads: X at each eps writes its observed nodes
+into the output columns, and Y and Z run as one call of two processes,
+Z's step reading Y_i from the shared state, so no Y row outlives its
+step.  The pairing of DZ is one gemv per chunk, l @ dB, with the vector
+l of ``deterministic._pairing`` read off the field once per call; the
+driver runs no engine outside its chunks, and the (M, N) DZ rows are
+never formed.  On the kernel branch the Y and Z run adds one (N, rows)
+cell history per process to the worker's workspace.
 
 The whole-batch calls run the same engines on one increment batch:
 ``sample_brownian`` (the M x N increment table, the transpose of one
@@ -236,8 +237,30 @@ def simulate_DZ_terminal(c: CoefficientSet, grid: TimeGrid, x: LimitPath,
 
 
 # ---------------------------------------------------------------------------
-# Chunked coupled driver
+# The chunk loop and the coupled driver
 # ---------------------------------------------------------------------------
+
+
+def _map_chunks(seed: int, grid: TimeGrid, M: int, threads: int, work) -> list:
+    """``work(m0, m1, dBt)`` of each chunk of ``_chunks(M)``, in chunk order:
+    dBt is the chunk drawn once by ``_draw`` into the worker's time-major
+    (N, min(M, 2048)) workspace, kept across its chunks.  One thread runs
+    the chunks in turn, more run them on a pool; the grid is fixed, so no
+    number depends on ``threads``."""
+    local = threading.local()
+
+    def run(rows: Tuple[int, int]):
+        m0, m1 = rows
+        if not hasattr(local, "dBt"):
+            local.dBt = np.empty((grid.N, min(M, _CHUNK_ROWS)))
+        return work(m0, m1, _draw(seed, grid, m0, m1, local.dBt[:, :m1 - m0]))
+
+    if threads == 1:
+        return [run(rows) for rows in _chunks(M)]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run, _chunks(M)))
 
 
 def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField,
@@ -245,28 +268,25 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
                              observe: Sequence[int] = (),
                              with_dzdy: bool = False,
                              threads: int = 1) -> Dict[str, dict]:
-    """Stream M coupled paths of ``c`` in fixed chunks over the whole eps sweep.
+    """Stream M coupled paths of ``c`` in ``_map_chunks`` over the eps sweep.
 
     ``x`` and ``D`` are the run's limit path and derivative field of ``c``
     (the resolvent R and the per-cell sigma, kick and seed); the grid and
-    x0 are read off ``x``.  Each chunk draws its increments straight into
-    time-major, solves X once per eps and Y and Z once, keeping only the
-    observed nodes; Y and Z are one engine run of two processes, Z's step
-    reading Y from the shared state.  Returns "X" and
-    "Xt" = (X - x) / eps keyed by eps then node, "Y" and "Z" by node, and
-    "dzdy" (sum_i DZ[m, i] D[i, T] delta, terminal node only), the
-    per-path product l @ dB[m] with the pairing vector l of ``_pairing``,
-    read off the field once per call: one gemv per chunk, so the driver
-    runs no derivative solve and forms neither the (M, N) DZ nor a chunk's
-    Y rows.  Each worker's workspace is its (N, rows) increment block, plus
-    one (N, rows) cell history each for Y and Z on the kernel branch.  The
-    terminal node is always observed.  Every number is independent of
-    ``threads``: the chunk grid is fixed and each chunk fills its own
-    rows.  All chunks run before a divergence is raised as the
-    whole-batch calls meet it: first by stage (X at the first eps, Y, Z,
-    DZ, X at each later eps), then node, path.  Each engine stage reports
-    its first bad node and path itself, so locating a divergence forms no
-    whole-path array.
+    x0 are read off ``x``.  Each chunk solves X once per eps and Y and Z
+    once on its one draw, keeping only the observed nodes; Y and Z are one
+    engine run of two processes, Z's step reading Y from the shared state.
+    Returns "X" and "Xt" = (X - x) / eps keyed by eps then node, "Y" and
+    "Z" by node, and "dzdy" (sum_i DZ[m, i] D[i, T] delta, terminal node
+    only), the per-path product l @ dB[m] with the pairing vector l of
+    ``_pairing``, read off the field once per call: one gemv per chunk, so
+    the driver runs no derivative solve and forms neither the (M, N) DZ
+    nor a chunk's Y rows.  On the kernel branch the Y and Z run adds one
+    (N, rows) cell history per process to the worker's increment block.
+    The terminal node is always observed, and each chunk fills its own
+    rows.  All chunks run before a divergence is raised as the whole-batch
+    calls meet it: first by stage (X at the first eps, Y, Z, DZ, X at each
+    later eps), then node, path.  Each engine stage reports its first bad
+    node and path itself, so locating a divergence forms no whole-path array.
     """
     grid = x.grid
     if D.grid != grid:
@@ -292,8 +312,6 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
         out["dzdy"] = {N: np.empty(M)}
         ell = _pairing(c, grid, x.values, D)
 
-    width = min(M, _CHUNK_ROWS)
-    local = threading.local()
     K = c.on_grid(grid)
     yz = [_y(c, grid, x.values), _z(c, grid, x.values)]
 
@@ -324,26 +342,15 @@ def coupled_terminal_samples(c: CoefficientSet, x: LimitPath, D: DerivativeField
                     yield "DZ", None if ok.all() else (N, int(np.argmin(ok)))
                     out["dzdy"][N][m0:m1] = dzdy
 
-    def run_chunk(rows: Tuple[int, int]):
+    def run_chunk(m0: int, m1: int, dBt: np.ndarray):
         """Fill rows m0:m1; return the chunk's first divergence as
         (stage, node, path, name), or None."""
-        m0, m1 = rows
-        if not hasattr(local, "dBt"):  # this worker's workspace, kept across chunks
-            local.dBt = np.empty((N, width))
-        # one time-major draw per chunk, shared by every engine and the pairing
-        dBt = _draw(seed, grid, m0, m1, local.dBt[:, :m1 - m0])
         for stage, (name, bad) in enumerate(stages(m0, m1, dBt)):
             if bad:
                 return stage, bad[0], m0 + bad[1], name
         return None
 
-    if threads == 1:
-        failures = [run_chunk(rows) for rows in _chunks(M)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            failures = list(pool.map(run_chunk, _chunks(M)))
+    failures = _map_chunks(seed, grid, M, threads, run_chunk)
     if any(failures):
         _, node, path, what = min(f for f in failures if f)
         raise _diverged(what, node, path)

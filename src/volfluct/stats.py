@@ -73,8 +73,9 @@ class Thm2Report:
 
     @property
     def passes(self) -> bool:
-        """The two sides agree within GATE_SE combined standard errors."""
-        return self.gap <= GATE_SE * self.combined_se
+        """The two sides agree within GATE_SE combined standard errors, and
+        that bound is finite: an infinite SE bounds nothing."""
+        return math.isfinite(self.combined_se) and self.gap <= GATE_SE * self.combined_se
 
 
 def _as_sample(a) -> np.ndarray:
@@ -297,8 +298,10 @@ def resolve_test_function(phi_id: str) -> Callable:
 
 
 def _mean_se(vals: np.ndarray) -> Tuple[float, float]:
-    m = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+    # huge values overflow the squares: the SE comes out inf, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = float(vals.mean())
+        se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
     return m, se
 
 
@@ -347,11 +350,13 @@ def gauss_hermite_mean(f: Callable, n: int = 151) -> float:
 
 
 def rms_with_se(vals) -> Tuple[float, float]:
-    """Root mean square of per-path values with a delta-method SE."""
-    g = _as_sample(vals) ** 2
-    m = float(g.mean())
-    rms = math.sqrt(m)
-    if g.size < 2 or rms == 0.0:
-        return rms, 0.0
-    se_mean = float(g.std(ddof=1) / math.sqrt(g.size))
+    """Root mean square of per-path values with a delta-method SE; huge
+    values give an inf RMS and a NaN SE, silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _as_sample(vals) ** 2
+        m = float(g.mean())
+        rms = math.sqrt(m)
+        if g.size < 2 or rms == 0.0:
+            return rms, 0.0
+        se_mean = float(g.std(ddof=1) / math.sqrt(g.size))
     return rms, se_mean / (2.0 * rms)

@@ -15,7 +15,7 @@ import scipy
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import volfluct
-from volfluct import cli
+from volfluct import cli, simulate
 from volfluct.cli import main
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -617,6 +617,38 @@ def test_thm2_assert_messages_two_phi(tmp_path, monkeypatch, capsys, epsilons,
         % (r.phi, label, r.gap, 3.0 * r.combined_se) for r in reports[-2:]]
 
 
+def test_thm2_assert_fails_on_an_infinite_se(tmp_path, capfd):
+    # at eps = 1e-300 the lhs values reach 1e300 and their squares overflow:
+    # an infinite SE bounds nothing, so the gate fails, and no numpy warning
+    # reaches stderr
+    cfg = _cfg(tmp_path, preset="trig", x0=1.0, N=8, M=300, seed=1,
+               epsilons=[0.5, 1e-300], test_functions=["tanh"])
+    out = tmp_path / "o"
+    assert _run(["thm2", "--config", cfg, "--out", str(out), "--assert"]) == 4
+    assert capfd.readouterr().err.splitlines() == [
+        "assert failed: phi=tanh eps=1e-300: |lhs-rhs|=9.78e+297 has a non-finite SE (inf)"]
+    row = _read_csv(out / "thm2.csv")[-1]
+    assert (row["lhs_se"], row["combined_se"], row["gap_over_se"]) == ("inf", "inf", "0")
+
+
+def test_rate_scan_assert_fails_on_a_non_finite_strong_metric(tmp_path, capfd):
+    # at eps = 1e-300 the second-order strong metric overflows to inf with a
+    # NaN SE: its decrease gate fails, its fit says why it has no slope, and
+    # no numpy warning reaches stderr
+    cfg = _cfg(tmp_path, preset="trig", x0=1.0, N=8, M=300, seed=1,
+               epsilons=[0.5, 0.25, 1e-300])
+    out = tmp_path / "o"
+    assert _run(["rate-scan", "--config", cfg, "--out", str(out), "--assert"]) == 4
+    assert capfd.readouterr().err.splitlines() == ["assert failed: " + m for m in [
+        "rms_xt_y slope -0.002 outside [0.85, 1.15]",
+        "kolmogorov slope -0.004 below 0.75",
+        "rms_second not decreasing: 0.05 (eps=0.25) -> inf (eps=1e-300)"]]
+    last = _read_csv(out / "strong.csv")[-1]
+    assert (last["rms_second"], last["rms_second_se"]) == ("inf", "nan")
+    fit, = [r for r in _read_csv(out / "ratefit.csv") if r["metric"] == "rms_second"]
+    assert fit["status"] == "non-finite" and fit["slope"] == "nan"
+
+
 def test_largest_bootstrap_seed_wraps(tmp_path):
     # this seed gives node 8's Kolmogorov bootstrap the sub-seed 2**64 - 1,
     # so the TV bootstrap's seed + 1 wraps to 0
@@ -717,6 +749,22 @@ def test_kernel_check_draws_each_increment_once(tmp_path, monkeypatch):
     assert sum(drawn) == M * N
 
 
+def test_kernel_check_is_byte_identical_across_threads(tmp_path, monkeypatch):
+    # two H values over three chunks, the last one short: on the pool each
+    # H's sums add the chunks' partial sums in chunk order, as one thread does
+    M = 2 * simulate._CHUNK_ROWS + 37
+    assert len(simulate._chunks(M)) == 3
+    cfg = _cfg(tmp_path, N=8, M=M, H_list=[0.3, 0.7], t_list=[1.0],
+               cov_pairs=[[1.0, 0.5], [0.5, 0.5]])
+    got = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("VF_THREADS", threads)
+        out = tmp_path / threads
+        assert _run(["kernel-check", "--config", cfg, "--out", str(out)]) == 0
+        got.append((out / "kernel.csv").read_bytes())
+    assert got[0] == got[1]
+
+
 def test_kernel_check_rejects_params_other_than_sigma0(tmp_path, capsys):
     # a misspelled sigma0 would otherwise run silently as sigma0 = 1
     cfg = _cfg(tmp_path, N=16, M=200, H_list=[0.7], params={"sigmo0": 2.0})
@@ -755,30 +803,36 @@ def test_divergent_solver_prints_one_line(tmp_path, capfd, preset, params,
     assert capfd.readouterr().err.splitlines() == ["numerical divergence: " + message]
 
 
-def test_kernel_check_huge_horizon_exits_3(tmp_path, capsys):
+def test_kernel_check_huge_horizon_exits_3(tmp_path, capsys, monkeypatch):
     # a Python float power of the horizon overflows where numpy would give
     # inf; that is a divergence, not a traceback
     doc = dict(N=8, M=100, H_list=[0.7])
-    cfg = _cfg(tmp_path, T=1e300, t_list=[1e300], cov_pairs=[[1e300, 5e299]], **doc)
-    assert _run(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err.splitlines() == [
-        "numerical divergence: kernel-check: float overflow"]
-    cfg = _cfg(tmp_path, T=1e200, t_list=[1e200], cov_pairs=[[1e200, 5e199]], **doc)
-    # the covariance sums of squares overflow to inf, silently
-    assert _run(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    for threads in ("1", "2"):
+        monkeypatch.setenv("VF_THREADS", threads)
+        cfg = _cfg(tmp_path, T=1e300, t_list=[1e300], cov_pairs=[[1e300, 5e299]], **doc)
+        assert _run(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical divergence: kernel-check: float overflow"]
+        cfg = _cfg(tmp_path, T=1e200, t_list=[1e200], cov_pairs=[[1e200, 5e199]], **doc)
+        # the covariance sums of squares overflow to inf, silently, on the
+        # pool's workers too
+        assert _run(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
 
 
-def test_kernel_check_nan_se_fails_the_covariance_gate(tmp_path, capsys):
+def test_kernel_check_nan_se_fails_the_covariance_gate(tmp_path, capsys, monkeypatch):
     # the sums of squares overflow, so the covariance SE is NaN: its z is
-    # NaN and the gate fails rather than pass on a z of 0
+    # NaN and the gate fails rather than pass on a z of 0, at any thread count
     cfg = _cfg(tmp_path, T=1e200, t_list=[1e200], cov_pairs=[[1e200, 5e199]],
                N=8, M=100, H_list=[0.7])
-    out = tmp_path / "o"
-    assert _run(["kernel-check", "--config", cfg, "--out", str(out), "--assert"]) == 4
-    assert capsys.readouterr().err.splitlines() == [
-        "assert failed: covariance H=0.7 (t=1e+200, s=5e+199): |z|=nan > 3"]
-    cov, = [r for r in _read_csv(out / "kernel.csv") if r["kind"] == "covariance"]
-    assert math.isnan(float(cov["se"])) and math.isnan(float(cov["z"]))
+    for threads in ("1", "2"):
+        monkeypatch.setenv("VF_THREADS", threads)
+        out = tmp_path / threads
+        assert _run(["kernel-check", "--config", cfg, "--out", str(out), "--assert"]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "assert failed: covariance H=0.7 (t=1e+200, s=5e+199): |z|=nan > 3"]
+        cov, = [r for r in _read_csv(out / "kernel.csv") if r["kind"] == "covariance"]
+        assert math.isnan(float(cov["se"])) and math.isnan(float(cov["z"]))
 
 
 def test_kernel_check_underflowing_mass_passes_its_gate(tmp_path, capsys):
@@ -820,8 +874,10 @@ def _zero_draw(seed, grid, m0, m1, out):
     ("_draw", lambda f: _zero_draw, "covariance H=0.7 (t=1, s=0.5): |z|=inf > 3"),
 ], ids=["l2mass", "varmargin", "covariance"])
 def test_kernel_check_gate_messages(tmp_path, capsys, monkeypatch, name, patch, message):
-    # each gate, forced to fail on its own, prints its one message
-    monkeypatch.setattr(cli, name, patch(getattr(cli, name)))
+    # each gate, forced to fail on its own, prints its one message; the
+    # chunk loop draws through simulate._draw
+    module = simulate if name == "_draw" else cli
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
     cfg = _cfg(tmp_path, N=8, M=100, H_list=[0.7], t_list=[1.0], cov_pairs=[[1.0, 0.5]])
     out = tmp_path / "o"
     assert _run(["kernel-check", "--config", cfg, "--out", str(out), "--assert"]) == 4

@@ -558,6 +558,44 @@ def _assert_same_outputs(a, b):
         np.testing.assert_array_equal(a[key], b[key])
 
 
+def test_map_chunks_draws_each_chunk_once_and_keeps_chunk_order(monkeypatch):
+    # three chunks, the last one short; the first finishes last on a pool
+    import threading
+    import time
+
+    g = TimeGrid(T=1.0, N=8)
+    M = 2 * sim._CHUNK_ROWS + 37
+    chunks = sim._chunks(M)
+    assert len(chunks) == 3 and chunks[-1][1] - chunks[-1][0] == 37
+    rows = sim._increment_rows
+    drawn = []
+    monkeypatch.setattr(sim, "_increment_rows",
+                        lambda *a: drawn.append(a[2:]) or rows(*a))
+
+    def work(m0, m1, dBt):
+        if m0 == 0:
+            time.sleep(0.05)
+        return (m0, m1), threading.get_ident(), dBt.base, dBt.copy()
+
+    got = {}
+    for threads in (1, 3):
+        drawn.clear()
+        got[threads] = sim._map_chunks(7, g, M, threads, work)
+        # each row block once, and the results in chunk order
+        assert sorted(drawn) == [b for m0, m1 in chunks for b in sim._row_blocks(8, m0, m1)]
+        assert [r[0] for r in got[threads]] == chunks
+        # each worker draws every chunk it runs into its one workspace
+        spaces = {}
+        for _, worker, space, _ in got[threads]:
+            spaces.setdefault(worker, []).append(space)
+        for seen in spaces.values():
+            assert seen[0].shape == (8, sim._CHUNK_ROWS)
+            assert all(s is seen[0] for s in seen)
+    for a, b in zip(got[1], got[3]):
+        np.testing.assert_array_equal(a[3], b[3])
+    np.testing.assert_array_equal(np.hstack([r[3] for r in got[1]]), rows(7, g, 0, M).T)
+
+
 def test_coupled_driver_matches_direct_pipeline():
     g = TimeGrid(T=1.0, N=32)
     x0, eps, M, seed = 1.0, 0.2, 2500, 71  # crosses one chunk boundary
