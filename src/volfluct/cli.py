@@ -51,8 +51,8 @@ from .kernels import (ConvergenceError, fbm_covariance, fbm_kernel_matrix,
                       variance_lower_bound_const)
 from .simulate import (_CHUNK_ROWS, _RNG_SCHEME, _map_chunks,
                        coupled_terminal_samples)
-from .stats import (GATE_SE, distance_report, parse_test_function,
-                    rate_fit, rms_with_se, thm2_ell, thm2_r, thm2_report)
+from .stats import (GATE_SE, distance_report, rate_fit, resolve_test_function,
+                    rms_with_se, thm2_ell, thm2_r, thm2_report)
 
 _SNAP_TOL = 1e-9
 # past this, numpy refuses an (M,) float64 array by its shape, before any
@@ -325,6 +325,18 @@ def run_limit(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
 _STRONG = ("rms_x_gap", "rms_xt_y", "rms_second")
 
 
+def _unresolved(samples: dict, x, varY: float) -> List[str]:
+    """One failure per eps whose X equals the limit at T on every path
+    although Var(Y_T) > 0: that eps is below float resolution, so its rows
+    measure rounding, not the fluctuation."""
+    N = x.grid.N
+    if not varY > 0.0:
+        return []
+    return ["eps=%g: X_eps equals the limit path on every path (eps below "
+            "float resolution)" % e
+            for e, X in samples["X"].items() if (X[N] == x.values[N]).all()]
+
+
 def _fit_rows(T: float, times: Sequence[float], dist_rows: List[list],
               strong_rows: List[list]) -> List[list]:
     """The ratefit.csv rows: the log-log fit over the eps sweep of each
@@ -395,7 +407,7 @@ def run_rate_scan(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     _write_manifest(cfg, "rate-scan")
 
     # each gate fails unless its value is inside its bound, so NaN fails
-    failures: List[str] = []
+    failures = _unresolved(samples, x, float(var.values[N]))
     for t, eps, kol, kol_se, tv, tv_se, _, _ in dist_rows:
         # the true laws satisfy kolmogorov <= tv; the estimators get
         # bootstrap slack
@@ -431,15 +443,13 @@ def run_thm2(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
     _check_draw(cfg)
     _check_epsilons(cfg)
     _require(len(cfg.test_functions) >= 1, "test_functions: must be non-empty")
-    seen = set()
-    for phi in cfg.test_functions:
+    for k, phi in enumerate(cfg.test_functions):
         try:
-            key = parse_test_function(phi)
+            resolve_test_function(phi)
         except ValueError as exc:
             raise ConfigError("test_functions: %s" % exc) from exc
-        _require(key not in seen,
+        _require(phi not in cfg.test_functions[:k],
                  "test_functions: %r repeats an earlier entry" % (phi,))
-        seen.add(key)
     coeff, grid, x, D, var = _prepare(cfg)
     _make_out_dir(cfg)
     N = grid.N
@@ -462,7 +472,8 @@ def run_thm2(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
             rep = reps[eps, phi] = thm2_report(phi, eps, ell[eps, phi], r[phi])
             se = rep.combined_se
             rows.append([eps, phi, rep.lhs, rep.lhs_se, rep.rhs, rep.rhs_se,
-                         rep.gap, se, _ratio(rep.gap, se), "ok"])
+                         rep.gap, se, _ratio(rep.gap, se),
+                         "ok" if math.isfinite(se) else "non-finite se"])
 
         # the expansion is a limit in eps: with a pair (e, e/2) in the sweep
         # the gate is on the smallest pair's Richardson value, else on the
@@ -470,7 +481,7 @@ def run_thm2(cfg: ExperimentConfig, threads: int = 1) -> List[str]:
         halving = [e for e in cfg.epsilons if e / 2.0 in cfg.epsilons]
         e = min(halving, default=cfg.epsilons[-1])
         label = "|2 lhs(eps/2) - lhs(eps) - rhs|" if halving else "|lhs-rhs|"
-        failures = []
+        failures = _unresolved(samples, x, varY)
         for phi in cfg.test_functions:
             rep = (thm2_report(phi, e, 2.0 * ell[e / 2.0, phi] - ell[e, phi], r[phi])
                    if halving else reps[e, phi])

@@ -260,41 +260,17 @@ def rate_fit(points: Sequence[Tuple[float, float]]) -> RateFit:
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid(w, x):
-    from scipy.special import expit
-
-    return expit(w * x)
-
-
-_TEST_FUNCTIONS = {
-    "cos": lambda w, x: np.cos(w * x),
-    "tanh": lambda w, x: np.tanh(w * x),
-    "sigmoid": _sigmoid,
-    "const": lambda w, x: np.full(np.shape(x), w),
-}
-
-
-def parse_test_function(phi_id: str) -> Tuple[str, float]:
-    """(name, scale) of a test-function id: "cos" is ("cos", 1.0) and
-    "cos:2.0" is ("cos", 2.0); two ids with one key are one function."""
-    name, sep, argstr = str(phi_id).partition(":")
-    if sep and not argstr:
-        raise ValueError("test function scale is empty in %r" % (phi_id,))
-    w = float(argstr) if sep else 1.0
-    if not math.isfinite(w):
-        raise ValueError("test function scale must be finite, got %r" % (phi_id,))
-    if name not in _TEST_FUNCTIONS:
-        raise ValueError("unknown test function %r; known: %s"
-                         % (phi_id, ", ".join(sorted(_TEST_FUNCTIONS))))
-    return name, w
+_TEST_FUNCTIONS = {"cos": np.cos, "tanh": np.tanh}
 
 
 def resolve_test_function(phi_id: str) -> Callable:
-    """Bounded test-function menu: "cos", "tanh", "sigmoid", "const",
-    optionally scaled as e.g. "cos:2.0" for cos(2 x)."""
-    name, w = parse_test_function(phi_id)
-    f = _TEST_FUNCTIONS[name]
-    return lambda x: f(w, x)
+    """The bounded test function named phi_id, by exact name: "cos"
+    (even) or "tanh" (odd)."""
+    try:
+        return _TEST_FUNCTIONS[phi_id]
+    except KeyError:
+        raise ValueError("unknown test function %r; known: %s"
+                         % (phi_id, ", ".join(_TEST_FUNCTIONS))) from None
 
 
 def _mean_se(vals: np.ndarray) -> Tuple[float, float]:

@@ -142,11 +142,12 @@ def test_manifest_contents(tmp_path):
     {"preset": "no-such-preset"},
     {"test_functions": ["gauss"]},
     {"seed": -3},
-    {"test_functions": ["cos:inf"]},         # non-finite scales
+    # test functions are exact names, so a scaled id is unknown
+    {"test_functions": ["cos:inf"]},
     {"test_functions": ["cos:nan"]},
     {"test_functions": ["tanh:1e400"]},
-    {"test_functions": ["cos:"]},            # empty scale
-    {"test_functions": ["cos", "cos:1"]},    # one function, two spellings
+    {"test_functions": ["cos:"]},
+    {"test_functions": ["cos", "cos:1"]},
     {"test_functions": ["tanh", "tanh"]},
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, doc):
@@ -161,9 +162,10 @@ def test_bad_configs_exit_2(tmp_path, capsys, doc):
     ({"cov_pairs": [[1.0, 0.5, 0.25]]}, "cov_pairs: entries must be (t, s) pairs"),
     ({"cov_pairs": [[1.0]]}, "cov_pairs: entries must be (t, s) pairs"),
     ({"cov_pairs": [1.0]}, "cov_pairs: entries must be (t, s) pairs"),
-    ({"test_functions": ["cos:"]}, "test_functions: test function scale is empty"),
-    ({"test_functions": ["tanh:2", "cos", "tanh:2.0"]},
-     "test_functions: 'tanh:2.0' repeats an earlier entry"),
+    ({"test_functions": ["cos:"]},
+     "test_functions: unknown test function 'cos:'; known: cos, tanh"),
+    ({"test_functions": ["tanh", "cos", "tanh"]},
+     "test_functions: 'tanh' repeats an earlier entry"),
     ({"preset": "fbm-trig", "params": {"H": 0.7}},
      "params: give H as the top-level key, not in params"),
     # a string is no list: iterating it would read "0.4" as '0', '.', '4'
@@ -179,6 +181,17 @@ def test_bad_configs_exit_2(tmp_path, capsys, doc):
      "params: must be an object, got [['a', 2.0]]"),
     ({"params": "ab"}, "params: must be an object, got 'ab'"),
     ({"test_functions": ["cos", 3]}, "test_functions: must be a string, got 3"),
+    # the removed spellings: a scale suffix, sigmoid and const
+    ({"test_functions": ["cos:1"]},
+     "test_functions: unknown test function 'cos:1'; known: cos, tanh"),
+    ({"test_functions": ["tanh:2.0"]},
+     "test_functions: unknown test function 'tanh:2.0'; known: cos, tanh"),
+    ({"test_functions": ["sigmoid"]},
+     "test_functions: unknown test function 'sigmoid'; known: cos, tanh"),
+    ({"test_functions": ["const"]},
+     "test_functions: unknown test function 'const'; known: cos, tanh"),
+    ({"test_functions": ["cos", "cos:1"]},
+     "test_functions: unknown test function 'cos:1'; known: cos, tanh"),
 ])
 def test_malformed_list_entries_name_their_field(tmp_path, monkeypatch, capsys,
                                                  doc, message):
@@ -504,9 +517,20 @@ def test_rate_scan_observe_times_snap(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+def test_every_configured_test_function_resolves():
+    # the battery configs and the default name their test functions exactly
+    docs = [json.loads(p.read_text())
+            for p in sorted((REPO / "scripts" / "configs").glob("*.json"))]
+    ids = [phi for doc in docs for phi in doc.get("test_functions", [])]
+    ids += cli.ExperimentConfig().test_functions
+    assert len(ids) > 2
+    for phi in ids:
+        assert cli.resolve_test_function(phi) in (np.cos, np.tanh)
+
+
 def test_thm2_additive_unit_exact_zero(tmp_path):
     cfg = _cfg(tmp_path, preset="additive-unit", x0=0.0, N=16, M=300,
-               epsilons=[0.25], test_functions=["cos", "const"])
+               epsilons=[0.25], test_functions=["cos", "tanh"])
     out = tmp_path / "o"
     assert _run(["thm2", "--config", cfg, "--out", str(out),
                  "--assert"]) == 0
@@ -618,28 +642,36 @@ def test_thm2_assert_messages_two_phi(tmp_path, monkeypatch, capsys, epsilons,
 
 
 def test_thm2_assert_fails_on_an_infinite_se(tmp_path, capfd):
-    # at eps = 1e-300 the lhs values reach 1e300 and their squares overflow:
-    # an infinite SE bounds nothing, so the gate fails, and no numpy warning
-    # reaches stderr
+    # at eps = 1e-300 X equals the limit on every path, so the eps is named
+    # first; the lhs values reach 1e300 and their squares overflow: an
+    # infinite SE bounds nothing, so the row says so and the gate fails,
+    # and no numpy warning reaches stderr
     cfg = _cfg(tmp_path, preset="trig", x0=1.0, N=8, M=300, seed=1,
                epsilons=[0.5, 1e-300], test_functions=["tanh"])
     out = tmp_path / "o"
     assert _run(["thm2", "--config", cfg, "--out", str(out), "--assert"]) == 4
-    assert capfd.readouterr().err.splitlines() == [
-        "assert failed: phi=tanh eps=1e-300: |lhs-rhs|=9.78e+297 has a non-finite SE (inf)"]
-    row = _read_csv(out / "thm2.csv")[-1]
-    assert (row["lhs_se"], row["combined_se"], row["gap_over_se"]) == ("inf", "inf", "0")
+    assert capfd.readouterr().err.splitlines() == ["assert failed: " + m for m in [
+        "eps=1e-300: X_eps equals the limit path on every path "
+        "(eps below float resolution)",
+        "phi=tanh eps=1e-300: |lhs-rhs|=9.78e+297 has a non-finite SE (inf)"]]
+    first, row = _read_csv(out / "thm2.csv")
+    assert first["status"] == "ok"
+    assert (row["lhs_se"], row["combined_se"], row["gap_over_se"],
+            row["status"]) == ("inf", "inf", "0", "non-finite se")
 
 
 def test_rate_scan_assert_fails_on_a_non_finite_strong_metric(tmp_path, capfd):
-    # at eps = 1e-300 the second-order strong metric overflows to inf with a
-    # NaN SE: its decrease gate fails, its fit says why it has no slope, and
-    # no numpy warning reaches stderr
+    # at eps = 1e-300 X equals the limit on every path, so the eps is named
+    # first; the second-order strong metric overflows to inf with a NaN SE:
+    # its decrease gate fails, its fit says why it has no slope, and no
+    # numpy warning reaches stderr
     cfg = _cfg(tmp_path, preset="trig", x0=1.0, N=8, M=300, seed=1,
                epsilons=[0.5, 0.25, 1e-300])
     out = tmp_path / "o"
     assert _run(["rate-scan", "--config", cfg, "--out", str(out), "--assert"]) == 4
     assert capfd.readouterr().err.splitlines() == ["assert failed: " + m for m in [
+        "eps=1e-300: X_eps equals the limit path on every path "
+        "(eps below float resolution)",
         "rms_xt_y slope -0.002 outside [0.85, 1.15]",
         "kolmogorov slope -0.004 below 0.75",
         "rms_second not decreasing: 0.05 (eps=0.25) -> inf (eps=1e-300)"]]
@@ -647,6 +679,16 @@ def test_rate_scan_assert_fails_on_a_non_finite_strong_metric(tmp_path, capfd):
     assert (last["rms_second"], last["rms_second_se"]) == ("inf", "nan")
     fit, = [r for r in _read_csv(out / "ratefit.csv") if r["metric"] == "rms_second"]
     assert fit["status"] == "non-finite" and fit["slope"] == "nan"
+
+
+def test_rate_scan_without_noise_names_no_eps(tmp_path, capfd):
+    # x0 = 0 kills the multiplicative noise: X equals the limit on every
+    # path at every eps, and so does Y, so no eps is below float resolution
+    cfg = _cfg(tmp_path, preset="multiplicative", x0=0.0, N=8, M=200,
+               epsilons=[0.5, 0.25, 0.125])
+    out = tmp_path / "o"
+    assert _run(["rate-scan", "--config", cfg, "--out", str(out), "--assert"]) == 0
+    assert capfd.readouterr().err == ""
 
 
 def test_largest_bootstrap_seed_wraps(tmp_path):
